@@ -16,10 +16,25 @@ Three model builders:
 Auxiliary mixture variables are expanded explicitly (one variable per
 even- or odd-parity subset of each check's support), so check weight is
 capped; wider checks raise CheckWeightTooLarge.
+
+Two solver backends: the embedded simplex, and HiGHS.  For the primal
+kinds, HiGHS runs on one persistent model per code, kept on the code's
+constraint template: the qubit columns plus both parities' mixture blocks
+for every check (252 rows x 2376 columns on bb72), loaded once with
+presolve off.  A solve fixes the wrong-parity columns at zero, sets the
+qubit costs, clears the solver and runs it cold, then gathers the chosen
+columns back into the model's own layout.  Cold starts make the returned
+vertex a function of the model alone, so results do not depend on the
+order of solves.  Warm-starting from the previous basis was also measured
+slower despite fewer pivots: 5.0-6.3 against 3.3-3.8 ms per bb72 solve
+(149 against 280 pivots), 16-20 against 6.3-6.8 ms on bb144.  Dual
+models, and every model when scipy's private HiGHS bindings cannot be
+imported, go through ``scipy.optimize.linprog``.
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -116,6 +131,13 @@ class _LpTemplate:
             np.ones(self.m_x), np.zeros(len(self.edges)),
         ])
         self._error_matrix: sp.csc_matrix | None = None
+        self._highs: _HighsModel | None = None
+
+    def __getstate__(self):
+        # A HiGHS handle does not pickle; each process builds its own.
+        state = self.__dict__.copy()
+        state["_highs"] = None
+        return state
 
     def _build_block(self, code: CssCode, j: int, parity: int) -> _CheckBlock:
         support = code.tanner.x_supports[j]
@@ -460,7 +482,120 @@ def _solve_embedded(model: LpModel, **opts) -> tuple[np.ndarray, float, str, int
     return values, objective, "optimal", res.iterations
 
 
+class _HighsModel:
+    """One HiGHS model per code that serves every syndrome and error model.
+
+    Column layout: the n qubit columns, then for each check its parity-0
+    mixture block followed by its parity-1 block, each as wide as the
+    check's block in the template.  Rows are the template's rows.  A solve
+    fixes the wrong-parity columns at zero, sets the qubit costs (both
+    primal builders leave mixture columns at cost zero), and re-runs from
+    scratch.  Only the blocks of checks whose parity differs from the
+    previous solve have their bounds changed.
+    """
+
+    def __init__(self, core, tpl: _LpTemplate):
+        n, m_x = tpl.n, tpl.m_x
+        offsets = np.asarray(tpl.w_offset, dtype=np.int64)
+        widths = np.diff(np.append(offsets, tpl.n_vars))
+        full_offsets = n + 2 * (offsets - n)
+        self.n_cols = n + 2 * (tpl.n_vars - n)
+        rows, cols, vals = [], [], []
+        for j, pair in enumerate(tpl.blocks):
+            for parity, block in enumerate(pair):
+                mix = block.cols >= n
+                keep = mix if parity else np.ones_like(mix)  # qubit entries once
+                shift = full_offsets[j] + parity * widths[j] - offsets[j]
+                rows.append(block.rows[keep])
+                cols.append(np.where(mix, block.cols + shift, block.cols)[keep])
+                vals.append(block.vals[keep])
+        a = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(tpl.n_rows, self.n_cols),
+        ).tocsc()
+
+        # model mixture column k of check j sits at full column
+        # full_offsets[j] + (k - offsets[j]) + parity_j * widths[j]
+        self._check = np.repeat(np.arange(m_x), widths)
+        self._base = full_offsets[self._check] + (
+            np.arange(n, tpl.n_vars) - offsets[self._check])
+        self._width = widths[self._check]
+        self._qubits = np.arange(n, dtype=np.int32)
+        # full mixture columns, with the check and parity each belongs to
+        self._mix_cols = np.arange(n, self.n_cols, dtype=np.int32)
+        self._mix_check = np.repeat(np.arange(m_x), 2 * widths)
+        self._mix_parity = np.repeat(np.tile(np.array([0, 1], dtype=np.int8), m_x),
+                                     np.repeat(widths, 2))
+        self._parities = np.full(m_x, -1, dtype=np.int8)  # none set yet
+
+        lp = core.HighsLp()
+        lp.num_col_ = self.n_cols
+        lp.num_row_ = tpl.n_rows
+        lp.col_cost_ = np.zeros(self.n_cols)
+        lp.col_lower_ = np.zeros(self.n_cols)
+        lp.col_upper_ = np.full(self.n_cols, np.inf)
+        lp.row_lower_ = tpl.rhs
+        lp.row_upper_ = tpl.rhs
+        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+        lp.a_matrix_.num_col_ = self.n_cols
+        lp.a_matrix_.num_row_ = tpl.n_rows
+        lp.a_matrix_.start_ = a.indptr
+        lp.a_matrix_.index_ = a.indices
+        lp.a_matrix_.value_ = a.data
+        self._status = core.HighsModelStatus
+        self._highs = core._Highs()
+        self._highs.setOptionValue("output_flag", False)
+        self._highs.setOptionValue("presolve", "off")
+        if self._highs.passModel(lp) == core.HighsStatus.kError:
+            raise LposdError("HiGHS rejected the persistent model")
+
+    def solve(self, model: LpModel) -> tuple[np.ndarray, float, str, int]:
+        parities = model.meta["parities"]
+        gather = np.concatenate([
+            self._qubits, self._base + self._width * parities[self._check]])
+        highs, status_of = self._highs, self._status
+        changed = (parities != self._parities)[self._mix_check]
+        if changed.any():
+            cols = self._mix_cols[changed]
+            upper = np.where(
+                self._mix_parity[changed] == parities[self._mix_check[changed]],
+                np.inf, 0.0)
+            highs.changeColsBounds(cols.size, cols, np.zeros(cols.size), upper)
+            self._parities = parities.astype(np.int8)
+        highs.changeColsCost(self._qubits.size, self._qubits,
+                             model.c[: self._qubits.size])
+        highs.clearSolver()
+        highs.run()
+        status = highs.getModelStatus()
+        if status in (status_of.kInfeasible, status_of.kUnboundedOrInfeasible):
+            raise Infeasible("model is infeasible")
+        if status == status_of.kIterationLimit:
+            raise IterationLimit("HiGHS hit its iteration limit")
+        if status != status_of.kOptimal:
+            raise LposdError(f"HiGHS failed: {highs.modelStatusToString(status)}")
+        info = highs.getInfo()
+        values = np.asarray(highs.getSolution().col_value)[gather]
+        return values, float(info.objective_function_value), "optimal", int(
+            info.simplex_iteration_count)
+
+
+def _highs_model(code: CssCode) -> _HighsModel | None:
+    """The code's persistent HiGHS model, or None without scipy's bindings."""
+    tpl = _template(code)
+    if tpl._highs is None:
+        try:
+            core = importlib.import_module("scipy.optimize._highspy._core")
+        except ImportError:
+            return None
+        tpl._highs = _HighsModel(core, tpl)
+    return tpl._highs
+
+
 def _solve_scipy(model: LpModel, **opts) -> tuple[np.ndarray, float, str, int]:
+    if model.kind != "dual" and not model.c[model.code.n:].any():
+        highs = _highs_model(model.code)
+        if highs is not None:
+            return highs.solve(model)
     from scipy.optimize import linprog
 
     sign = 1.0 if model.sense == "min" else -1.0
@@ -490,6 +625,12 @@ def _solve_scipy(model: LpModel, **opts) -> tuple[np.ndarray, float, str, int]:
 
 def solve_lp(model: LpModel, solver: str = "embedded", **opts) -> LpSolution:
     """Solve a model with the chosen backend ('embedded' or 'scipy').
+
+    'scipy' solves syndrome and error models on the code's persistent HiGHS
+    model, cold-started on every call so the result does not depend on
+    earlier solves (see the module docstring); dual models, and all models
+    when scipy's private HiGHS bindings are missing, go through
+    ``scipy.optimize.linprog``.
 
     Near-integer components of the solution are snapped to exact integers
     (at 1e-11), which keeps downstream reflections and roundings exact.

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bp import BpConfig, min_sum_bp
 from .codes import CssCode, sample_random_hgp
-from .errors import EnumerationTooLarge, InvalidParameter, IterationLimit
+from .errors import EnumerationTooLarge, InvalidParameter, LposdError
 from .gf2 import in_rowspace
 from .lp import build_syndrome_lp, is_integral, round_independent, solve_lp
 from .osd import OsdConfig, osd_postprocess
@@ -187,6 +187,7 @@ class PointResult:
     mean_decode_seconds: float
     seed: int
     point_index: int
+    lp_iterations: int  # simplex iterations summed over the LP solves used
 
     @property
     def ws_ratio(self) -> float | None:
@@ -211,6 +212,7 @@ class PointResult:
             "ws_ratio": self.ws_ratio,
             "fractional": self.fractional,
             "solver_faults": self.solver_faults,
+            "lp_iterations": self.lp_iterations,
             "stage_counts": dict(sorted(self.stage_counts.items())),
             "mean_decode_seconds": self.mean_decode_seconds,
             "seed": self.seed,
@@ -307,6 +309,7 @@ class _Tally:
     wrong_syndrome: int = 0
     fractional: int = 0
     solver_faults: int = 0
+    lp_iterations: int = 0
     stage_counts: dict = field(default_factory=dict)
     decode_seconds: float = 0.0
 
@@ -316,6 +319,7 @@ class _Tally:
         self.wrong_syndrome += other.wrong_syndrome
         self.fractional += other.fractional
         self.solver_faults += other.solver_faults
+        self.lp_iterations += other.lp_iterations
         for stage, count in other.stage_counts.items():
             self.stage_counts[stage] = self.stage_counts.get(stage, 0) + count
         self.decode_seconds += other.decode_seconds
@@ -328,6 +332,7 @@ class _TrialOutcome:
     fractional: bool
     faulted: bool
     seconds: float
+    lp_iterations: int = 0
 
 
 def _decode_all(code: CssCode, specs: Sequence[DecoderSpec], s: np.ndarray,
@@ -352,9 +357,10 @@ def _decode_all(code: CssCode, specs: Sequence[DecoderSpec], s: np.ndarray,
         if spec.uses_lp:
             if spec.solver not in lp_cache:
                 start = time.perf_counter()
+                model = build_syndrome_lp(code, s)
                 try:
-                    sol = solve_lp(build_syndrome_lp(code, s), solver=spec.solver)
-                except IterationLimit:
+                    sol = solve_lp(model, solver=spec.solver)
+                except LposdError:
                     sol = None
                 lp_cache[spec.solver] = (sol, time.perf_counter() - start)
             sol, front_secs = lp_cache[spec.solver]
@@ -372,6 +378,7 @@ def _decode_all(code: CssCode, specs: Sequence[DecoderSpec], s: np.ndarray,
                     code, s, sol.x(), spec.osd_config(), rng=rng_for[spec.key])
                 outcome = _TrialOutcome(correction, stage, True, False, 0.0)
             outcome.seconds = front_secs + (time.perf_counter() - start)
+            outcome.lp_iterations = sol.iterations if sol is not None else 0
         else:
             channel_p = spec.bp_channel_p if spec.bp_channel_p is not None else p
             key = (channel_p, spec.bp_iteration_cap)
@@ -425,6 +432,7 @@ def _run_trials(code: CssCode, specs: Sequence[DecoderSpec], p: float,
             tally = tallies[spec.key]
             tally.trials += 1
             tally.decode_seconds += outcome.seconds
+            tally.lp_iterations += outcome.lp_iterations
             tally.stage_counts[outcome.stage] = (
                 tally.stage_counts.get(outcome.stage, 0) + 1)
             if outcome.fractional:
@@ -503,6 +511,7 @@ def run_point(code: CssCode, decoder, p: float, trials: int, seed: int = 0, *,
             mean_decode_seconds=tally.decode_seconds / tally.trials,
             seed=seed,
             point_index=point_index,
+            lp_iterations=tally.lp_iterations,
         ))
     return results[0] if single else results
 

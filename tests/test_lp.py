@@ -378,3 +378,73 @@ def test_dump_lp_layout(tmp_path, surface3):
     names = model.var_names()
     assert len(set(names)) == model.n_vars
     assert names[0] in text
+
+
+# ---------------------------------------------------------------------------
+# persistent HiGHS model behind solver="scipy"
+# ---------------------------------------------------------------------------
+
+
+def linprog_objective(model):
+    from scipy.optimize import linprog
+
+    res = linprog(model.c, A_eq=model.a, b_eq=model.b, bounds=(0, None),
+                  method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+def random_syndromes(code, count, p, seed):
+    rng = np.random.default_rng(seed)
+    return [code.syndrome((rng.random(code.n) < p).astype(np.uint8))
+            for _ in range(count)]
+
+
+@pytest.fixture(scope="module")
+def persistent_codes(surface5, bb72):
+    from lposd import sample_random_hgp
+
+    return [surface5, bb72, sample_random_hgp(2, 0)]
+
+
+def test_persistent_model_matches_linprog(persistent_codes):
+    for code in persistent_codes:
+        models = [build_syndrome_lp(code, s)
+                  for s in random_syndromes(code, 6, 0.05, 31)]
+        rng = np.random.default_rng(37)
+        models.append(build_syndrome_lp(
+            code, models[0].meta["syndrome"], weights=rng.uniform(0.5, 2.0, code.n)))
+        models.append(build_error_lp(code, (rng.random(code.n) < 0.1).astype(np.uint8)))
+        for model in models:
+            sol = solve_lp(model, solver="scipy")
+            assert sol.values.shape == (model.n_vars,)
+            assert residual(sol) <= 1e-8
+            assert abs(sol.objective - linprog_objective(model)) <= 1e-9
+
+
+def test_persistent_model_is_order_independent(bb72):
+    syndromes = random_syndromes(bb72, 8, 0.04, 41)
+    forward = [solve_lp(build_syndrome_lp(bb72, s), solver="scipy").x()
+               for s in syndromes]
+    backward = [solve_lp(build_syndrome_lp(bb72, s), solver="scipy").x()
+                for s in reversed(syndromes)]
+    for a, b in zip(forward, reversed(backward)):
+        assert np.array_equal(a, b)
+
+
+def test_linprog_fallback_without_highs_bindings(monkeypatch):
+    import sys
+
+    from lposd import rotated_surface_code
+
+    code = rotated_surface_code(3)
+    models = [build_syndrome_lp(code, s) for s in random_syndromes(code, 4, 0.2, 43)]
+    persistent = [solve_lp(m, solver="scipy").objective for m in models]
+    fresh = rotated_surface_code(3)
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    for model, expected in zip(models, persistent):
+        model = build_syndrome_lp(fresh, model.meta["syndrome"])
+        sol = solve_lp(model, solver="scipy")
+        assert abs(sol.objective - expected) <= 1e-9
+        assert residual(sol) <= 1e-8
+    assert fresh._lp_template._highs is None

@@ -165,6 +165,52 @@ def test_workers_do_not_change_results(surface3):
     assert point_fingerprint(serial) == point_fingerprint(parallel)
 
 
+def test_workers_with_a_persistent_solver_model(surface3):
+    import pickle
+
+    from lposd import build_syndrome_lp, solve_lp
+
+    s = np.zeros(surface3.hx.n_rows, dtype=np.uint8)
+    s[0] = 1
+    solve_lp(build_syndrome_lp(surface3, s), solver="scipy")
+    assert surface3._lp_template._highs is not None
+    clone = pickle.loads(pickle.dumps(surface3))
+    assert clone._lp_template._highs is None
+    spec = DecoderSpec("lp-osdcs", solver="scipy")
+    serial = run_point(surface3, spec, p=0.1, trials=60, seed=9)
+    parallel = run_point(surface3, spec, p=0.1, trials=60, seed=9, workers=2)
+    assert point_fingerprint(serial) == point_fingerprint(parallel)
+
+
+def test_solver_errors_are_counted_not_raised(surface3, monkeypatch):
+    import lposd.sim as sim_mod
+    from lposd import LposdError
+
+    real_solve = sim_mod.solve_lp
+    calls = []
+
+    def flaky_solve(model, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise LposdError("numerical")
+        return real_solve(model, **kwargs)
+
+    monkeypatch.setattr(sim_mod, "solve_lp", flaky_solve)
+    res = run_point(surface3, "lp-osdcs", p=0.1, trials=40, seed=3)
+    assert len(calls) >= 2
+    assert res.trials == 40
+    assert res.solver_faults == 1
+    assert res.stage_counts["solver-fault"] == 1
+
+
+def test_lp_iterations_recorded(surface3):
+    lp_res, bp_res = run_point(surface3, ["lp-round", "bp"], p=0.1, trials=30,
+                               seed=4)
+    assert lp_res.lp_iterations > 0
+    assert bp_res.lp_iterations == 0
+    assert lp_res.to_record()["lp_iterations"] == lp_res.lp_iterations
+
+
 def test_osd_pipelines_never_miss_syndrome(surface3):
     for name in ("lp-osd0", "lp-osdcs", "bp-osd0", "bp-osdcs"):
         res = run_point(surface3, name, p=0.12, trials=80, seed=21)
