@@ -49,6 +49,7 @@ from .codes import (
     save_code,
 )
 from .lp import (
+    DEFAULT_SOLVER,
     DualSolution,
     LpModel,
     LpSolution,

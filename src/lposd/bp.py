@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .codes import CssCode
 from .errors import InvalidParameter
@@ -66,6 +65,12 @@ def _bp_context(code: CssCode) -> _BpContext:
     return code._bp_context
 
 
+def _error_probability(posterior: np.ndarray) -> np.ndarray:
+    """1/(1+exp(L)) per qubit; an overflow to inf correctly gives 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(posterior))
+
+
 def min_sum_bp(code: CssCode, s, cfg: BpConfig) -> BpResult:
     """Run scaled min-sum BP against syndrome s; see the module docstring."""
     ctx = _bp_context(code)
@@ -105,9 +110,9 @@ def min_sum_bp(code: CssCode, s, cfg: BpConfig) -> BpResult:
         posterior = prior + np.bincount(eq, weights=c2v, minlength=n)
         hard = (posterior < 0.0).astype(np.uint8)
         if np.array_equal(code.syndrome(hard), s_arr):
-            return BpResult(hard=hard, soft=expit(-posterior), converged=True,
-                            iterations=t)
-    return BpResult(hard=hard, soft=expit(-posterior), converged=False,
+            return BpResult(hard=hard, soft=_error_probability(posterior),
+                            converged=True, iterations=t)
+    return BpResult(hard=hard, soft=_error_probability(posterior), converged=False,
                     iterations=max_iter)
 
 

@@ -29,7 +29,7 @@ from .codes import (
 )
 from .errors import InvalidParameter, LposdError
 from .gf2 import BinaryMatrix, read_matrix
-from .lp import build_syndrome_lp, dump_lp
+from .lp import DEFAULT_SOLVER, build_syndrome_lp, dump_lp
 from .osd import OsdConfig, lp_osd_decode, lp_round_decode
 from .patterns import search_patterns, write_patterns
 from .sim import DECODER_NAMES, DecoderSpec, SimConfig, run_ensemble, run_point
@@ -135,7 +135,9 @@ def _add_simulate(sub) -> None:
                    help="combination-sweep window")
     p.add_argument("--tie-break", choices=("distance", "random"))
     p.add_argument("--bp-max-iter", type=int)
-    p.add_argument("--solver", choices=("embedded", "scipy"), default="embedded")
+    p.add_argument("--solver", choices=("embedded", "scipy"), default=DEFAULT_SOLVER,
+                   help="LP backend: HiGHS (scipy, the default) or the "
+                        "dependency-free embedded simplex")
     p.add_argument("--n-codes", type=int, default=1,
                    help="random-hgp only: ensemble size")
     p.add_argument("--trials-per-code", type=int, default=10,
@@ -246,7 +248,9 @@ def _add_detector_decode(sub) -> None:
                    help="0/1 bit file or flipped-detector index file")
     p.add_argument("--osd", choices=("0", "cs", "round"), default="cs")
     p.add_argument("--lambda", dest="lam", type=int, default=60)
-    p.add_argument("--solver", choices=("embedded", "scipy"), default="embedded")
+    p.add_argument("--solver", choices=("embedded", "scipy"), default=DEFAULT_SOLVER,
+                   help="LP backend: HiGHS (scipy, the default) or the "
+                        "dependency-free embedded simplex")
     p.add_argument("--dump-lp", help="also write the LP model to this path")
     p.set_defaults(func=_cmd_detector_decode)
 

@@ -17,7 +17,9 @@ Auxiliary mixture variables are expanded explicitly (one variable per
 even- or odd-parity subset of each check's support), so check weight is
 capped; wider checks raise CheckWeightTooLarge.
 
-Two solver backends: the embedded simplex, and HiGHS.  For the primal
+Two solver backends: HiGHS ('scipy', the default, ``DEFAULT_SOLVER``)
+and the embedded simplex ('embedded'), which needs nothing beyond numpy and
+scipy.sparse and is kept as a dependency-free cross-check.  For the primal
 kinds, HiGHS runs on one persistent model per code, kept on the code's
 constraint template: the qubit columns plus both parities' mixture blocks
 for every check (252 rows x 2376 columns on bb72), loaded once with
@@ -27,15 +29,28 @@ columns back into the model's own layout.  Cold starts make the returned
 vertex a function of the model alone, so results do not depend on the
 order of solves.  Warm-starting from the previous basis was also measured
 slower despite fewer pivots: 5.0-6.3 against 3.3-3.8 ms per bb72 solve
-(149 against 280 pivots), 16-20 against 6.3-6.8 ms on bb144.  Dual
-models, and every model when scipy's private HiGHS bindings cannot be
-imported, go through ``scipy.optimize.linprog``.
+(149 against 280 pivots), 16-20 against 6.3-6.8 ms on bb144.  The HiGHS
+extension module is loaded by file path, so that path never imports
+``scipy.optimize`` (about 0.2 s and 19 MB).  Dual models, and every model
+when scipy's private HiGHS bindings cannot be loaded, go through
+``scipy.optimize.linprog``.
+
+The two backends agree on every optimal objective, but on a degenerate
+optimal face they may return different vertices, so switching backends can
+change which correction a decoder returns.
+
+Syndrome and error models assemble their sparse constraint matrix ``a``
+only when it is first read; the persistent HiGHS path never reads it.
 """
 
 from __future__ import annotations
 
 import importlib
+import importlib.machinery
+import importlib.util
 import itertools
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -47,6 +62,7 @@ from .errors import CheckWeightTooLarge, Infeasible, IterationLimit, LposdError
 from .simplex import solve_standard_form
 
 __all__ = [
+    "DEFAULT_SOLVER",
     "MAX_CHECK_WEIGHT",
     "LpModel",
     "LpSolution",
@@ -63,6 +79,10 @@ __all__ = [
 ]
 
 MAX_CHECK_WEIGHT = 12
+
+# The backend every decoder, simulation and CLI command uses unless told
+# otherwise: HiGHS on the persistent per-code model.
+DEFAULT_SOLVER = "scipy"
 
 # Components this close to an integer are snapped when a solution is packaged.
 _SNAP = 1e-11
@@ -130,7 +150,6 @@ class _LpTemplate:
         self.rhs = np.concatenate([
             np.ones(self.m_x), np.zeros(len(self.edges)),
         ])
-        self._error_matrix: sp.csc_matrix | None = None
         self._highs: _HighsModel | None = None
 
     def __getstate__(self):
@@ -172,11 +191,6 @@ class _LpTemplate:
         coo = sp.coo_matrix((vals, (rows, cols)), shape=(self.n_rows, self.n_vars))
         return coo.tocsc()
 
-    def error_matrix(self) -> sp.csc_matrix:
-        if self._error_matrix is None:
-            self._error_matrix = self.assemble(np.zeros(self.m_x, dtype=np.int8))
-        return self._error_matrix
-
 
 def _template(code: CssCode) -> _LpTemplate:
     if code._lp_template is None:
@@ -190,18 +204,26 @@ class LpModel:
 
     ``kind`` is one of 'syndrome', 'error', 'dual'.  For the primal kinds
     the first ``n`` columns are the qubit variables; ``subset_of_col`` maps
-    a mixture column back to its (check, subset) pair on demand.
+    a mixture column back to its (check, subset) pair on demand.  Their
+    constraint matrix ``a`` is assembled from the code's template on first
+    read; dual models pass theirs in as ``_a``.
     """
 
     kind: str
     code: CssCode
     sense: str  # 'min' or 'max'
     c: np.ndarray
-    a: sp.csc_matrix
     row_sense: np.ndarray  # 0 equality, -1 <=, +1 >=
     b: np.ndarray
     free_vars: np.ndarray  # bool mask; False means lower bound 0
     meta: dict = field(default_factory=dict)
+    _a: sp.csc_matrix | None = field(default=None, repr=False)
+
+    @property
+    def a(self) -> sp.csc_matrix:
+        if self._a is None:
+            self._a = _template(self.code).assemble(self.meta["parities"])
+        return self._a
 
     @property
     def n_vars(self) -> int:
@@ -296,13 +318,11 @@ def build_syndrome_lp(code: CssCode, s, weights: Sequence[float] | None = None) 
         if w.shape != (tpl.n,):
             raise ValueError(f"weights must have length {tpl.n}")
         c[: tpl.n] = w
-    a = tpl.assemble(s_arr)
     return LpModel(
         kind="syndrome",
         code=code,
         sense="min",
         c=c,
-        a=a,
         row_sense=np.zeros(tpl.n_rows, dtype=np.int8),
         b=tpl.rhs,
         free_vars=np.zeros(tpl.n_vars, dtype=bool),
@@ -329,7 +349,6 @@ def build_error_lp(code: CssCode, e_prime) -> LpModel:
         code=code,
         sense="min",
         c=c,
-        a=tpl.error_matrix(),
         row_sense=np.zeros(tpl.n_rows, dtype=np.int8),
         b=tpl.rhs,
         free_vars=np.zeros(tpl.n_vars, dtype=bool),
@@ -385,11 +404,11 @@ def build_dual_lp(code: CssCode, e_prime) -> LpModel:
         code=code,
         sense="max",
         c=c,
-        a=a,
         row_sense=np.full(r, -1, dtype=np.int8),
         b=np.asarray(b),
         free_vars=np.ones(n_sigma + n_tau, dtype=bool),
         meta={"e_prime": e_arr, "edge_col": edge_col},
+        _a=a,
     )
 
 
@@ -579,12 +598,51 @@ class _HighsModel:
             info.simplex_iteration_count)
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core_by_path() -> None:
+    """Load scipy's HiGHS extension from its file, under its canonical name.
+
+    Importing it by name runs ``scipy/optimize/__init__.py`` first, which
+    costs 0.1-0.3 s and about 19 MB; the extension itself needs neither.
+    ``importlib.util.find_spec`` would import the parent packages too, so
+    the file is located from ``scipy.__file__``.  On success the module is
+    in ``sys.modules``, where a later ``import scipy.optimize`` finds and
+    reuses it; on failure nothing is left behind.
+    """
+    import scipy
+
+    base = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(base + suffix):
+            spec = importlib.util.spec_from_file_location(_HIGHS_CORE, base + suffix)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_HIGHS_CORE] = module
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[_HIGHS_CORE]
+                raise
+            return
+
+
 def _highs_model(code: CssCode) -> _HighsModel | None:
-    """The code's persistent HiGHS model, or None without scipy's bindings."""
+    """The code's persistent HiGHS model, or None without scipy's bindings.
+
+    A ``None`` entry for the extension in ``sys.modules`` means its import
+    is blocked, and is honoured.  If loading by path fails, the normal
+    import is tried; if that fails too, the caller falls back to linprog.
+    """
     tpl = _template(code)
     if tpl._highs is None:
+        if _HIGHS_CORE not in sys.modules:
+            try:
+                _load_highs_core_by_path()
+            except (ImportError, OSError):
+                pass
         try:
-            core = importlib.import_module("scipy.optimize._highspy._core")
+            core = importlib.import_module(_HIGHS_CORE)
         except ImportError:
             return None
         tpl._highs = _HighsModel(core, tpl)
@@ -623,14 +681,17 @@ def _solve_scipy(model: LpModel, **opts) -> tuple[np.ndarray, float, str, int]:
     return res.x, sign * float(res.fun), "optimal", nit
 
 
-def solve_lp(model: LpModel, solver: str = "embedded", **opts) -> LpSolution:
-    """Solve a model with the chosen backend ('embedded' or 'scipy').
+def solve_lp(model: LpModel, solver: str = DEFAULT_SOLVER, **opts) -> LpSolution:
+    """Solve a model with the chosen backend ('scipy' or 'embedded').
 
-    'scipy' solves syndrome and error models on the code's persistent HiGHS
-    model, cold-started on every call so the result does not depend on
-    earlier solves (see the module docstring); dual models, and all models
-    when scipy's private HiGHS bindings are missing, go through
-    ``scipy.optimize.linprog``.
+    'scipy', the default, solves syndrome and error models on the code's
+    persistent HiGHS model, cold-started on every call so the result does
+    not depend on earlier solves (see the module docstring); dual models,
+    and all models when scipy's private HiGHS bindings are missing, go
+    through ``scipy.optimize.linprog``.  'embedded' is the dependency-free
+    simplex, kept as a cross-check; it reaches the same optimal objective
+    but may return a different vertex of a degenerate optimal face, so a
+    decoder's correction can depend on the backend.
 
     Near-integer components of the solution are snapped to exact integers
     (at 1e-11), which keeps downstream reflections and roundings exact.

@@ -20,7 +20,7 @@ import numpy as np
 from .codes import CssCode, bfs_distance_to_flipped
 from .errors import InvalidParameter, SingularSubmatrix
 from .gf2 import BinaryMatrix, rank
-from .lp import build_syndrome_lp, is_integral, round_independent, solve_lp
+from .lp import DEFAULT_SOLVER, build_syndrome_lp, is_integral, round_independent, solve_lp
 
 __all__ = [
     "OsdConfig",
@@ -203,34 +203,46 @@ def osd0(code: CssCode, s, ordering: QubitOrdering) -> np.ndarray:
     return _scatter(code, ordering, base, ())
 
 
-def osd_cs(code: CssCode, s, ordering: QubitOrdering, lam: int = 60) -> np.ndarray:
+def osd_cs(code: CssCode, s, ordering: QubitOrdering, lam: int = 60,
+           weights=None) -> np.ndarray:
     """Combination-sweep correction.
 
     Candidates, in enumeration order: the zero-order solution, every
     weight-1 pattern on the remainder, and every weight-2 pattern within
     the first min(lam, |remainder|) remainder positions (lexicographic).
-    The lightest candidate wins; ties go to the earliest enumerated.
+    The lightest candidate wins, by Hamming weight or, when per-qubit
+    ``weights`` are given, by the sum of the weights of its flipped qubits;
+    ties go to the earliest enumerated.
     """
     base, reach = _eliminate(code, ordering, s)
     n_t = ordering.remainder.size
-    base_weight = int(base.sum())
     if n_t == 0:
         return _scatter(code, ordering, base, ())
-    col_weight = reach.sum(axis=0, dtype=np.int64)
-    overlap = base.astype(np.int64) @ reach
-    weights_1 = base_weight + col_weight - 2 * overlap + 1
+    # cost of each committed and each remainder qubit
+    if weights is None:
+        w_com = np.ones(ordering.committed.size, dtype=np.int64)
+        w_rem = np.ones(n_t, dtype=np.int64)
+    else:
+        w_arr = np.asarray(weights, dtype=float)
+        w_com, w_rem = w_arr[ordering.committed], w_arr[ordering.remainder]
+    w_base = w_com * base
+    base_weight = w_base.sum()
+    col_weight = w_com @ reach
+    overlap = w_base @ reach
+    weights_1 = base_weight + col_weight - 2 * overlap + w_rem
 
     lam_eff = min(lam, n_t)
     if lam_eff >= 2:
         window = reach[:, :lam_eff].astype(np.int64)
-        gram = window.T @ window
-        base_gram = (window * base[:, None]).T @ window
+        gram = (window * w_com[:, None]).T @ window
+        base_gram = (window * w_base[:, None]).T @ window
         ca = col_weight[:lam_eff]
         ua = overlap[:lam_eff]
         pair_a, pair_b = np.triu_indices(lam_eff, k=1)
         xor_weight = ca[pair_a] + ca[pair_b] - 2 * gram[pair_a, pair_b]
         xor_overlap = ua[pair_a] + ua[pair_b] - 2 * base_gram[pair_a, pair_b]
-        weights_2 = base_weight + xor_weight - 2 * xor_overlap + 2
+        weights_2 = (base_weight + xor_weight - 2 * xor_overlap
+                     + w_rem[pair_a] + w_rem[pair_b])
     else:
         pair_a = pair_b = np.empty(0, dtype=np.int64)
         weights_2 = np.empty(0, dtype=np.int64)
@@ -248,23 +260,29 @@ def osd_cs(code: CssCode, s, ordering: QubitOrdering, lam: int = 60) -> np.ndarr
 
 
 def osd_postprocess(code: CssCode, s, soft, cfg: OsdConfig,
-                    rng: np.random.Generator | None = None) -> tuple[np.ndarray, str]:
-    """Order by the soft vector, then run the configured OSD stage."""
+                    rng: np.random.Generator | None = None,
+                    weights=None) -> tuple[np.ndarray, str]:
+    """Order by the soft vector, then run the configured OSD stage.
+
+    ``weights`` are per-qubit costs for the combination sweep; None ranks
+    its candidates by Hamming weight.
+    """
     ordering = order_qubits(soft, code, s, cfg, rng=rng)
     if cfg.order == "osd0":
         return osd0(code, s, ordering), "osd-0"
-    return osd_cs(code, s, ordering, cfg.lam), "osd-cs"
+    return osd_cs(code, s, ordering, cfg.lam, weights), "osd-cs"
 
 
 def lp_osd_decode(code: CssCode, s, cfg: OsdConfig | None = None, *,
-                  solver: str = "embedded", weights=None,
+                  solver: str = DEFAULT_SOLVER, weights=None,
                   rng: np.random.Generator | None = None) -> DecodeResult:
     """Full decode: solve the syndrome LP, return integral solutions
     directly, and hand fractional ones to OSD.
 
     An integral LP optimum is a certified minimum-weight correction (with
     unit objective weights).  The all-zero syndrome short-circuits without
-    touching the solver.
+    touching the solver.  ``weights`` are per-qubit costs used by the LP
+    objective and by the combination sweep's ranking.
     """
     cfg = cfg or OsdConfig()
     s_arr = np.asarray(s, dtype=np.uint8) & 1
@@ -285,11 +303,11 @@ def lp_osd_decode(code: CssCode, s, cfg: OsdConfig | None = None, *,
         diag["fractional"] = False
         return DecodeResult(correction=correction, stage="integral-lp", diagnostics=diag)
     diag["fractional"] = True
-    correction, stage = osd_postprocess(code, s_arr, sol.x(), cfg, rng)
+    correction, stage = osd_postprocess(code, s_arr, sol.x(), cfg, rng, weights)
     return DecodeResult(correction=correction, stage=stage, diagnostics=diag)
 
 
-def lp_round_decode(code: CssCode, s, *, solver: str = "embedded",
+def lp_round_decode(code: CssCode, s, *, solver: str = DEFAULT_SOLVER,
                     weights=None) -> DecodeResult:
     """LP followed by independent per-bit rounding (no syndrome guarantee)."""
     s_arr = np.asarray(s, dtype=np.uint8) & 1

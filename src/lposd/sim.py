@@ -25,7 +25,7 @@ from .bp import BpConfig, min_sum_bp
 from .codes import CssCode, sample_random_hgp
 from .errors import EnumerationTooLarge, InvalidParameter, LposdError
 from .gf2 import in_rowspace
-from .lp import build_syndrome_lp, is_integral, round_independent, solve_lp
+from .lp import DEFAULT_SOLVER, build_syndrome_lp, is_integral, round_independent, solve_lp
 from .osd import OsdConfig, osd_postprocess
 
 __all__ = [
@@ -70,7 +70,7 @@ class DecoderSpec:
     name: str
     lam: int = 60
     tie_break: str | None = None
-    solver: str = "embedded"
+    solver: str = DEFAULT_SOLVER
     bp_iteration_cap: int | None = None
     bp_channel_p: float | None = None
     label: str | None = None

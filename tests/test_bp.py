@@ -197,3 +197,31 @@ def test_iteration_budget_respected(surface5):
     s = code.syndrome(e)
     res = min_sum_bp(code, s, BpConfig(max_iterations=1))
     assert res.iterations == 1
+
+
+def test_error_probability_matches_expit_records(monkeypatch):
+    # Soft output used to come from scipy.special.expit(-posterior).  The
+    # numpy form must leave whole bb144 records unchanged, timing aside.
+    from scipy.special import expit
+
+    import lposd.bp as bp_mod
+    from lposd import named_bb_code, run_point
+
+    code = named_bb_code("bb144")
+    pipelines = ["bp", "bp-osd0", "bp-osdcs"]
+
+    def records():
+        out = []
+        for res in run_point(code, pipelines, p=0.06, trials=300, seed=7):
+            record = res.to_record()
+            record.pop("mean_decode_seconds")
+            out.append(record)
+        return out
+
+    numpy_form = records()
+    monkeypatch.setattr(bp_mod, "_error_probability", lambda post: expit(-post))
+    assert records() == numpy_form
+    assert numpy_form[0]["stage_counts"].get("bp-stalled", 0) > 0
+
+    posterior = np.array([-800.0, -50.0, -1.0, 0.0, 1e-300, 2.5, 50.0, 800.0])
+    assert np.array_equal(bp_mod._error_probability(posterior), expit(-posterior))

@@ -264,3 +264,24 @@ def test_resolve_decoders_shorthands():
     assert resolve(["lp-round", "bp-osd0"]) == ["lp-round", "bp-osd0"]
     with pytest.raises(InvalidParameter):
         resolve(["turbo"])
+
+
+def test_every_entry_point_defaults_to_the_same_solver():
+    import inspect
+
+    from lposd import (DEFAULT_SOLVER, DecoderSpec, lp_osd_decode,
+                       lp_round_decode, solve_lp)
+    from lposd.cli import build_parser
+
+    assert DEFAULT_SOLVER == "scipy"
+    assert DecoderSpec("lp-osdcs").solver == DEFAULT_SOLVER
+    for func in (solve_lp, lp_osd_decode, lp_round_decode):
+        assert inspect.signature(func).parameters["solver"].default == DEFAULT_SOLVER
+    parser = build_parser()
+    sim = parser.parse_args(["simulate", "--code", "surface:3", "--decoder", "lp",
+                             "--p", "0.1"])
+    det = parser.parse_args(["detector-decode", "--matrix", "m", "--probs", "p",
+                             "--syndrome", "s"])
+    assert sim.solver == det.solver == DEFAULT_SOLVER
+    assert resolve_decoders(["lp"], None, 60, None, sim.solver, None)[0].solver \
+        == DEFAULT_SOLVER

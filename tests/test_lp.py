@@ -448,3 +448,102 @@ def test_linprog_fallback_without_highs_bindings(monkeypatch):
         assert abs(sol.objective - expected) <= 1e-9
         assert residual(sol) <= 1e-8
     assert fresh._lp_template._highs is None
+
+
+# ---------------------------------------------------------------------------
+# default backend, lazy constraint matrix, lean import
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fixture", ["surface5", "bb72"])
+def test_lazy_matrix_matches_eager_assembly(fixture, request):
+    from lposd.lp import _template
+
+    code = request.getfixturevalue(fixture)
+    tpl = _template(code)
+    rng = np.random.default_rng(3)
+    e = (rng.random(code.n) < 0.05).astype(np.uint8)
+    models = [build_syndrome_lp(code, code.syndrome(e)),
+              build_syndrome_lp(code, code.syndrome(e), weights=rng.uniform(0.5, 2, code.n)),
+              build_error_lp(code, e)]
+    for model in models:
+        assert model._a is None
+        eager = tpl.assemble(model.meta["parities"])
+        assert model.a.shape == eager.shape
+        assert (model.a != eager).nnz == 0
+        assert model.a is model.a  # assembled once
+
+
+# sha256 of dump_lp output, recorded while build_syndrome_lp and
+# build_error_lp still assembled the matrix eagerly
+_DUMP_DIGESTS = {
+    "surface5": {
+        "syndrome": "f94e26fcbc0dadc01a94cf49497731d1976dd4dd3418cbe30baf30cf0521e493",
+        "weighted": "b6f6d9d412cf08f82cb3aebeedbaad1e1741e1c3e81e31a485662f4f6b1cc800",
+        "error": "154260772ff0db36f277dedb4a4b18e1bb5b3085d6205c5450efddfab927c6da",
+    },
+    "bb72": {
+        "syndrome": "86de551a13d7fd7860570f402a5f36ab7ec6356561290da553445b3d45fa7044",
+        "weighted": "035dfe973ea82c36e49dcc1d46573858647b0ea746e231b864e40e813270846a",
+        "error": "a83fea07626629479fe9d4de9e0738847ce9de7c67ce8caf54f05df991821ed9",
+    },
+}
+
+
+@pytest.mark.parametrize("fixture", ["surface5", "bb72"])
+def test_dump_lp_output_unchanged(fixture, request, tmp_path):
+    import hashlib
+
+    code = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(5)
+    e = (rng.random(code.n) < 0.05).astype(np.uint8)
+    s = code.syndrome(e)
+    models = {"syndrome": build_syndrome_lp(code, s),
+              "weighted": build_syndrome_lp(code, s, rng.uniform(0.5, 2.0, code.n)),
+              "error": build_error_lp(code, e)}
+    for kind, model in models.items():
+        path = tmp_path / f"{kind}.lp"
+        dump_lp(model, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == _DUMP_DIGESTS[fixture][kind], kind
+
+
+def test_lean_import_keeps_scipy_optimize_out():
+    # A default decode loads only scipy's HiGHS extension; scipy.optimize
+    # arrives with the first dual solve, and reuses the loaded extension.
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    import lposd
+
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import lposd
+        from lposd import (build_dual_lp, lp_osd_decode, rotated_surface_code,
+                           solve_lp)
+
+        code = rotated_surface_code(5)
+        e = np.zeros(code.n, dtype=np.uint8)
+        e[[3, 11]] = 1
+        res = lp_osd_decode(code, code.syndrome(e))
+        assert res.diagnostics["solver"] == "scipy", res.diagnostics
+        assert code._lp_template._highs is not None
+        loaded = [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
+        assert not loaded, loaded
+        core = sys.modules["scipy.optimize._highspy._core"]
+
+        sol = solve_lp(build_dual_lp(code, e))
+        assert sol.status == "optimal" and sol.solver == "scipy"
+        assert "scipy.optimize" in sys.modules
+        assert sys.modules["scipy.optimize._highspy._core"] is core
+        print("ok", sol.objective)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lposd.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("ok")

@@ -253,3 +253,38 @@ def test_decode_is_deterministic(toy_pattern):
     b = lp_osd_decode(code, pattern.syndrome, solver="scipy")
     assert np.array_equal(a.correction, b.correction)
     assert a.stage == b.stage
+
+
+
+@pytest.mark.parametrize("solver", ["scipy", "embedded"])
+def test_weighted_osd_cs_ranks_candidates_by_weight(solver):
+    # The weighted LP optimum is fractional.  Among the sweep's candidates,
+    # flipping the reliable qubit 0 alone is the lightest by count (cost
+    # 4.60), but flipping qubits 1 and 3 costs 4.39, the least of any
+    # error with this syndrome.
+    import itertools
+    import math
+
+    from lposd import build_syndrome_lp, solve_lp
+
+    dense = [[0, 1, 0, 1, 0, 1], [1, 0, 1, 1, 0, 1], [0, 1, 1, 1, 1, 1],
+             [0, 1, 0, 1, 1, 0], [1, 0, 1, 1, 1, 1]]
+    probs = [0.01, 0.1, 0.2, 0.1, 0.1, 0.2]
+    code = CssCode(BinaryMatrix.from_dense(np.array(dense, dtype=np.uint8)),
+                   BinaryMatrix([], 6), name="detector")
+    weights = np.array([math.log((1.0 - p) / p) for p in probs])
+    s = np.array([0, 1, 0, 0, 1], dtype=np.uint8)
+
+    sol = solve_lp(build_syndrome_lp(code, s, weights), solver=solver)
+    ordering = order_qubits(sol.x(), code, s, OsdConfig())
+    assert osd_cs(code, s, ordering).tolist() == [1, 0, 0, 0, 0, 0]
+    assert osd_cs(code, s, ordering, weights=weights).tolist() == [0, 1, 0, 1, 0, 0]
+
+    res = lp_osd_decode(code, s, solver=solver, weights=weights)
+    assert res.stage == "osd-cs"
+    assert res.correction.tolist() == [0, 1, 0, 1, 0, 0]
+    best = min(
+        float(weights @ np.array(bits))
+        for bits in itertools.product((0, 1), repeat=code.n)
+        if np.array_equal(code.syndrome(np.array(bits, dtype=np.uint8)), s))
+    assert float(weights @ res.correction) == pytest.approx(best, abs=1e-12)

@@ -318,3 +318,17 @@ def test_results_round_trip(tmp_path, surface3):
     write_results(path, [r.to_record() for r in res])
     loaded = read_results(path)
     assert loaded == [r.to_record() for r in res]
+
+
+def test_default_run_point_never_assembles_the_matrix(surface3, monkeypatch):
+    from lposd.lp import _LpTemplate
+
+    def refuse(self, parities):
+        raise AssertionError("constraint matrix assembled on the HiGHS path")
+
+    monkeypatch.setattr(_LpTemplate, "assemble", refuse)
+    results = run_point(surface3, ["lp-round", "lp-osd0", "lp-osdcs"], p=0.1,
+                        trials=40, seed=6)
+    for res in results:
+        assert res.solver_faults == 0
+        assert res.lp_iterations > 0
