@@ -31,9 +31,8 @@ order of solves.  Warm-starting from the previous basis was also measured
 slower despite fewer pivots: 5.0-6.3 against 3.3-3.8 ms per bb72 solve
 (149 against 280 pivots), 16-20 against 6.3-6.8 ms on bb144.  The HiGHS
 extension module is loaded by file path, so that path never imports
-``scipy.optimize`` (about 0.2 s and 19 MB).  Dual models, and every model
-when scipy's private HiGHS bindings cannot be loaded, go through
-``scipy.optimize.linprog``.
+``scipy.optimize``.  Dual models, and every model when scipy's private
+HiGHS bindings cannot be loaded, go through ``scipy.optimize.linprog``.
 
 The two backends agree on every optimal objective, but on a degenerate
 optimal face they may return different vertices, so switching backends can
