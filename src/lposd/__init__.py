@@ -66,16 +66,8 @@ from .lp import (
     round_independent,
     solve_lp,
 )
-from .osd import (
-    DecodeResult,
-    OsdConfig,
-    QubitOrdering,
-    lp_osd_decode,
-    lp_round_decode,
-    order_qubits,
-    osd_postprocess,
-)
-from .bp import BpConfig, BpResult, bp_osd_decode, min_sum_bp
+from .osd import OsdConfig, QubitOrdering, order_qubits, osd_postprocess
+from .bp import BpConfig, BpResult, min_sum_bp
 from .patterns import (
     Certificate,
     CertificateReport,
@@ -97,14 +89,18 @@ from .patterns import (
 )
 from .sim import (
     DECODER_NAMES,
+    DecodeResult,
     DecoderSpec,
     EnsembleResult,
     PointResult,
     SimConfig,
     SweepRow,
+    bp_osd_decode,
     decode_syndrome,
     exhaustive_sweep,
     is_success,
+    lp_osd_decode,
+    lp_round_decode,
     run_ensemble,
     run_point,
     sample_error,

@@ -6,21 +6,21 @@ schedule.  Check-to-qubit messages at iteration t are scaled by
 The decoder stops as soon as its running hard decision reproduces the
 syndrome; non-convergence within the iteration budget is reported as a
 flag, never an error.  Reliabilities suitable for OSD ordering are the
-posterior error probabilities 1/(1+exp(L_i)).
+posterior error probabilities 1/(1+exp(L_i)).  The OSD fallback after a
+stall is chained on in ``sim``, like the LP pipelines' second stage.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .codes import CssCode
 from .errors import InvalidParameter
-from .osd import DecodeResult, OsdConfig, osd_postprocess
 
-__all__ = ["BpConfig", "BpResult", "min_sum_bp", "bp_osd_decode"]
+__all__ = ["BpConfig", "BpResult", "min_sum_bp"]
 
 _CLAMP = 50.0
 
@@ -115,22 +115,3 @@ def min_sum_bp(code: CssCode, s, cfg: BpConfig) -> BpResult:
     return BpResult(hard=hard, soft=_error_probability(posterior), converged=False,
                     iterations=max_iter)
 
-
-def bp_osd_decode(code: CssCode, s, bp_cfg: BpConfig | None = None,
-                  osd_cfg: OsdConfig | None = None, *,
-                  rng: np.random.Generator | None = None) -> DecodeResult:
-    """BP first; on non-convergence, OSD over the BP reliabilities.
-
-    The OSD tie-break defaults to random here (the distance heuristic is
-    tuned to LP soft output).
-    """
-    bp_cfg = bp_cfg or BpConfig()
-    osd_cfg = osd_cfg or OsdConfig(tie_break="random")
-    s_arr = np.asarray(s, dtype=np.uint8) & 1
-    result = min_sum_bp(code, s_arr, bp_cfg)
-    diag = {"bp_converged": result.converged, "bp_iterations": result.iterations}
-    if result.converged:
-        return DecodeResult(correction=result.hard, stage="bp-converged",
-                            diagnostics=diag)
-    correction, stage = osd_postprocess(code, s_arr, result.soft, osd_cfg, rng)
-    return DecodeResult(correction=correction, stage=stage, diagnostics=diag)

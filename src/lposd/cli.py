@@ -30,9 +30,10 @@ from .codes import (
 from .errors import InvalidParameter, LposdError
 from .gf2 import BinaryMatrix, read_matrix
 from .lp import DEFAULT_SOLVER, build_syndrome_lp, dump_lp
-from .osd import OsdConfig, lp_osd_decode, lp_round_decode
+from .osd import OsdConfig
 from .patterns import search_patterns, write_patterns
-from .sim import DECODER_NAMES, DecoderSpec, SimConfig, run_ensemble, run_point
+from .sim import (DECODER_NAMES, DecoderSpec, SimConfig, lp_osd_decode,
+                  lp_round_decode, run_ensemble, run_point)
 
 __all__ = ["main", "build_parser", "resolve_code", "resolve_decoders"]
 

@@ -568,6 +568,38 @@ class ZCycle:
         return 2 * len(self.checks)
 
 
+def _bfs_cycle_path(tan: TannerGraph, start_check: int, goal_qubit: int,
+                    depth_cap: int) -> list[tuple[bool, int]] | None:
+    """Shortest Z-graph path from a check to one of its qubits that avoids
+    their direct edge, as (is_check, index) vertices; None beyond
+    ``depth_cap`` edges.  Closing it with that edge gives a shortest cycle
+    through the edge."""
+    skip_edge = (start_check, goal_qubit)
+    parent: dict[tuple[bool, int], tuple[bool, int] | None] = {
+        (True, start_check): None
+    }
+    frontier = deque([((True, start_check), 0)])
+    while frontier:
+        (is_check, v), depth = frontier.popleft()
+        if depth >= depth_cap:
+            continue
+        neighbors = tan.z_supports[v] if is_check else tan.z_checks_of_qubit[v]
+        for u in neighbors:
+            key = (not is_check, u)
+            edge = (v, u) if is_check else (u, v)
+            if edge == skip_edge or key in parent:
+                continue
+            parent[key] = (is_check, v)
+            if key == (False, goal_qubit):
+                path: list[tuple[bool, int]] = [key]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                return path
+            frontier.append((key, depth + 1))
+    return None
+
+
 def find_short_z_cycle(code: CssCode, max_len: int) -> ZCycle:
     """Shortest cycle in the Z Tanner graph, if its length is <= max_len.
 
@@ -576,40 +608,13 @@ def find_short_z_cycle(code: CssCode, max_len: int) -> ZCycle:
     girth exceeds ``max_len`` (or no cycle exists).
     """
     tan = code.tanner
-    n = code.n
     m = code.hz.n_rows
     best: list[tuple[bool, int]] | None = None
-
-    def bfs_path(start_check: int, goal_qubit: int, skip_edge: tuple[int, int],
-                 depth_cap: int) -> list[tuple[bool, int]] | None:
-        # vertices are (is_check, idx); parent links rebuild the path
-        parent: dict[tuple[bool, int], tuple[bool, int] | None] = {(True, start_check): None}
-        frontier = deque([((True, start_check), 0)])
-        while frontier:
-            (is_check, v), depth = frontier.popleft()
-            if depth >= depth_cap:
-                continue
-            neighbors = tan.z_supports[v] if is_check else tan.z_checks_of_qubit[v]
-            for u in neighbors:
-                key = (not is_check, u)
-                edge = (v, u) if is_check else (u, v)
-                if edge == skip_edge or key in parent:
-                    continue
-                parent[key] = (is_check, v)
-                if key == (False, goal_qubit):
-                    path = [key]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                frontier.append((key, depth + 1))
-        return None
-
     cap = max_len - 1
     for k in range(m):
         for q in tan.z_supports[k]:
             limit = (len(best) - 1) - 1 if best is not None else cap
-            path = bfs_path(k, q, (k, q), min(cap, limit))
+            path = _bfs_cycle_path(tan, k, q, min(cap, limit))
             if path is not None and (best is None or len(path) + 1 < len(best) + 1):
                 best = path
                 if len(best) + 1 == 4:

@@ -13,14 +13,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SingularSubmatrix
 
 __all__ = [
     "BinaryMatrix",
     "RowReduction",
     "rank",
     "row_reduce",
-    "solve_on_columns",
     "in_rowspace",
     "kernel_basis",
     "vector_to_bits",
@@ -300,46 +298,6 @@ def kernel_basis(m: BinaryMatrix) -> list[np.ndarray]:
                 bits |= 1 << col_of_row[r]
         basis.append(bits_to_vector(bits, m.n_cols))
     return basis
-
-
-def solve_on_columns(m: BinaryMatrix, cols: Sequence[int], s) -> np.ndarray:
-    """Solve m[:, cols] y = s for y and embed it at positions ``cols``.
-
-    The selected columns must be linearly independent and the restricted
-    system solvable; otherwise SingularSubmatrix is raised.
-    """
-    cols = list(cols)
-    n_sel = len(cols)
-    s_bits = vector_to_bits(s, m.n_rows) if not isinstance(s, int) else s
-    # repack: row i over selected columns, with the rhs bit appended at n_sel
-    work = []
-    for i, r in enumerate(m.rows):
-        bits = 0
-        for t, c in enumerate(cols):
-            bits |= ((r >> c) & 1) << t
-        bits |= ((s_bits >> i) & 1) << n_sel
-        work.append(bits)
-    pivot_rows: list[int] = []
-    r = 0
-    for t in range(n_sel):
-        mask = 1 << t
-        pivot = next((i for i in range(r, len(work)) if work[i] & mask), None)
-        if pivot is None:
-            raise SingularSubmatrix(f"selected columns are dependent (failed at column {cols[t]})")
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and work[i] & mask:
-                work[i] ^= work[r]
-        pivot_rows.append(r)
-        r += 1
-    rhs_mask = 1 << n_sel
-    if any(work[i] == rhs_mask for i in range(r, len(work))):
-        raise SingularSubmatrix("restricted system is inconsistent")
-    out = np.zeros(m.n_cols, dtype=np.uint8)
-    for t in range(n_sel):
-        if work[t] & rhs_mask:
-            out[cols[t]] = 1
-    return out
 
 
 # -- sparse text serialization ---------------------------------------------

@@ -8,29 +8,30 @@ every weight-1 pattern on the leftover set and every weight-2 pattern on
 its first ``lam`` positions, keeping the lightest syndrome-consistent
 candidate.  Either way the output reproduces the syndrome exactly, which
 independent rounding cannot promise.
+
+This module is the second stage only: ``sim`` runs the LP and
+message-passing front ends that supply the soft vector, and hands their
+undecided outcomes here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .codes import CssCode, bfs_distance_to_flipped
 from .errors import InvalidParameter, SingularSubmatrix
-from .gf2 import BinaryMatrix, rank
-from .lp import DEFAULT_SOLVER, build_syndrome_lp, is_integral, round_independent, solve_lp
+from .gf2 import rank
 
 __all__ = [
     "OsdConfig",
     "QubitOrdering",
-    "DecodeResult",
     "order_qubits",
     "osd0",
     "osd_cs",
-    "lp_osd_decode",
-    "lp_round_decode",
+    "osd_postprocess",
 ]
 
 # Soft values are snapped to a grid before sorting so that solver noise far
@@ -66,13 +67,6 @@ class QubitOrdering:
     permutation: np.ndarray
     committed: np.ndarray
     remainder: np.ndarray
-
-
-@dataclass
-class DecodeResult:
-    correction: np.ndarray
-    stage: str
-    diagnostics: dict = field(default_factory=dict)
 
 
 class _OsdContext:
@@ -272,60 +266,3 @@ def osd_postprocess(code: CssCode, s, soft, cfg: OsdConfig,
         return osd0(code, s, ordering), "osd-0"
     return osd_cs(code, s, ordering, cfg.lam, weights), "osd-cs"
 
-
-def lp_osd_decode(code: CssCode, s, cfg: OsdConfig | None = None, *,
-                  solver: str = DEFAULT_SOLVER, weights=None,
-                  rng: np.random.Generator | None = None) -> DecodeResult:
-    """Full decode: solve the syndrome LP, return integral solutions
-    directly, and hand fractional ones to OSD.
-
-    An integral LP optimum is a certified minimum-weight correction (with
-    unit objective weights).  The all-zero syndrome short-circuits without
-    touching the solver.  ``weights`` are per-qubit costs used by the LP
-    objective and by the combination sweep's ranking.
-    """
-    cfg = cfg or OsdConfig()
-    s_arr = np.asarray(s, dtype=np.uint8) & 1
-    if not s_arr.any():
-        return DecodeResult(
-            correction=np.zeros(code.n, dtype=np.uint8),
-            stage="integral-lp",
-            diagnostics={"objective": 0.0, "fractional": False, "lp_iterations": 0},
-        )
-    sol = solve_lp(build_syndrome_lp(code, s_arr, weights), solver=solver)
-    diag = {
-        "objective": sol.objective,
-        "lp_iterations": sol.iterations,
-        "solver": sol.solver,
-    }
-    if is_integral(sol):
-        correction = round_independent(sol.x())
-        diag["fractional"] = False
-        return DecodeResult(correction=correction, stage="integral-lp", diagnostics=diag)
-    diag["fractional"] = True
-    correction, stage = osd_postprocess(code, s_arr, sol.x(), cfg, rng, weights)
-    return DecodeResult(correction=correction, stage=stage, diagnostics=diag)
-
-
-def lp_round_decode(code: CssCode, s, *, solver: str = DEFAULT_SOLVER,
-                    weights=None) -> DecodeResult:
-    """LP followed by independent per-bit rounding (no syndrome guarantee)."""
-    s_arr = np.asarray(s, dtype=np.uint8) & 1
-    if not s_arr.any():
-        return DecodeResult(
-            correction=np.zeros(code.n, dtype=np.uint8),
-            stage="integral-lp",
-            diagnostics={"objective": 0.0, "fractional": False, "lp_iterations": 0},
-        )
-    sol = solve_lp(build_syndrome_lp(code, s_arr, weights), solver=solver)
-    fractional = not is_integral(sol)
-    return DecodeResult(
-        correction=round_independent(sol.x()),
-        stage="rounded-lp" if fractional else "integral-lp",
-        diagnostics={
-            "objective": sol.objective,
-            "fractional": fractional,
-            "lp_iterations": sol.iterations,
-            "solver": sol.solver,
-        },
-    )

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .codes import CssCode, HgpLayout, ZCycle, hgp_layout
+from .codes import CssCode, HgpLayout, ZCycle, _bfs_cycle_path, hgp_layout
 from .errors import (
     InvalidParameter,
     LposdError,
@@ -758,34 +757,6 @@ def _cycles_through_edges(code: CssCode, max_len: int,
             if len(found) >= cap:
                 return found
     return found
-
-
-def _bfs_cycle_path(tan, start_check: int, goal_qubit: int,
-                    depth_cap: int) -> list[tuple[bool, int]] | None:
-    skip_edge = (start_check, goal_qubit)
-    parent: dict[tuple[bool, int], tuple[bool, int] | None] = {
-        (True, start_check): None
-    }
-    frontier = deque([((True, start_check), 0)])
-    while frontier:
-        (is_check, v), depth = frontier.popleft()
-        if depth >= depth_cap:
-            continue
-        neighbors = tan.z_supports[v] if is_check else tan.z_checks_of_qubit[v]
-        for u in neighbors:
-            key = (not is_check, u)
-            edge = (v, u) if is_check else (u, v)
-            if edge == skip_edge or key in parent:
-                continue
-            parent[key] = (is_check, v)
-            if key == (False, goal_qubit):
-                path: list[tuple[bool, int]] = [key]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            frontier.append((key, depth + 1))
-    return None
 
 
 def _compose_even(code: CssCode, gens: list[np.ndarray]) -> list[np.ndarray] | None:

@@ -1,12 +1,17 @@
-"""Monte Carlo estimation of logical error rates across decoders.
+"""Decoding pipelines and Monte Carlo estimation of logical error rates.
 
 Six decoder pipelines share two expensive front ends: the LP relaxation
 ("lp-round", "lp-osd0", "lp-osdcs") and min-sum message passing ("bp",
-"bp-osd0", "bp-osdcs").  A trial solves each front end once and fans the
-result out, so joint runs cost one solve per family, not one per decoder.
-Random streams are keyed by (seed, point index, trial index) plus a fixed
-per-decoder tag, which makes every decoder's outcome independent of which
-other decoders share the run and of the worker count.
+"bp-osd0", "bp-osdcs").  ``_decode_all`` is the one path from syndrome to
+correction: it solves each front end once and fans the result out to the
+pipelines' second stages, so joint runs cost one solve per family, not one
+per decoder.  The one-shot decoders ``lp_osd_decode``, ``lp_round_decode``
+and ``bp_osd_decode`` are wrappers over it that raise solver errors, where
+a Monte Carlo run counts them as faults.  Random streams are keyed by
+(seed, point index, trial index) plus a fixed per-decoder tag, which makes
+every decoder's outcome independent of which other decoders share the run
+and of the worker count; a decoder's generator is built only when its OSD
+stage breaks ties at random.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,9 +40,13 @@ __all__ = [
     "PointResult",
     "EnsembleResult",
     "SweepRow",
+    "DecodeResult",
     "sample_error",
     "is_success",
     "decode_syndrome",
+    "lp_osd_decode",
+    "lp_round_decode",
+    "bp_osd_decode",
     "run_point",
     "run_ensemble",
     "exhaustive_sweep",
@@ -326,92 +335,156 @@ class _Tally:
 
 
 @dataclass
-class _TrialOutcome:
+class DecodeResult:
+    """One pipeline's answer to one syndrome.
+
+    ``diagnostics`` carries the front end's numbers: ``objective``,
+    ``lp_iterations``, ``solver`` and ``fractional`` after the LP,
+    ``bp_converged`` and ``bp_iterations`` after message passing, and the
+    ``error`` of a failed solve.  ``seconds`` is the wall time of the front
+    end plus the pipeline's own second stage.
+    """
+
     correction: np.ndarray
     stage: str
-    fractional: bool
-    faulted: bool
-    seconds: float
-    lp_iterations: int = 0
+    diagnostics: dict = field(default_factory=dict)
+    seconds: float = 0.0
 
 
 def _decode_all(code: CssCode, specs: Sequence[DecoderSpec], s: np.ndarray,
-                p: float, rng_for: Mapping[str, np.random.Generator],
-                ) -> dict[str, _TrialOutcome]:
+                p: float, rng_for: Callable[[DecoderSpec], np.random.Generator],
+                weights=None) -> dict[str, DecodeResult]:
     """Run every pipeline on one syndrome, sharing front-end solves.
 
-    A front end's wall time is charged to every pipeline that consumed it,
-    so per-decoder times match what a standalone run would measure.
+    This is the one path from syndrome to correction.  Each front end
+    either settles the correction (integral LP optimum, converged BP,
+    solver fault) or leaves it to the pipeline's second stage: rounding,
+    a BP stall, or OSD.  ``rng_for(spec)`` builds a pipeline's generator;
+    it is called only when an OSD stage with the random tie-break runs.
+    ``weights`` are per-qubit costs for the LP objective and the
+    combination sweep.  A front end's wall time is charged to every
+    pipeline that consumed it, so per-decoder times match what a standalone
+    run would measure.
     """
-    out: dict[str, _TrialOutcome] = {}
+    out: dict[str, DecodeResult] = {}
     zeros = np.zeros(code.n, dtype=np.uint8)
     if not s.any():
         for spec in specs:
-            stage = "integral-lp" if spec.uses_lp else "bp-converged"
-            out[spec.key] = _TrialOutcome(zeros, stage, False, False, 0.0)
+            if spec.uses_lp:
+                out[spec.key] = DecodeResult(zeros, "integral-lp", {
+                    "objective": 0.0, "fractional": False, "lp_iterations": 0})
+            else:
+                out[spec.key] = DecodeResult(zeros, "bp-converged", {
+                    "bp_converged": True, "bp_iterations": 0})
         return out
 
-    lp_cache: dict[str, tuple[object, float]] = {}
-    bp_cache: dict[tuple, tuple[object, float]] = {}
+    # front-end key -> ((correction, soft, settled stage, diagnostics), seconds)
+    fronts: dict[object, tuple[tuple, float]] = {}
     for spec in specs:
         if spec.uses_lp:
-            if spec.solver not in lp_cache:
-                start = time.perf_counter()
-                model = build_syndrome_lp(code, s)
-                try:
-                    sol = solve_lp(model, solver=spec.solver)
-                except LposdError:
-                    sol = None
-                lp_cache[spec.solver] = (sol, time.perf_counter() - start)
-            sol, front_secs = lp_cache[spec.solver]
-            start = time.perf_counter()
-            if sol is None:
-                outcome = _TrialOutcome(zeros, "solver-fault", False, True, 0.0)
-            elif is_integral(sol):
-                outcome = _TrialOutcome(round_independent(sol.x()),
-                                        "integral-lp", False, False, 0.0)
-            elif spec.name == "lp-round":
-                outcome = _TrialOutcome(round_independent(sol.x()),
-                                        "rounded-lp", True, False, 0.0)
-            else:
-                correction, stage = osd_postprocess(
-                    code, s, sol.x(), spec.osd_config(), rng=rng_for[spec.key])
-                outcome = _TrialOutcome(correction, stage, True, False, 0.0)
-            outcome.seconds = front_secs + (time.perf_counter() - start)
-            outcome.lp_iterations = sol.iterations if sol is not None else 0
+            key = spec.solver
         else:
             channel_p = spec.bp_channel_p if spec.bp_channel_p is not None else p
             key = (channel_p, spec.bp_iteration_cap)
-            if key not in bp_cache:
-                cfg = BpConfig(channel_p=channel_p,
-                               max_iterations=spec.bp_iteration_cap)
-                start = time.perf_counter()
-                bp_cache[key] = (min_sum_bp(code, s, cfg),
-                                 time.perf_counter() - start)
-            result, front_secs = bp_cache[key]
+        if key not in fronts:
             start = time.perf_counter()
-            if result.converged:
-                outcome = _TrialOutcome(result.hard, "bp-converged", False, False, 0.0)
-            elif spec.name == "bp":
-                outcome = _TrialOutcome(result.hard, "bp-stalled", False, False, 0.0)
+            if not spec.uses_lp:
+                res = min_sum_bp(code, s, BpConfig(channel_p=channel_p,
+                                                   max_iterations=spec.bp_iteration_cap))
+                front = (res.hard, res.soft, "bp-converged" if res.converged else None,
+                         {"bp_converged": res.converged, "bp_iterations": res.iterations})
             else:
-                correction, stage = osd_postprocess(
-                    code, s, result.soft, spec.osd_config(), rng=rng_for[spec.key])
-                outcome = _TrialOutcome(correction, stage, False, False, 0.0)
-            outcome.seconds = front_secs + (time.perf_counter() - start)
-        out[spec.key] = outcome
+                model = build_syndrome_lp(code, s, weights)
+                try:
+                    sol = solve_lp(model, solver=spec.solver)
+                except LposdError as exc:
+                    front = (zeros, None, "solver-fault",
+                             {"fractional": False, "lp_iterations": 0, "error": exc})
+                else:
+                    integral = is_integral(sol)
+                    x = sol.x()
+                    front = (round_independent(x), x, "integral-lp" if integral else None,
+                             {"objective": sol.objective, "lp_iterations": sol.iterations,
+                              "solver": sol.solver, "fractional": not integral})
+            fronts[key] = front, time.perf_counter() - start
+        (correction, soft, stage, diag), front_secs = fronts[key]
+        start = time.perf_counter()
+        if stage is None:
+            cfg = spec.osd_config()
+            if cfg is None:
+                stage = "rounded-lp" if spec.uses_lp else "bp-stalled"
+            else:
+                rng = rng_for(spec) if cfg.tie_break == "random" else None
+                correction, stage = osd_postprocess(code, s, soft, cfg, rng=rng,
+                                                    weights=weights)
+        out[spec.key] = DecodeResult(correction, stage, dict(diag),
+                                     front_secs + (time.perf_counter() - start))
     return out
+
+
+def _decode_one(code: CssCode, spec: DecoderSpec, s,
+                rng: np.random.Generator | None, weights=None,
+                p: float = 0.05) -> DecodeResult:
+    """One pipeline on one syndrome; a solver error is raised, not counted."""
+    s_arr = np.asarray(s, dtype=np.uint8) & 1
+    result = _decode_all(code, [spec], s_arr, p, lambda _: rng, weights)[spec.key]
+    if "error" in result.diagnostics:
+        raise result.diagnostics["error"]
+    return result
 
 
 def decode_syndrome(code: CssCode, decoder, s, p: float = 0.05,
                     rng: np.random.Generator | None = None) -> np.ndarray:
-    """One-shot decode of a syndrome with a named pipeline."""
-    spec = as_decoder(decoder)
-    s_arr = np.asarray(s, dtype=np.uint8) & 1
+    """One-shot decode of a syndrome with a named pipeline; a solver error
+    is raised."""
     if rng is None:
         rng = np.random.default_rng(0)
-    outcome = _decode_all(code, [spec], s_arr, p, {spec.key: rng})[spec.key]
-    return outcome.correction
+    return _decode_one(code, as_decoder(decoder), s, rng, p=p).correction
+
+
+def lp_osd_decode(code: CssCode, s, cfg: OsdConfig | None = None, *,
+                  solver: str = DEFAULT_SOLVER, weights=None,
+                  rng: np.random.Generator | None = None) -> DecodeResult:
+    """Full decode: solve the syndrome LP, return integral solutions
+    directly, and hand fractional ones to OSD.
+
+    An integral LP optimum is a certified minimum-weight correction (with
+    unit objective weights).  The all-zero syndrome short-circuits without
+    touching the solver.  ``weights`` are per-qubit costs used by the LP
+    objective and by the combination sweep's ranking.
+    """
+    cfg = cfg or OsdConfig()
+    spec = DecoderSpec("lp-osd0" if cfg.order == "osd0" else "lp-osdcs",
+                       lam=cfg.lam, tie_break=cfg.tie_break, solver=solver)
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    return _decode_one(code, spec, s, rng, weights)
+
+
+def lp_round_decode(code: CssCode, s, *, solver: str = DEFAULT_SOLVER,
+                    weights=None) -> DecodeResult:
+    """LP followed by independent per-bit rounding (no syndrome guarantee)."""
+    return _decode_one(code, DecoderSpec("lp-round", solver=solver), s, None,
+                       weights)
+
+
+def bp_osd_decode(code: CssCode, s, bp_cfg: BpConfig | None = None,
+                  osd_cfg: OsdConfig | None = None, *,
+                  rng: np.random.Generator | None = None) -> DecodeResult:
+    """BP first; on non-convergence, OSD over the BP reliabilities.
+
+    The OSD tie-break defaults to random here (the distance heuristic is
+    tuned to LP soft output).
+    """
+    bp_cfg = bp_cfg or BpConfig()
+    osd_cfg = osd_cfg or OsdConfig(tie_break="random")
+    spec = DecoderSpec("bp-osd0" if osd_cfg.order == "osd0" else "bp-osdcs",
+                       lam=osd_cfg.lam, tie_break=osd_cfg.tie_break,
+                       bp_iteration_cap=bp_cfg.max_iterations,
+                       bp_channel_p=bp_cfg.channel_p)
+    if rng is None:
+        rng = np.random.default_rng(osd_cfg.seed)
+    return _decode_one(code, spec, s, rng)
 
 
 def _run_trials(code: CssCode, specs: Sequence[DecoderSpec], p: float,
@@ -422,22 +495,20 @@ def _run_trials(code: CssCode, specs: Sequence[DecoderSpec], p: float,
         err_rng = _error_rng(seed, point_index, trial)
         error = sample_error(code.n, p, err_rng)
         s = code.syndrome(error)
-        rng_for = {
-            spec.key: _decoder_rng(seed, point_index, trial, spec.tag)
-            for spec in specs
-        }
-        outcomes = _decode_all(code, specs, s, p, rng_for)
+        outcomes = _decode_all(
+            code, specs, s, p,
+            lambda spec: _decoder_rng(seed, point_index, trial, spec.tag))
         for spec in specs:
             outcome = outcomes[spec.key]
             tally = tallies[spec.key]
             tally.trials += 1
             tally.decode_seconds += outcome.seconds
-            tally.lp_iterations += outcome.lp_iterations
+            tally.lp_iterations += outcome.diagnostics.get("lp_iterations", 0)
             tally.stage_counts[outcome.stage] = (
                 tally.stage_counts.get(outcome.stage, 0) + 1)
-            if outcome.fractional:
+            if outcome.diagnostics.get("fractional"):
                 tally.fractional += 1
-            if outcome.faulted:
+            if outcome.stage == "solver-fault":
                 tally.solver_faults += 1
             if not is_success(code, error, outcome.correction):
                 tally.failures += 1
@@ -602,9 +673,9 @@ def exhaustive_sweep(code: CssCode, decoder, max_weight: int, *,
             error = np.zeros(code.n, dtype=np.uint8)
             error[list(support)] = 1
             s = code.syndrome(error)
-            rng = _decoder_rng(seed, weight, idx, spec.tag)
-            outcome = _decode_all(code, [spec], s, 0.05,
-                                  {spec.key: rng})[spec.key]
+            outcome = _decode_all(
+                code, [spec], s, 0.05,
+                lambda _: _decoder_rng(seed, weight, idx, spec.tag))[spec.key]
             n_errors += 1
             if not is_success(code, error, outcome.correction):
                 n_failures += 1

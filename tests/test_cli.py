@@ -237,6 +237,30 @@ def test_detector_decode_rejects_bad_probs(detector_files, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_detector_decode_infeasible_syndrome_exits_2(tmp_path, capsys):
+    # detectors 0 and 1 watch the same column, so no error flips only
+    # detector 0: the syndrome lies outside the column space and the LP
+    # is infeasible
+    from lposd.gf2 import BinaryMatrix
+
+    matrix = BinaryMatrix.from_entries(3, 3, [(0, 0), (1, 0), (2, 1), (2, 2)])
+    matrix_path = tmp_path / "matrix.txt"
+    write_matrix(matrix, matrix_path)
+    probs_path = tmp_path / "probs.txt"
+    probs_path.write_text("0.1 0.1 0.1\n")
+    syndrome_path = tmp_path / "syndrome.txt"
+    syndrome_path.write_text("1 0 0\n")
+    for mode in ("cs", "0", "round"):
+        for solver in ("scipy", "embedded"):
+            rc = main(["detector-decode", "--matrix", str(matrix_path),
+                       "--probs", str(probs_path), "--syndrome", str(syndrome_path),
+                       "--osd", mode, "--solver", solver])
+            assert rc == 2, (mode, solver)
+            captured = capsys.readouterr()
+            assert "error:" in captured.err
+            assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # resolvers
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lposd.errors import SingularSubmatrix
 from lposd.gf2 import (
     BinaryMatrix,
     in_rowspace,
@@ -12,7 +11,6 @@ from lposd.gf2 import (
     matrix_to_text,
     rank,
     row_reduce,
-    solve_on_columns,
 )
 
 
@@ -122,23 +120,6 @@ def test_in_rowspace_rejects_outside_vector():
     m = BinaryMatrix.from_dense(np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8))
     assert in_rowspace(m, np.array([1, 0, 1], dtype=np.uint8))
     assert not in_rowspace(m, np.array([1, 0, 0], dtype=np.uint8))
-
-
-def test_solve_on_columns_solves_restricted_system():
-    m = BinaryMatrix.from_dense(np.array(
-        [[1, 0, 1, 1],
-         [0, 1, 1, 0],
-         [0, 0, 1, 1]], dtype=np.uint8))
-    s = np.array([1, 1, 0], dtype=np.uint8)
-    x = solve_on_columns(m, [0, 1, 2], s)
-    assert (m.mat_vec(x) == s).all()
-    assert x[3] == 0
-
-
-def test_solve_on_columns_rejects_dependent_columns():
-    m = BinaryMatrix.from_dense(np.array([[1, 1], [1, 1]], dtype=np.uint8))
-    with pytest.raises(SingularSubmatrix):
-        solve_on_columns(m, [0, 1], np.array([1, 0], dtype=np.uint8))
 
 
 def test_commutes_with():

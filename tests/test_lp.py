@@ -435,6 +435,10 @@ def test_persistent_model_is_order_independent(bb72):
 def test_linprog_fallback_without_highs_bindings(monkeypatch):
     import sys
 
+    # linprog imports the extension with scipy.optimize; load it before
+    # blocking the extension, as any earlier dual solve would have
+    import scipy.optimize  # noqa: F401
+
     from lposd import rotated_surface_code
 
     code = rotated_surface_code(3)

@@ -203,6 +203,39 @@ def test_solver_errors_are_counted_not_raised(surface3, monkeypatch):
     assert res.stage_counts["solver-fault"] == 1
 
 
+def test_one_shot_decoders_raise_solver_errors(surface3, monkeypatch):
+    import lposd.sim as sim_mod
+    from lposd import LposdError, lp_round_decode
+
+    def failing_solve(model, **kwargs):
+        raise LposdError("numerical")
+
+    monkeypatch.setattr(sim_mod, "solve_lp", failing_solve)
+    s = np.zeros(surface3.hx.n_rows, dtype=np.uint8)
+    s[0] = 1
+    for decode in (lp_osd_decode, lp_round_decode,
+                   lambda code, s: decode_syndrome(code, "lp-osd0", s)):
+        with pytest.raises(LposdError, match="numerical"):
+            decode(surface3, s)
+
+
+def test_decoder_rngs_built_only_for_random_tie_breaks(surface3, monkeypatch):
+    import lposd.sim as sim_mod
+
+    real_rng = sim_mod._decoder_rng
+    built = []
+
+    def counting_rng(*key):
+        built.append(key)
+        return real_rng(*key)
+
+    monkeypatch.setattr(sim_mod, "_decoder_rng", counting_rng)
+    run_point(surface3, ["lp-round", "lp-osdcs", "bp"], p=0.12, trials=60, seed=5)
+    assert built == []
+    res = run_point(surface3, "bp-osd0", p=0.12, trials=60, seed=5)
+    assert len(built) == res.stage_counts["osd-0"] > 0
+
+
 def test_lp_iterations_recorded(surface3):
     lp_res, bp_res = run_point(surface3, ["lp-round", "bp"], p=0.1, trials=30,
                                seed=4)
@@ -332,3 +365,81 @@ def test_default_run_point_never_assembles_the_matrix(surface3, monkeypatch):
     for res in results:
         assert res.solver_faults == 0
         assert res.lp_iterations > 0
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the decoders before they shared one decode path
+# ---------------------------------------------------------------------------
+
+
+def _digest(obj) -> str:
+    import hashlib
+    import json
+
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of run_point records and one-shot (correction, stage) pairs,
+# recorded while lp_osd_decode, lp_round_decode and bp_osd_decode each
+# carried their own copy of the stage logic
+_EQUIVALENCE_DIGESTS = {
+    "surface5": {
+        "records": "958e8457a624b1b3813f8d6247fce3c1bb4b3b502e4868b7f7f67f353ca06680",
+        "unweighted": "aed8b64147cd29515d2dc2398d27150e5e746a59db70440875832bf9183db7d5",
+        "weighted": "0a70251ea92240050744735dae6d138128e5ad8e4addf01769e3bd2ebc53c075",
+    },
+    "bb72": {
+        "records": "fe263e1009459fb3a8a7da27231e96ded88b5101569575e9444e217141630662",
+        "unweighted": "59334ec6bc261cdeb611e9aab604363f6f25cc4452e4792d61aff898db80cac9",
+        "weighted": "6a2aa3e7ecb8fa3d088e8e098a20aaece561f948b384ccdf0bbdbe9f5b209c36",
+    },
+}
+
+
+@pytest.mark.parametrize("fixture", ["surface5", "bb72"])
+def test_run_point_records_unchanged(fixture, request):
+    code = request.getfixturevalue(fixture)
+    specs = list(DECODER_NAMES) + [
+        DecoderSpec("lp-osd0", tie_break="random", label="lp-osd0-random"),
+        DecoderSpec("bp-osdcs", tie_break="random", label="bp-osdcs-random"),
+    ]
+    results = run_point(code, specs, p=0.05, trials=200, seed=11)
+    records = [point_fingerprint(res) for res in results]
+    assert _digest(records) == _EQUIVALENCE_DIGESTS[fixture]["records"]
+
+
+@pytest.mark.parametrize("fixture", ["surface5", "bb72"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_one_shot_decoders_unchanged(fixture, weighted, request):
+    from lposd import BpConfig, bp_osd_decode, lp_round_decode
+
+    code = request.getfixturevalue(fixture)
+    err_rng = np.random.default_rng(17)
+    weights = (np.random.default_rng(18).integers(1, 3, code.n).astype(float)
+               if weighted else None)
+    syndromes = [np.zeros(code.hx.n_rows, dtype=np.uint8)] + [
+        code.syndrome((err_rng.random(code.n) < 0.12).astype(np.uint8))
+        for _ in range(49)]
+    rows = []
+    for s in syndromes:
+        results = [
+            lp_osd_decode(code, s, weights=weights),
+            lp_osd_decode(code, s, OsdConfig(order="osd0"), weights=weights),
+            lp_osd_decode(code, s, OsdConfig(tie_break="random", seed=5),
+                          weights=weights),
+            lp_osd_decode(code, s, OsdConfig(lam=4), weights=weights,
+                          rng=np.random.default_rng(6)),
+            lp_round_decode(code, s, weights=weights),
+        ]
+        if not weighted:  # bp_osd_decode takes no weights
+            results += [
+                bp_osd_decode(code, s, BpConfig(max_iterations=4),
+                              rng=np.random.default_rng(7)),
+                bp_osd_decode(code, s, BpConfig(channel_p=0.08),
+                              OsdConfig(order="osd0", tie_break="random", seed=8)),
+                bp_osd_decode(code, s, BpConfig(max_iterations=2),
+                              OsdConfig(tie_break="distance")),
+            ]
+        rows.append([(res.correction.tolist(), res.stage) for res in results])
+    kind = "weighted" if weighted else "unweighted"
+    assert _digest(rows) == _EQUIVALENCE_DIGESTS[fixture][kind]
