@@ -8,6 +8,10 @@ syndrome; non-convergence within the iteration budget is reported as a
 flag, never an error.  Reliabilities suitable for OSD ordering are the
 posterior error probabilities 1/(1+exp(L_i)).  The OSD fallback after a
 stall is chained on in ``sim``, like the LP pipelines' second stage.
+
+H_X is read only through the code's Tanner edge arrays
+(``code.tanner.x_edge_qubit``/``x_edge_check``); a check without edges
+takes no part in the message passing.
 """
 
 from __future__ import annotations
@@ -45,26 +49,6 @@ class BpResult:
     iterations: int
 
 
-class _BpContext:
-    """Per-code cache of the edge arrays used by the flooding schedule."""
-
-    __slots__ = ("edge_check", "edge_qubit", "check_ptr", "n_edges")
-
-    def __init__(self, code: CssCode):
-        edges = code.tanner.x_edges  # ordered by check, then qubit
-        self.n_edges = len(edges)
-        self.edge_qubit = np.asarray([q for q, _ in edges], dtype=np.int64)
-        self.edge_check = np.asarray([j for _, j in edges], dtype=np.int64)
-        ptr = np.searchsorted(self.edge_check, np.arange(code.hx.n_rows))
-        self.check_ptr = ptr
-
-
-def _bp_context(code: CssCode) -> _BpContext:
-    if code._bp_context is None:
-        code._bp_context = _BpContext(code)
-    return code._bp_context
-
-
 def _error_probability(posterior: np.ndarray) -> np.ndarray:
     """1/(1+exp(L)) per qubit; an overflow to inf correctly gives 0."""
     with np.errstate(over="ignore"):
@@ -73,16 +57,22 @@ def _error_probability(posterior: np.ndarray) -> np.ndarray:
 
 def min_sum_bp(code: CssCode, s, cfg: BpConfig) -> BpResult:
     """Run scaled min-sum BP against syndrome s; see the module docstring."""
-    ctx = _bp_context(code)
+    tan = code.tanner
+    eq, ec = tan.x_edge_qubit, tan.x_edge_check
     n = code.n
+    n_edges = eq.size
     s_arr = np.asarray(s, dtype=np.uint8) & 1
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else n
     prior = math.log((1.0 - cfg.channel_p) / cfg.channel_p)
-    syn_sign = 1.0 - 2.0 * s_arr[ctx.edge_check]
+    syn_sign = 1.0 - 2.0 * s_arr[ec]
 
-    eq, ec, ptr = ctx.edge_qubit, ctx.edge_check, ctx.check_ptr
-    edge_index = np.arange(ctx.n_edges)
-    c2v = np.zeros(ctx.n_edges)
+    # the per-check reductions run over the checks that have edges: ptr
+    # holds each one's first edge and seg maps an edge to its check's slot
+    opens = np.diff(ec, prepend=-1) != 0
+    ptr = np.flatnonzero(opens)
+    seg = np.cumsum(opens) - 1
+    edge_index = np.arange(n_edges)
+    c2v = np.zeros(n_edges)
     posterior = np.full(n, prior)
     hard = np.zeros(n, dtype=np.uint8)
     for t in range(1, max_iter + 1):
@@ -97,14 +87,14 @@ def min_sum_bp(code: CssCode, s, cfg: BpConfig) -> BpResult:
         mag = np.abs(v2c)
         min1 = np.minimum.reduceat(mag, ptr)
         first_min = np.minimum.reduceat(
-            np.where(mag == min1[ec], edge_index, ctx.n_edges), ptr
+            np.where(mag == min1[seg], edge_index, n_edges), ptr
         )
         masked = mag.copy()
         masked[first_min] = np.inf
         min2 = np.minimum.reduceat(masked, ptr)
-        out_mag = min1[ec].copy()
+        out_mag = min1[seg]
         out_mag[first_min] = min2
-        c2v = np.clip(alpha * syn_sign * prod_sign[ec] * sg * out_mag,
+        c2v = np.clip(alpha * syn_sign * prod_sign[seg] * sg * out_mag,
                       -_CLAMP, _CLAMP)
 
         posterior = prior + np.bincount(eq, weights=c2v, minlength=n)

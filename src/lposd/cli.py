@@ -28,7 +28,7 @@ from .codes import (
     save_code,
 )
 from .errors import InvalidParameter, LposdError
-from .gf2 import BinaryMatrix, read_matrix
+from .gf2 import BinaryMatrix, in_rowspace, read_matrix
 from .lp import DEFAULT_SOLVER, build_syndrome_lp, dump_lp
 from .osd import OsdConfig
 from .patterns import search_patterns, write_patterns
@@ -270,6 +270,8 @@ def _cmd_detector_decode(args) -> int:
     s = _read_syndrome(args.syndrome, matrix.n_rows)
     if args.dump_lp:
         dump_lp(build_syndrome_lp(code, s, weights), args.dump_lp)
+    if not in_rowspace(matrix.transpose(), s):
+        raise LposdError("syndrome outside the check-matrix column space")
     if args.osd == "round":
         result = lp_round_decode(code, s, solver=args.solver, weights=weights)
     else:
@@ -278,7 +280,7 @@ def _cmd_detector_decode(args) -> int:
         result = lp_osd_decode(code, s, cfg, solver=args.solver, weights=weights)
     support = np.flatnonzero(result.correction)
     print(" ".join(str(int(q)) for q in support))
-    residual = (code.hx.mat_vec(result.correction) != s).any()
+    residual = (code.syndrome(result.correction) != s).any()
     print(f"stage: {result.stage}; syndrome "
           f"{'MISMATCH' if residual else 'matched'}", file=sys.stderr)
     return 0

@@ -8,6 +8,7 @@ tests logical success against the rowspace of hz.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -54,12 +55,25 @@ class TannerGraph:
     ``*_checks_of_qubit`` lists give the reverse adjacency.  ``x_edges``
     enumerates Tanner edges of the X graph as (qubit, check) pairs in
     deterministic order (by check, then by qubit within the check).
+    ``x_edge_qubit`` and ``x_edge_check`` hold the same edges, in the same
+    order, as two int64 arrays; they are the numpy decoders' one view of
+    H_X.  A check may have no edges (an all-zero row of H_X).
     """
 
     x_supports: tuple[tuple[int, ...], ...]
     z_supports: tuple[tuple[int, ...], ...]
     x_checks_of_qubit: tuple[tuple[int, ...], ...]
     z_checks_of_qubit: tuple[tuple[int, ...], ...]
+    x_edge_qubit: np.ndarray = field(init=False, repr=False, compare=False)
+    x_edge_check: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sizes = [len(sup) for sup in self.x_supports]
+        qubits = np.fromiter(itertools.chain.from_iterable(self.x_supports),
+                             dtype=np.int64, count=sum(sizes))
+        checks = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        object.__setattr__(self, "x_edge_qubit", qubits)
+        object.__setattr__(self, "x_edge_check", checks)
 
     @property
     def x_edges(self) -> tuple[tuple[int, int], ...]:
@@ -96,10 +110,8 @@ class CssCode:
         self.metadata = dict(metadata or {})
         self._tanner: TannerGraph | None = None
         self._params: CodeParameters | None = None
-        # scratch caches used by the decoder modules
+        # the LP decoder's per-code model cache (see lp._LpTemplate)
         self._lp_template = None
-        self._osd_context = None
-        self._bp_context = None
 
     @property
     def n(self) -> int:
@@ -136,8 +148,16 @@ class CssCode:
         return self._params
 
     def syndrome(self, error) -> np.ndarray:
-        """X-check syndrome of a Z-error vector."""
-        return self.hx.mat_vec(error)
+        """X-check syndrome of a Z-error vector: H_X·e over GF(2)."""
+        e = np.asarray(error, dtype=np.uint8)
+        if e.shape != (self.n,):
+            raise ValueError(f"expected a length-{self.n} vector, got shape {e.shape}")
+        if e.max(initial=0) > 1:
+            raise ValueError("vector entries must be 0 or 1")
+        tan = self.tanner
+        counts = np.bincount(tan.x_edge_check, weights=e[tan.x_edge_qubit],
+                             minlength=self.hx.n_rows)
+        return (counts.astype(np.int64) & 1).astype(np.uint8)
 
     def max_check_weight(self) -> int:
         weights = [self.hx.row_weight(j) for j in range(self.hx.n_rows)]

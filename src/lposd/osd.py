@@ -11,7 +11,9 @@ independent rounding cannot promise.
 
 This module is the second stage only: ``sim`` runs the LP and
 message-passing front ends that supply the soft vector, and hands their
-undecided outcomes here.
+undecided outcomes here.  It keeps no per-code cache: the ordering reads
+H_X's packed columns and rank, which ``BinaryMatrix`` caches, and the
+elimination scatters a dense H_X from the code's Tanner edge arrays.
 """
 
 from __future__ import annotations
@@ -69,28 +71,6 @@ class QubitOrdering:
     remainder: np.ndarray
 
 
-class _OsdContext:
-    """Per-code cache: packed H_X columns and the matrix rank."""
-
-    __slots__ = ("columns", "rank")
-
-    def __init__(self, code: CssCode):
-        hx = code.hx
-        cols = [0] * code.n
-        for r in range(hx.n_rows):
-            bit = 1 << r
-            for q in hx.row_support(r):
-                cols[q] |= bit
-        self.columns = cols
-        self.rank = rank(hx)
-
-
-def _context(code: CssCode) -> _OsdContext:
-    if code._osd_context is None:
-        code._osd_context = _OsdContext(code)
-    return code._osd_context
-
-
 def order_qubits(soft, code: CssCode, s, cfg: OsdConfig,
                  rng: np.random.Generator | None = None) -> QubitOrdering:
     """Sort qubits by descending soft value and pick the committed set.
@@ -112,13 +92,13 @@ def order_qubits(soft, code: CssCode, s, cfg: OsdConfig,
         tie_key = rng.random(n)
     perm = np.lexsort((np.arange(n), tie_key, -quantized))
 
-    ctx = _context(code)
-    cols = ctx.columns
+    cols = code.hx.transpose().rows  # column q of H_X as a bitset over checks
+    full_rank = rank(code.hx)
     committed: list[int] = []
     committed_mask = np.zeros(n, dtype=bool)
     basis: dict[int, int] = {}
     for q in perm:
-        if len(committed) == ctx.rank:
+        if len(committed) == full_rank:
             break
         v = cols[q]
         while v:
@@ -129,7 +109,7 @@ def order_qubits(soft, code: CssCode, s, cfg: OsdConfig,
                 committed_mask[q] = True
                 break
             v ^= basis[p]
-    if len(committed) != ctx.rank:
+    if len(committed) != full_rank:
         raise SingularSubmatrix("could not assemble a full-rank committed set")
     remainder = perm[~committed_mask[perm]]
     return QubitOrdering(
@@ -148,14 +128,13 @@ def _eliminate(code: CssCode, ordering: QubitOrdering, s) -> tuple[np.ndarray, n
     qubit t changes the committed part by reach[:, t].  Both are expressed
     in committed order.
     """
-    hx = code.hx
-    m = hx.n_rows
+    tan = code.tanner
+    m = code.hx.n_rows
     r = ordering.committed.size
     t_cols = ordering.remainder
     s_arr = np.asarray(s, dtype=np.uint8) & 1
-    dense = np.zeros((m, hx.n_cols), dtype=np.uint8)
-    for row in range(m):
-        dense[row, list(hx.row_support(row))] = 1
+    dense = np.zeros((m, code.n), dtype=np.uint8)
+    dense[tan.x_edge_check, tan.x_edge_qubit] = 1
     aug = np.empty((m, r + 1 + t_cols.size), dtype=np.uint8)
     aug[:, :r] = dense[:, ordering.committed]
     aug[:, r] = s_arr

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from lposd.codes import hypergraph_product, repetition_parity_check, rotated_surface_code
+from lposd.codes import (
+    CssCode,
+    hypergraph_product,
+    repetition_parity_check,
+    rotated_surface_code,
+)
 from lposd.gf2 import BinaryMatrix
 
 
@@ -13,6 +18,17 @@ def surface3():
 @pytest.fixture(scope="session")
 def surface5():
     return rotated_surface_code(5)
+
+
+def with_zero_x_row(code, at):
+    """``code`` with an all-zero X check inserted as row ``at`` of H_X.
+
+    No error flips that check, so every decoder must treat the padded code
+    as the original, with a 0 at position ``at`` of each syndrome.
+    """
+    rows = list(code.hx.rows)
+    rows.insert(at, 0)
+    return CssCode(BinaryMatrix(rows, code.n), code.hz, name=f"{code.name}-zero{at}")
 
 
 def make_toy22():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import with_zero_x_row
 
 from lposd import (
     BinaryMatrix,
@@ -130,22 +131,23 @@ def test_soft_output_tracks_hard_decision(surface3):
 
 
 def test_matches_reference_implementation(surface3):
-    code = surface3
-    rng = np.random.default_rng(47)
-    for trial in range(10):
-        e = (rng.random(code.n) < 0.25).astype(np.uint8)
-        s = code.syndrome(e)
-        cfg = BpConfig(channel_p=0.08, max_iterations=8)
-        res = min_sum_bp(code, s, cfg)
-        hard, posterior, converged, iterations = reference_min_sum(
-            code, s, 0.08, 8
-        )
-        assert res.converged == converged
-        assert res.iterations == iterations
-        assert np.array_equal(res.hard, hard)
-        np.testing.assert_allclose(
-            res.soft, 1.0 / (1.0 + np.exp(posterior)), atol=1e-12
-        )
+    # the padded codes carry an all-zero X check in the middle or at the end
+    for code in (surface3, with_zero_x_row(surface3, 1), with_zero_x_row(surface3, 4)):
+        rng = np.random.default_rng(47)
+        for trial in range(10):
+            e = (rng.random(code.n) < 0.25).astype(np.uint8)
+            s = code.syndrome(e)
+            cfg = BpConfig(channel_p=0.08, max_iterations=8)
+            res = min_sum_bp(code, s, cfg)
+            hard, posterior, converged, iterations = reference_min_sum(
+                code, s, 0.08, 8
+            )
+            assert res.converged == converged, code.name
+            assert res.iterations == iterations, code.name
+            assert np.array_equal(res.hard, hard), code.name
+            np.testing.assert_allclose(
+                res.soft, 1.0 / (1.0 + np.exp(posterior)), atol=1e-12
+            )
 
 
 def test_symmetric_pair_stalls_and_osd_rescues():

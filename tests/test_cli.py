@@ -238,27 +238,37 @@ def test_detector_decode_rejects_bad_probs(detector_files, tmp_path, capsys):
 
 
 def test_detector_decode_infeasible_syndrome_exits_2(tmp_path, capsys):
-    # detectors 0 and 1 watch the same column, so no error flips only
-    # detector 0: the syndrome lies outside the column space and the LP
-    # is infeasible
     from lposd.gf2 import BinaryMatrix
 
-    matrix = BinaryMatrix.from_entries(3, 3, [(0, 0), (1, 0), (2, 1), (2, 2)])
-    matrix_path = tmp_path / "matrix.txt"
-    write_matrix(matrix, matrix_path)
-    probs_path = tmp_path / "probs.txt"
-    probs_path.write_text("0.1 0.1 0.1\n")
-    syndrome_path = tmp_path / "syndrome.txt"
-    syndrome_path.write_text("1 0 0\n")
-    for mode in ("cs", "0", "round"):
-        for solver in ("scipy", "embedded"):
-            rc = main(["detector-decode", "--matrix", str(matrix_path),
-                       "--probs", str(probs_path), "--syndrome", str(syndrome_path),
-                       "--osd", mode, "--solver", solver])
-            assert rc == 2, (mode, solver)
-            captured = capsys.readouterr()
-            assert "error:" in captured.err
-            assert captured.out == ""
+    cases = [
+        # detectors 0 and 1 watch the same column, so no error flips only
+        # detector 0: the syndrome lies outside the column space and the LP
+        # is infeasible
+        (BinaryMatrix.from_entries(3, 3, [(0, 0), (1, 0), (2, 1), (2, 2)]),
+         "1 0 0\n"),
+        # a 4-cycle of detectors: every column flips two of them, so one
+        # flipped detector is outside the column space, yet the LP stays
+        # feasible at x = 1/2 and rounding alone would not notice
+        (BinaryMatrix.from_entries(
+            4, 4, [(0, 0), (0, 3), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]),
+         "1 0 0 0\n"),
+    ]
+    for matrix, syndrome in cases:
+        matrix_path = tmp_path / "matrix.txt"
+        write_matrix(matrix, matrix_path)
+        probs_path = tmp_path / "probs.txt"
+        probs_path.write_text(" ".join(["0.1"] * matrix.n_cols) + "\n")
+        syndrome_path = tmp_path / "syndrome.txt"
+        syndrome_path.write_text(syndrome)
+        for mode in ("cs", "0", "round"):
+            for solver in ("scipy", "embedded"):
+                rc = main(["detector-decode", "--matrix", str(matrix_path),
+                           "--probs", str(probs_path), "--syndrome", str(syndrome_path),
+                           "--osd", mode, "--solver", solver])
+                assert rc == 2, (matrix.n_rows, mode, solver)
+                captured = capsys.readouterr()
+                assert "error:" in captured.err
+                assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import with_zero_x_row
 
 from lposd.codes import (
     bfs_distance_to_flipped,
@@ -154,6 +155,36 @@ def test_random_product_code_is_reproducible_and_biregular():
     # qubit degrees under hx: 3 or 4 depending on the sector
     col_weights = code.hx.to_dense().sum(axis=0)
     assert set(col_weights) <= {3, 4}
+
+
+_SYNDROME_CODES = {
+    "surface5": lambda: rotated_surface_code(5),
+    "bb72": lambda: named_bb_code("bb72"),
+    "bb144": lambda: named_bb_code("bb144"),
+    "random-hgp": lambda: sample_random_hgp(2, 0),
+    "zero-row-middle": lambda: with_zero_x_row(rotated_surface_code(3), 1),
+    "zero-row-end": lambda: with_zero_x_row(rotated_surface_code(3), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_SYNDROME_CODES))
+def test_syndrome_matches_packed_product(name):
+    code = _SYNDROME_CODES[name]()
+    tan = code.tanner
+    assert list(zip(tan.x_edge_qubit.tolist(), tan.x_edge_check.tolist())) == list(tan.x_edges)
+    hash(tan)  # the edge arrays stay out of eq/hash
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        e = rng.integers(0, 2, code.n, dtype=np.uint8)
+        s = code.syndrome(e)
+        assert s.dtype == np.uint8
+        assert np.array_equal(s, code.hx.mat_vec(e))
+    bad = np.zeros(code.n, dtype=np.uint8)
+    bad[0] = 2
+    for vector in (np.zeros(code.n - 1, dtype=np.uint8), bad):
+        for product in (code.syndrome, code.hx.mat_vec):
+            with pytest.raises(ValueError):
+                product(vector)
 
 
 def test_bfs_distance_to_flipped(surface3):

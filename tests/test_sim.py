@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import with_zero_x_row
 
 from lposd import (
     DECODER_NAMES,
@@ -261,6 +262,22 @@ def test_labels_allow_ab_comparison(surface3):
     assert all(r.pipeline == "lp-osd0" for r in results)
     with pytest.raises(InvalidParameter):
         run_point(surface3, ["lp-osd0", "lp-osd0"], p=0.1, trials=10)
+
+
+@pytest.mark.parametrize("at", [1, 4], ids=["middle", "end"])
+def test_all_zero_check_row_decodes_like_the_original(surface3, at):
+    padded = with_zero_x_row(surface3, at)
+    specs = ["bp", "bp-osdcs", "lp-osdcs"]
+    got = run_point(padded, specs, p=0.1, trials=80, seed=21)
+    want = run_point(surface3, specs, p=0.1, trials=80, seed=21)
+    for res, ref in zip(got, want):
+        record, expected = point_fingerprint(res), point_fingerprint(ref)
+        assert record.pop("code") == padded.name
+        # the LP gains a row for the empty check, so its pivot count moves
+        for key in ("code", "lp_iterations"):
+            expected.pop(key)
+        record.pop("lp_iterations")
+        assert record == expected
 
 
 def test_point_rejects_bad_arguments(surface3):
