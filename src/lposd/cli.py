@@ -169,6 +169,7 @@ def _cmd_simulate(args) -> int:
         trials_per_code=args.trials_per_code,
     )
     cfg_record = cfg.to_record()
+    code = None if ensemble else resolve_code(args.code, args.seed)
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
         for point_index, p in enumerate(ps):
@@ -179,7 +180,6 @@ def _cmd_simulate(args) -> int:
                                        args.trials_per_code, args.seed,
                                        workers=args.workers)
             else:
-                code = resolve_code(args.code, args.seed)
                 results = run_point(code, decoders, p, trials, args.seed,
                                     point_index=point_index, workers=args.workers)
             wall = time.perf_counter() - start

@@ -19,27 +19,31 @@ capped; wider checks raise CheckWeightTooLarge.
 
 Two solver backends: HiGHS ('scipy', the default, ``DEFAULT_SOLVER``)
 and the embedded simplex ('embedded'), which needs nothing beyond numpy and
-scipy.sparse and is kept as a dependency-free cross-check.  For the primal
-kinds, HiGHS runs on one persistent model per code, kept on the code's
-constraint template: the qubit columns plus both parities' mixture blocks
-for every check (252 rows x 2376 columns on bb72), loaded once with
-presolve off.  A solve fixes the wrong-parity columns at zero, sets the
-qubit costs, clears the solver and runs it cold, then gathers the chosen
-columns back into the model's own layout.  Cold starts make the returned
+scipy.sparse and is kept as a dependency-free cross-check.
+
+Each code has one constraint matrix, kept on its template: the qubit
+columns plus both parities' mixture blocks for every check (252 rows x
+2376 columns on bb72).  A syndrome or error model keeps the qubit columns
+and the block of each check's parity; it slices its own matrix ``a`` out
+of the template's only when ``a`` is first read.
+
+HiGHS runs from scipy's bundled extension, loaded by file path so that a
+decode never imports ``scipy.optimize``; every HiGHS model is built by
+one function, with output and presolve off.  Syndrome and error models
+without mixture costs share one persistent model per code, which holds
+the template's matrix as it stands.  A solve fixes the wrong-parity
+columns at zero, sets the qubit costs, clears the solver and runs it
+cold, then gathers the model's columns.  Cold starts make the returned
 vertex a function of the model alone, so results do not depend on the
 order of solves.  Warm-starting from the previous basis was also measured
 slower despite fewer pivots: 5.0-6.3 against 3.3-3.8 ms per bb72 solve
-(149 against 280 pivots), 16-20 against 6.3-6.8 ms on bb144.  The HiGHS
-extension module is loaded by file path, so that path never imports
-``scipy.optimize``.  Dual models, and every model when scipy's private
-HiGHS bindings cannot be loaded, go through ``scipy.optimize.linprog``.
+(149 against 280 pivots), 16-20 against 6.3-6.8 ms on bb144.  Dual
+models and models with mixture costs get a one-off HiGHS model of their
+own.  If the extension cannot be loaded, 'scipy' solves raise LposdError.
 
 The two backends agree on every optimal objective, but on a degenerate
 optimal face they may return different vertices, so switching backends can
 change which correction a decoder returns.
-
-Syndrome and error models assemble their sparse constraint matrix ``a``
-only when it is first read; the persistent HiGHS path never reads it.
 """
 
 from __future__ import annotations
@@ -99,27 +103,16 @@ def parity_subsets(support: Sequence[int], parity: int) -> list[tuple[int, ...]]
     return out
 
 
-class _CheckBlock:
-    """Prebuilt constraint triplets for one check at one parity."""
-
-    __slots__ = ("subsets", "index", "rows", "cols", "vals")
-
-    def __init__(self, subsets, rows, cols, vals):
-        self.subsets = subsets
-        self.index = {s: t for t, s in enumerate(subsets)}
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-
-
 class _LpTemplate:
-    """Per-code constraint template shared by every syndrome/error model.
+    """Per-code constraint matrix shared by every syndrome and error model.
 
-    Column layout: qubit variables first (0..n-1), then one block of mixture
-    variables per check.  Row layout: one normalization row per check
-    (0..m_x-1), then one consistency row per Tanner edge in deterministic
-    order.  Both layouts are independent of the syndrome, so per-decode
-    assembly is pure concatenation of cached triplet arrays.
+    ``a`` has one column per qubit (0..n-1), then for each check its
+    parity-0 mixture block followed by its parity-1 block, each 2^(w-1)
+    columns wide for a weight-w check (252 rows x 2376 columns on bb72).
+    Rows: one normalization row per check (0..m_x-1), then one consistency
+    row per Tanner edge in deterministic order.  Neither layout depends on
+    the syndrome: a model keeps the qubit columns and, per check, the block
+    of its parity, so its matrix is a column slice of ``a`` (``columns``).
     """
 
     def __init__(self, code: CssCode):
@@ -127,28 +120,49 @@ class _LpTemplate:
         self.n = code.n
         self.m_x = code.hx.n_rows
         self.edges = tan.x_edges
-        self.edge_row = {edge: self.m_x + p for p, edge in enumerate(self.edges)}
-        self.w_offset = []
-        offset = self.n
-        for j in range(self.m_x):
-            w = len(tan.x_supports[j])
-            if w > MAX_CHECK_WEIGHT:
+        edge_row = {edge: self.m_x + p for p, edge in enumerate(self.edges)}
+        self.subsets = []  # per check: (parity-0 subsets, parity-1 subsets)
+        self.index = []  # per check and parity: subset -> position in its block
+        self.w_offset = []  # per check: first mixture column in a model
+        widths = []
+        rows: list[int] = []
+        cols: list[int] = []
+        col = self.n
+        for j, support in enumerate(tan.x_supports):
+            if len(support) > MAX_CHECK_WEIGHT:
                 raise CheckWeightTooLarge(
-                    f"check {j} has weight {w} > {MAX_CHECK_WEIGHT}"
+                    f"check {j} has weight {len(support)} > {MAX_CHECK_WEIGHT}"
                 )
-            self.w_offset.append(offset)
-            offset += 1 << max(w - 1, 0)
-        self.n_vars = offset
+            width = 1 << max(len(support) - 1, 0)
+            self.w_offset.append(self.n + sum(widths))
+            widths.append(width)
+            pair = (parity_subsets(support, 0), parity_subsets(support, 1))
+            self.subsets.append(pair)
+            self.index.append(tuple({s: t for t, s in enumerate(sub)} for sub in pair))
+            for q in support:
+                rows.append(edge_row[(q, j)])
+                cols.append(q)
+            for subsets in pair:
+                for t, s in enumerate(subsets):
+                    rows.append(j)
+                    rows.extend(edge_row[(q, j)] for q in s)
+                    cols.extend([col + t] * (1 + len(s)))
+                col += width
+        self.n_vars = self.n + sum(widths)
         self.n_rows = self.m_x + len(self.edges)
-        self.blocks: list[tuple[_CheckBlock, _CheckBlock]] = []
-        for j in range(self.m_x):
-            self.blocks.append((
-                self._build_block(code, j, 0),
-                self._build_block(code, j, 1),
-            ))
+        cols_arr = np.asarray(cols, dtype=np.int32)
+        self.a = sp.csc_matrix(
+            (np.where(cols_arr < self.n, -1.0, 1.0), (np.asarray(rows, dtype=np.int32), cols_arr)),
+            shape=(self.n_rows, col),
+        )
         self.rhs = np.concatenate([
             np.ones(self.m_x), np.zeros(len(self.edges)),
         ])
+        self.widths = np.asarray(widths, dtype=np.int64)
+        # a model's block j sits this far left of its parity-0 block in ``a``
+        self._shift = np.asarray(self.w_offset, dtype=np.int64) - self.n
+        self._qubits = np.arange(self.n)
+        self._mix = np.arange(self.n, self.n_vars)
         self._highs: _HighsModel | None = None
 
     def __getstate__(self):
@@ -157,38 +171,10 @@ class _LpTemplate:
         state["_highs"] = None
         return state
 
-    def _build_block(self, code: CssCode, j: int, parity: int) -> _CheckBlock:
-        support = code.tanner.x_supports[j]
-        subsets = parity_subsets(support, parity)
-        base = self.w_offset[j]
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for t, s in enumerate(subsets):
-            rows.append(j)
-            cols.append(base + t)
-            vals.append(1.0)
-            for q in s:
-                rows.append(self.edge_row[(q, j)])
-                cols.append(base + t)
-                vals.append(1.0)
-        for q in support:
-            rows.append(self.edge_row[(q, j)])
-            cols.append(q)
-            vals.append(-1.0)
-        return _CheckBlock(
-            subsets,
-            np.asarray(rows, dtype=np.int32),
-            np.asarray(cols, dtype=np.int32),
-            np.asarray(vals, dtype=np.float64),
-        )
-
-    def assemble(self, parities: np.ndarray) -> sp.csc_matrix:
-        rows = np.concatenate([self.blocks[j][parities[j]].rows for j in range(self.m_x)])
-        cols = np.concatenate([self.blocks[j][parities[j]].cols for j in range(self.m_x)])
-        vals = np.concatenate([self.blocks[j][parities[j]].vals for j in range(self.m_x)])
-        coo = sp.coo_matrix((vals, (rows, cols)), shape=(self.n_rows, self.n_vars))
-        return coo.tocsc()
+    def columns(self, parities: np.ndarray) -> np.ndarray:
+        """Columns of ``a`` that a model with these check parities keeps, in model order."""
+        shift = np.repeat(self._shift + self.widths * parities, self.widths)
+        return np.concatenate([self._qubits, self._mix + shift])
 
 
 def _template(code: CssCode) -> _LpTemplate:
@@ -204,7 +190,7 @@ class LpModel:
     ``kind`` is one of 'syndrome', 'error', 'dual'.  For the primal kinds
     the first ``n`` columns are the qubit variables; ``subset_of_col`` maps
     a mixture column back to its (check, subset) pair on demand.  Their
-    constraint matrix ``a`` is assembled from the code's template on first
+    constraint matrix ``a`` is sliced from the code's template on first
     read; dual models pass theirs in as ``_a``.
     """
 
@@ -221,7 +207,8 @@ class LpModel:
     @property
     def a(self) -> sp.csc_matrix:
         if self._a is None:
-            self._a = _template(self.code).assemble(self.meta["parities"])
+            tpl = _template(self.code)
+            self._a = tpl.a[:, tpl.columns(self.meta["parities"])]
         return self._a
 
     @property
@@ -240,17 +227,14 @@ class LpModel:
     # -- structural lookups (primal kinds) --------------------------------
 
     def mixture_subsets(self, j: int):
-        tpl = _template(self.code)
-        parity = int(self.meta["parities"][j])
-        return tpl.blocks[j][parity].subsets
+        return _template(self.code).subsets[j][int(self.meta["parities"][j])]
 
     def mixture_col(self, j: int, subset) -> int:
         tpl = _template(self.code)
         parity = int(self.meta["parities"][j])
-        block = tpl.blocks[j][parity]
         key = tuple(sorted(subset))
         try:
-            return tpl.w_offset[j] + block.index[key]
+            return tpl.w_offset[j] + tpl.index[j][parity][key]
         except KeyError:
             raise LposdError(
                 f"subset {key} is not a parity-{parity} subset of check {j}"
@@ -266,8 +250,7 @@ class LpModel:
         tpl = _template(self.code)
         names = [f"x{i}" for i in range(self.code.n)]
         for j in range(tpl.m_x):
-            block = tpl.blocks[j][int(self.meta["parities"][j])]
-            for s in block.subsets:
+            for s in self.mixture_subsets(j):
                 names.append("w" + str(j) + "_" + ("_".join(map(str, s)) if s else "e"))
         return names
 
@@ -500,101 +483,85 @@ def _solve_embedded(model: LpModel, **opts) -> tuple[np.ndarray, float, str, int
     return values, objective, "optimal", res.iterations
 
 
+def _new_highs(core, cost, a, col_lower, row_lower, row_upper):
+    """A HiGHS instance holding min cost.x, row_lower <= a x <= row_upper, x >= col_lower.
+
+    Output and presolve are off; -inf marks a free column or a row without
+    a lower bound, and inf a row without an upper bound.
+    """
+    lp = core.HighsLp()
+    lp.num_row_, lp.num_col_ = a.shape
+    lp.col_cost_ = cost
+    lp.col_lower_ = col_lower
+    lp.col_upper_ = np.full(a.shape[1], np.inf)
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    highs = core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+    if highs.passModel(lp) == core.HighsStatus.kError:
+        raise LposdError("HiGHS rejected the model")
+    return highs
+
+
+def _run_highs(core, highs) -> tuple[np.ndarray, float, int]:
+    """Run HiGHS; return (column values, objective, simplex iterations)."""
+    highs.run()
+    status, status_of = highs.getModelStatus(), core.HighsModelStatus
+    if status in (status_of.kInfeasible, status_of.kUnboundedOrInfeasible):
+        raise Infeasible("model is infeasible")
+    if status == status_of.kIterationLimit:
+        raise IterationLimit("HiGHS hit its iteration limit")
+    if status != status_of.kOptimal:
+        raise LposdError(f"HiGHS failed: {highs.modelStatusToString(status)}")
+    info = highs.getInfo()
+    return (np.asarray(highs.getSolution().col_value), float(info.objective_function_value),
+            int(info.simplex_iteration_count))
+
+
 class _HighsModel:
     """One HiGHS model per code that serves every syndrome and error model.
 
-    Column layout: the n qubit columns, then for each check its parity-0
-    mixture block followed by its parity-1 block, each as wide as the
-    check's block in the template.  Rows are the template's rows.  A solve
-    fixes the wrong-parity columns at zero, sets the qubit costs (both
-    primal builders leave mixture columns at cost zero), and re-runs from
-    scratch.  Only the blocks of checks whose parity differs from the
-    previous solve have their bounds changed.
+    It holds the template's matrix as it stands, both parity blocks of every
+    check included.  A solve fixes the wrong-parity blocks at zero, sets the
+    qubit costs (both primal builders leave mixture columns at cost zero),
+    re-runs from scratch and gathers the model's columns.  Only the blocks
+    of checks whose parity differs from the previous solve have their
+    bounds changed.
     """
 
     def __init__(self, core, tpl: _LpTemplate):
-        n, m_x = tpl.n, tpl.m_x
-        offsets = np.asarray(tpl.w_offset, dtype=np.int64)
-        widths = np.diff(np.append(offsets, tpl.n_vars))
-        full_offsets = n + 2 * (offsets - n)
-        self.n_cols = n + 2 * (tpl.n_vars - n)
-        rows, cols, vals = [], [], []
-        for j, pair in enumerate(tpl.blocks):
-            for parity, block in enumerate(pair):
-                mix = block.cols >= n
-                keep = mix if parity else np.ones_like(mix)  # qubit entries once
-                shift = full_offsets[j] + parity * widths[j] - offsets[j]
-                rows.append(block.rows[keep])
-                cols.append(np.where(mix, block.cols + shift, block.cols)[keep])
-                vals.append(block.vals[keep])
-        a = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(tpl.n_rows, self.n_cols),
-        ).tocsc()
-
-        # model mixture column k of check j sits at full column
-        # full_offsets[j] + (k - offsets[j]) + parity_j * widths[j]
-        self._check = np.repeat(np.arange(m_x), widths)
-        self._base = full_offsets[self._check] + (
-            np.arange(n, tpl.n_vars) - offsets[self._check])
-        self._width = widths[self._check]
-        self._qubits = np.arange(n, dtype=np.int32)
-        # full mixture columns, with the check and parity each belongs to
-        self._mix_cols = np.arange(n, self.n_cols, dtype=np.int32)
-        self._mix_check = np.repeat(np.arange(m_x), 2 * widths)
-        self._mix_parity = np.repeat(np.tile(np.array([0, 1], dtype=np.int8), m_x),
-                                     np.repeat(widths, 2))
-        self._parities = np.full(m_x, -1, dtype=np.int8)  # none set yet
-
-        lp = core.HighsLp()
-        lp.num_col_ = self.n_cols
-        lp.num_row_ = tpl.n_rows
-        lp.col_cost_ = np.zeros(self.n_cols)
-        lp.col_lower_ = np.zeros(self.n_cols)
-        lp.col_upper_ = np.full(self.n_cols, np.inf)
-        lp.row_lower_ = tpl.rhs
-        lp.row_upper_ = tpl.rhs
-        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-        lp.a_matrix_.num_col_ = self.n_cols
-        lp.a_matrix_.num_row_ = tpl.n_rows
-        lp.a_matrix_.start_ = a.indptr
-        lp.a_matrix_.index_ = a.indices
-        lp.a_matrix_.value_ = a.data
-        self._status = core.HighsModelStatus
-        self._highs = core._Highs()
-        self._highs.setOptionValue("output_flag", False)
-        self._highs.setOptionValue("presolve", "off")
-        if self._highs.passModel(lp) == core.HighsStatus.kError:
-            raise LposdError("HiGHS rejected the persistent model")
+        n_cols = tpl.a.shape[1]
+        self._core = core
+        self._tpl = tpl
+        self._qubits = np.arange(tpl.n, dtype=np.int32)
+        self._mix_cols = np.arange(tpl.n, n_cols, dtype=np.int32)
+        self._mix_check = np.repeat(np.arange(tpl.m_x), 2 * tpl.widths)
+        self._parities = np.full(tpl.m_x, -1, dtype=np.int8)  # none set yet
+        self._highs = _new_highs(core, np.zeros(n_cols), tpl.a, np.zeros(n_cols),
+                                 tpl.rhs, tpl.rhs)
 
     def solve(self, model: LpModel) -> tuple[np.ndarray, float, str, int]:
         parities = model.meta["parities"]
-        gather = np.concatenate([
-            self._qubits, self._base + self._width * parities[self._check]])
-        highs, status_of = self._highs, self._status
+        gather = self._tpl.columns(parities)
+        highs = self._highs
         changed = (parities != self._parities)[self._mix_check]
         if changed.any():
+            upper = np.zeros(self._tpl.a.shape[1])
+            upper[gather] = np.inf
             cols = self._mix_cols[changed]
-            upper = np.where(
-                self._mix_parity[changed] == parities[self._mix_check[changed]],
-                np.inf, 0.0)
-            highs.changeColsBounds(cols.size, cols, np.zeros(cols.size), upper)
+            highs.changeColsBounds(cols.size, cols, np.zeros(cols.size), upper[cols])
             self._parities = parities.astype(np.int8)
         highs.changeColsCost(self._qubits.size, self._qubits,
                              model.c[: self._qubits.size])
         highs.clearSolver()
-        highs.run()
-        status = highs.getModelStatus()
-        if status in (status_of.kInfeasible, status_of.kUnboundedOrInfeasible):
-            raise Infeasible("model is infeasible")
-        if status == status_of.kIterationLimit:
-            raise IterationLimit("HiGHS hit its iteration limit")
-        if status != status_of.kOptimal:
-            raise LposdError(f"HiGHS failed: {highs.modelStatusToString(status)}")
-        info = highs.getInfo()
-        values = np.asarray(highs.getSolution().col_value)[gather]
-        return values, float(info.objective_function_value), "optimal", int(
-            info.simplex_iteration_count)
+        values, objective, iterations = _run_highs(self._core, highs)
+        return values[gather], objective, "optimal", iterations
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -626,76 +593,61 @@ def _load_highs_core_by_path() -> None:
             return
 
 
-def _highs_model(code: CssCode) -> _HighsModel | None:
-    """The code's persistent HiGHS model, or None without scipy's bindings.
+def _highs_core():
+    """scipy's HiGHS extension; LposdError when it cannot be loaded.
 
     A ``None`` entry for the extension in ``sys.modules`` means its import
     is blocked, and is honoured.  If loading by path fails, the normal
-    import is tried; if that fails too, the caller falls back to linprog.
+    import is tried.
     """
+    if _HIGHS_CORE not in sys.modules:
+        try:
+            _load_highs_core_by_path()
+        except (ImportError, OSError):
+            pass
+    try:
+        return importlib.import_module(_HIGHS_CORE)
+    except ImportError as exc:
+        raise LposdError(f"scipy's HiGHS bindings cannot be loaded: {exc}") from None
+
+
+def _highs_model(code: CssCode) -> _HighsModel:
+    """The code's persistent HiGHS model, built on first use."""
     tpl = _template(code)
     if tpl._highs is None:
-        if _HIGHS_CORE not in sys.modules:
-            try:
-                _load_highs_core_by_path()
-            except (ImportError, OSError):
-                pass
-        try:
-            core = importlib.import_module(_HIGHS_CORE)
-        except ImportError:
-            return None
-        tpl._highs = _HighsModel(core, tpl)
+        tpl._highs = _HighsModel(_highs_core(), tpl)
     return tpl._highs
 
 
 def _solve_scipy(model: LpModel, **opts) -> tuple[np.ndarray, float, str, int]:
     if model.kind != "dual" and not model.c[model.code.n:].any():
-        highs = _highs_model(model.code)
-        if highs is not None:
-            return highs.solve(model)
-    from scipy.optimize import linprog
-
+        return _highs_model(model.code).solve(model)
+    # dual models and mixture costs: a one-off HiGHS model of this LP alone
+    core = _highs_core()
     sign = 1.0 if model.sense == "min" else -1.0
-    eq = model.row_sense == 0
-    le = ~eq
-    a_csr = model.a.tocsr()
-    a_eq = a_csr[eq] if eq.any() else None
-    b_eq = model.b[eq] if eq.any() else None
-    if le.any():
-        scale = np.where(model.row_sense[le] > 0, -1.0, 1.0)
-        a_ub = sp.diags(scale) @ a_csr[le]
-        b_ub = scale * model.b[le]
-    else:
-        a_ub = b_ub = None
-    bounds = [(None, None) if f else (0, None) for f in model.free_vars]
-    res = linprog(sign * model.c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if res.status == 2:
-        raise Infeasible("model is infeasible")
-    if res.status == 1:
-        raise IterationLimit("scipy backend hit its iteration limit")
-    if res.status != 0:
-        raise LposdError(f"scipy backend failed: {res.message}")
-    nit = int(getattr(res, "nit", 0) or 0)
-    return res.x, sign * float(res.fun), "optimal", nit
+    highs = _new_highs(core, sign * model.c, model.a,
+                       np.where(model.free_vars, -np.inf, 0.0),
+                       np.where(model.row_sense < 0, -np.inf, model.b),
+                       np.where(model.row_sense > 0, np.inf, model.b))
+    values, objective, iterations = _run_highs(core, highs)
+    return values, sign * objective, "optimal", iterations
 
 
 def solve_lp(model: LpModel, solver: str = DEFAULT_SOLVER, **opts) -> LpSolution:
     """Solve a model with the chosen backend ('scipy' or 'embedded').
 
-    'scipy', the default, solves syndrome and error models on the code's
-    persistent HiGHS model, cold-started on every call so the result does
-    not depend on earlier solves (see the module docstring); dual models,
-    and all models when scipy's private HiGHS bindings are missing, go
-    through ``scipy.optimize.linprog``.  'embedded' is the dependency-free
-    simplex, kept as a cross-check; it reaches the same optimal objective
-    but may return a different vertex of a degenerate optimal face, so a
-    decoder's correction can depend on the backend.
+    'scipy', the default, runs HiGHS: syndrome and error models on the
+    code's persistent model, cold-started on every call so the result does
+    not depend on earlier solves, and dual models or models with mixture
+    costs on a one-off model (see the module docstring).  'embedded' is the
+    dependency-free simplex, kept as a cross-check; it reaches the same
+    optimal objective but may return a different vertex of a degenerate
+    optimal face, so a decoder's correction can depend on the backend.
 
     Near-integer components of the solution are snapped to exact integers
     (at 1e-11), which keeps downstream reflections and roundings exact.
-    Raises Infeasible or IterationLimit; other backend failures raise
-    LposdError.
+    Raises Infeasible or IterationLimit; other backend failures, and
+    'scipy' without scipy's HiGHS extension, raise LposdError.
     """
     if solver == "embedded":
         values, objective, status, iterations = _solve_embedded(model, **opts)

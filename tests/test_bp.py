@@ -43,7 +43,8 @@ def reference_min_sum(code, s, channel_p, max_iterations):
             sign = 1.0
             for v in others:
                 sign *= -1.0 if v < 0.0 else 1.0
-            mag = min(abs(v) for v in others) if others else 0.0
+            # min-sum's minimum over no other edges is +inf, clamped below
+            mag = min((abs(v) for v in others), default=math.inf)
             msg = alpha * (1.0 - 2.0 * s_arr[j]) * sign * mag
             new[(q, j)] = min(max(msg, -_CLAMP), _CLAMP)
         c2v = new
@@ -54,6 +55,12 @@ def reference_min_sum(code, s, channel_p, max_iterations):
         if np.array_equal(code.syndrome(hard), s_arr):
             return hard, posterior, True, t
     return hard, posterior, False, max_iterations
+
+
+def weight_one_check_code():
+    """A weight-1 check next to a weight-3 one that shares its qubit."""
+    hx = BinaryMatrix.from_entries(2, 3, [(0, 0), (1, 0), (1, 1), (1, 2)])
+    return CssCode(hx, BinaryMatrix([], 3), name="weight-one-check")
 
 
 def twin_qubit_code():
@@ -132,7 +139,8 @@ def test_soft_output_tracks_hard_decision(surface3):
 
 def test_matches_reference_implementation(surface3):
     # the padded codes carry an all-zero X check in the middle or at the end
-    for code in (surface3, with_zero_x_row(surface3, 1), with_zero_x_row(surface3, 4)):
+    for code in (surface3, with_zero_x_row(surface3, 1), with_zero_x_row(surface3, 4),
+                 weight_one_check_code()):
         rng = np.random.default_rng(47)
         for trial in range(10):
             e = (rng.random(code.n) < 0.25).astype(np.uint8)

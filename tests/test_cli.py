@@ -85,6 +85,23 @@ def test_simulate_writes_records(surface_dir, tmp_path, capsys):
         assert record["wall_seconds"] >= 0.0
 
 
+def test_simulate_builds_the_code_once(monkeypatch, capsys):
+    import lposd.cli as cli_mod
+
+    calls = []
+
+    def counting_resolve(spec, seed=0):
+        calls.append(spec)
+        return resolve_code(spec, seed)
+
+    monkeypatch.setattr(cli_mod, "resolve_code", counting_resolve)
+    rc = main(["simulate", "--code", "surface:3", "--decoder", "lp-osd0",
+               "--p", "0.05,0.1", "--trials", "5", "--out", "-"])
+    assert rc == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert calls == ["surface:3"]
+
+
 def test_simulate_inline_spec_to_stdout(capsys):
     rc = main(["simulate", "--code", "surface:3", "--decoder", "lp-osd0",
                "--p", "0.1", "--trials", "10", "--out", "-"])

@@ -415,6 +415,11 @@ def test_persistent_model_matches_linprog(persistent_codes):
         models.append(build_syndrome_lp(
             code, models[0].meta["syndrome"], weights=rng.uniform(0.5, 2.0, code.n)))
         models.append(build_error_lp(code, (rng.random(code.n) < 0.1).astype(np.uint8)))
+        # mixture costs take the one-off HiGHS model instead of the persistent one
+        mixed = build_syndrome_lp(code, models[1].meta["syndrome"])
+        picked = rng.choice(np.arange(code.n, mixed.n_vars), size=code.n, replace=False)
+        mixed.c[picked] = rng.uniform(0.1, 1.0, picked.size)
+        models.append(mixed)
         for model in models:
             sol = solve_lp(model, solver="scipy")
             assert sol.values.shape == (model.n_vars,)
@@ -432,26 +437,23 @@ def test_persistent_model_is_order_independent(bb72):
         assert np.array_equal(a, b)
 
 
-def test_linprog_fallback_without_highs_bindings(monkeypatch):
+def test_blocked_highs_extension_is_a_solver_error(monkeypatch):
     import sys
 
-    # linprog imports the extension with scipy.optimize; load it before
-    # blocking the extension, as any earlier dual solve would have
-    import scipy.optimize  # noqa: F401
+    from lposd import rotated_surface_code, run_point
 
-    from lposd import rotated_surface_code
-
-    code = rotated_surface_code(3)
-    models = [build_syndrome_lp(code, s) for s in random_syndromes(code, 4, 0.2, 43)]
-    persistent = [solve_lp(m, solver="scipy").objective for m in models]
-    fresh = rotated_surface_code(3)
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-    for model, expected in zip(models, persistent):
-        model = build_syndrome_lp(fresh, model.meta["syndrome"])
-        sol = solve_lp(model, solver="scipy")
-        assert abs(sol.objective - expected) <= 1e-9
-        assert residual(sol) <= 1e-8
-    assert fresh._lp_template._highs is None
+    code = rotated_surface_code(3)
+    s = np.zeros(code.hx.n_rows, dtype=np.uint8)
+    s[0] = 1
+    with pytest.raises(LposdError):
+        solve_lp(build_syndrome_lp(code, s), solver="scipy")
+    res = run_point(code, "lp-osdcs", p=0.1, trials=40, seed=3)
+    # only a zero syndrome, which needs no solve, escapes the fault
+    assert set(res.stage_counts) == {"integral-lp", "solver-fault"}
+    nonzero = res.trials - res.stage_counts["integral-lp"]
+    assert res.solver_faults == res.stage_counts["solver-fault"] == nonzero > 0
+    assert code._lp_template._highs is None
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +461,29 @@ def test_linprog_fallback_without_highs_bindings(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def eager_matrix(code, parities):
+    """A model's constraint matrix, assembled entry by entry from the Tanner graph."""
+    m_x = code.hx.n_rows
+    edge_row = {edge: m_x + p for p, edge in enumerate(code.tanner.x_edges)}
+    entries = {}
+    col = code.n
+    for j, support in enumerate(code.tanner.x_supports):
+        for q in support:
+            entries[edge_row[(q, j)], q] = -1.0
+        for t, subset in enumerate(parity_subsets(support, parities[j])):
+            entries[j, col + t] = 1.0
+            for q in subset:
+                entries[edge_row[(q, j)], col + t] = 1.0
+        col += 1 << max(len(support) - 1, 0)
+    dense = np.zeros((m_x + len(edge_row), col))
+    for (r, c), v in entries.items():
+        dense[r, c] = v
+    return dense
+
+
 @pytest.mark.parametrize("fixture", ["surface5", "bb72"])
 def test_lazy_matrix_matches_eager_assembly(fixture, request):
-    from lposd.lp import _template
-
     code = request.getfixturevalue(fixture)
-    tpl = _template(code)
     rng = np.random.default_rng(3)
     e = (rng.random(code.n) < 0.05).astype(np.uint8)
     models = [build_syndrome_lp(code, code.syndrome(e)),
@@ -472,9 +491,9 @@ def test_lazy_matrix_matches_eager_assembly(fixture, request):
               build_error_lp(code, e)]
     for model in models:
         assert model._a is None
-        eager = tpl.assemble(model.meta["parities"])
-        assert model.a.shape == eager.shape
-        assert (model.a != eager).nnz == 0
+        eager = eager_matrix(code, model.meta["parities"])
+        assert model.a.shape == eager.shape == (model.b.size, model.n_vars)
+        assert np.array_equal(model.a.toarray(), eager)
         assert model.a is model.a  # assembled once
 
 
@@ -513,8 +532,8 @@ def test_dump_lp_output_unchanged(fixture, request, tmp_path):
 
 
 def test_lean_import_keeps_scipy_optimize_out():
-    # A default decode loads only scipy's HiGHS extension; scipy.optimize
-    # arrives with the first dual solve, and reuses the loaded extension.
+    # A default decode loads only scipy's HiGHS extension, and so does a
+    # dual solve, which reuses the loaded extension.
     import os
     import subprocess
     import sys
@@ -541,7 +560,7 @@ def test_lean_import_keeps_scipy_optimize_out():
 
         sol = solve_lp(build_dual_lp(code, e))
         assert sol.status == "optimal" and sol.solver == "scipy"
-        assert "scipy.optimize" in sys.modules
+        assert "scipy.optimize" not in sys.modules
         assert sys.modules["scipy.optimize._highspy._core"] is core
         print("ok", sol.objective)
     """)

@@ -371,12 +371,12 @@ def test_results_round_trip(tmp_path, surface3):
 
 
 def test_default_run_point_never_assembles_the_matrix(surface3, monkeypatch):
-    from lposd.lp import _LpTemplate
+    from lposd.lp import LpModel
 
-    def refuse(self, parities):
+    def refuse(self):
         raise AssertionError("constraint matrix assembled on the HiGHS path")
 
-    monkeypatch.setattr(_LpTemplate, "assemble", refuse)
+    monkeypatch.setattr(LpModel, "a", property(refuse))
     results = run_point(surface3, ["lp-round", "lp-osd0", "lp-osdcs"], p=0.1,
                         trials=40, seed=6)
     for res in results:
