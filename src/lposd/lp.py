@@ -41,6 +41,17 @@ slower despite fewer pivots: 5.0-6.3 against 3.3-3.8 ms per bb72 solve
 models and models with mixture costs get a one-off HiGHS model of their
 own.  If the extension cannot be loaded, 'scipy' solves raise LposdError.
 
+Since a cold solve depends only on the model, the persistent model
+remembers its 0/1 optima by syndrome, so a Monte Carlo run at low error
+rates, where the same light syndromes come back again and again, skips
+most solves.  A memo entry keeps the positions of the ones, the objective
+and the pivot count of the solve that found them; a hit returns exactly
+what that solve returned, pivot count included.  Optima with any
+fractional or near-integral component are not stored.  The memo holds the
+results for one vector of qubit costs: a solve with other costs clears it.
+It keeps at most ``_MEMO_ENTRIES`` entries, dropping the least recently
+used, and is not pickled with the code.
+
 The two backends agree on every optimal objective, but on a degenerate
 optimal face they may return different vertices, so switching backends can
 change which correction a decoder returns.
@@ -89,6 +100,10 @@ DEFAULT_SOLVER = "scipy"
 
 # Components this close to an integer are snapped when a solution is packaged.
 _SNAP = 1e-11
+
+# Most 0/1 optima the persistent HiGHS model remembers per code (about 0.8 MB
+# on bb72).
+_MEMO_ENTRIES = 2048
 
 
 def parity_subsets(support: Sequence[int], parity: int) -> list[tuple[int, ...]]:
@@ -250,8 +265,11 @@ class LpModel:
         tpl = _template(self.code)
         names = [f"x{i}" for i in range(self.code.n)]
         for j in range(tpl.m_x):
-            for s in self.mixture_subsets(j):
+            subsets = self.mixture_subsets(j)
+            for s in subsets:
                 names.append("w" + str(j) + "_" + ("_".join(map(str, s)) if s else "e"))
+            # a weight-0 check's parity-1 block is one column with no subset
+            names.extend([f"w{j}_none"] * (int(tpl.widths[j]) - len(subsets)))
         return names
 
 
@@ -532,7 +550,16 @@ class _HighsModel:
     qubit costs (both primal builders leave mixture columns at cost zero),
     re-runs from scratch and gathers the model's columns.  Only the blocks
     of checks whose parity differs from the previous solve have their
-    bounds changed.
+    bounds changed, and the costs are sent only when they change.
+
+    Because every run is cold, the result is a function of the parities and
+    the qubit costs alone, so it can be remembered exactly.  The memo maps
+    packed parities to the 0/1 optima found under the current costs: the
+    int32 positions of the ones, the objective and HiGHS's pivot count, so
+    a hit returns what the cold solve returned.  Optima with any component
+    other than exactly 0 or 1 are solved every time.  New costs clear the
+    memo; it keeps at most ``_MEMO_ENTRIES`` entries, least recently used
+    first out.
     """
 
     def __init__(self, core, tpl: _LpTemplate):
@@ -543,13 +570,29 @@ class _HighsModel:
         self._mix_cols = np.arange(tpl.n, n_cols, dtype=np.int32)
         self._mix_check = np.repeat(np.arange(tpl.m_x), 2 * tpl.widths)
         self._parities = np.full(tpl.m_x, -1, dtype=np.int8)  # none set yet
+        self._cost = np.zeros(tpl.n)  # the qubit costs HiGHS holds
+        self._memo: dict[bytes, tuple[bytes, float, int]] = {}
         self._highs = _new_highs(core, np.zeros(n_cols), tpl.a, np.zeros(n_cols),
                                  tpl.rhs, tpl.rhs)
 
     def solve(self, model: LpModel) -> tuple[np.ndarray, float, str, int]:
         parities = model.meta["parities"]
-        gather = self._tpl.columns(parities)
+        cost = model.c[: self._qubits.size]
         highs = self._highs
+        memo = self._memo
+        if not np.array_equal(cost, self._cost):
+            highs.changeColsCost(self._qubits.size, self._qubits, cost)
+            self._cost = cost.copy()
+            memo.clear()
+        key = np.packbits(parities).tobytes()
+        hit = memo.pop(key, None)
+        if hit is not None:
+            memo[key] = hit  # now the most recently used
+            ones, objective, iterations = hit
+            values = np.zeros(self._tpl.n_vars)
+            values[np.frombuffer(ones, dtype=np.int32)] = 1.0
+            return values, objective, "optimal", iterations
+        gather = self._tpl.columns(parities)
         changed = (parities != self._parities)[self._mix_check]
         if changed.any():
             upper = np.zeros(self._tpl.a.shape[1])
@@ -557,11 +600,15 @@ class _HighsModel:
             cols = self._mix_cols[changed]
             highs.changeColsBounds(cols.size, cols, np.zeros(cols.size), upper[cols])
             self._parities = parities.astype(np.int8)
-        highs.changeColsCost(self._qubits.size, self._qubits,
-                             model.c[: self._qubits.size])
         highs.clearSolver()
         values, objective, iterations = _run_highs(self._core, highs)
-        return values[gather], objective, "optimal", iterations
+        values = values[gather]
+        ones = np.flatnonzero(values)
+        if (values[ones] == 1.0).all():
+            if len(memo) >= _MEMO_ENTRIES:
+                del memo[next(iter(memo))]
+            memo[key] = (ones.astype(np.int32).tobytes(), objective, iterations)
+        return values, objective, "optimal", iterations
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -638,7 +685,8 @@ def solve_lp(model: LpModel, solver: str = DEFAULT_SOLVER, **opts) -> LpSolution
 
     'scipy', the default, runs HiGHS: syndrome and error models on the
     code's persistent model, cold-started on every call so the result does
-    not depend on earlier solves, and dual models or models with mixture
+    not depend on earlier solves (0/1 optima are remembered by syndrome and
+    returned as solved), and dual models or models with mixture
     costs on a one-off model (see the module docstring).  'embedded' is the
     dependency-free simplex, kept as a cross-check; it reaches the same
     optimal objective but may return a different vertex of a degenerate

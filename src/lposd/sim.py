@@ -298,7 +298,10 @@ def is_success(code: CssCode, error, correction) -> bool:
     e_hat = np.asarray(correction, dtype=np.uint8) & 1
     if e.shape != e_hat.shape:
         raise InvalidParameter("error and correction lengths differ")
-    return in_rowspace(code.hz, e ^ e_hat)
+    residual = e ^ e_hat
+    if not residual.any():
+        return True
+    return in_rowspace(code.hz, residual)
 
 
 def _error_rng(seed: int, point_index: int, trial: int) -> np.random.Generator:

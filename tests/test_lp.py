@@ -29,7 +29,7 @@ from lposd import (
     solve_lp,
 )
 
-from conftest import weight_limited_errors
+from conftest import weight_limited_errors, with_zero_x_row
 
 
 def brute_force_min_weight(code, s, cap):
@@ -380,6 +380,21 @@ def test_dump_lp_layout(tmp_path, surface3):
     assert names[0] in text
 
 
+def test_dump_lp_names_the_empty_block_of_a_zero_check(tmp_path):
+    from lposd import rotated_surface_code
+
+    code = with_zero_x_row(rotated_surface_code(3), 1)
+    s = np.zeros(code.hx.n_rows, dtype=np.uint8)
+    s[1] = 1
+    model = build_syndrome_lp(code, s)
+    names = model.var_names()
+    assert len(names) == len(set(names)) == model.n_vars == 30
+    assert "w1_none" in names
+    path = tmp_path / "zero-check.lp"
+    dump_lp(model, path)
+    assert path.read_text().rstrip().endswith("End")
+
+
 # ---------------------------------------------------------------------------
 # persistent HiGHS model behind solver="scipy"
 # ---------------------------------------------------------------------------
@@ -435,6 +450,107 @@ def test_persistent_model_is_order_independent(bb72):
                 for s in reversed(syndromes)]
     for a, b in zip(forward, reversed(backward)):
         assert np.array_equal(a, b)
+
+
+def memo_of(code):
+    return code._lp_template._highs._memo
+
+
+def is_zero_one(sol):
+    return bool(np.all((sol.values == 0.0) | (sol.values == 1.0)))
+
+
+def same_solution(a, b):
+    return (np.array_equal(a.values, b.values) and a.objective == b.objective
+            and a.iterations == b.iterations)
+
+
+def test_memo_hits_match_cold_solves(persistent_codes, monkeypatch):
+    import pickle
+
+    import lposd.lp as lp_mod
+
+    runs = []
+    real_run = lp_mod._run_highs
+    monkeypatch.setattr(lp_mod, "_run_highs",
+                        lambda core, highs: runs.append(1) or real_run(core, highs))
+    for shared in persistent_codes:
+        blob = pickle.dumps(shared)
+        code = pickle.loads(blob)  # starts with an empty memo
+        syndromes = random_syndromes(code, 6, 0.05, 43)
+        weights = np.random.default_rng(47).uniform(0.5, 2.0, code.n)
+        # weighted solves in the middle clear the unweighted entries
+        for w in (None, weights, None):
+            stored = set()
+            for s in syndromes + syndromes[::-1]:
+                key = np.packbits(s).tobytes()
+                before = len(runs)
+                sol = solve_lp(build_syndrome_lp(code, s, w), solver="scipy")
+                assert len(runs) - before == (0 if key in stored else 1)
+                if is_zero_one(sol):
+                    stored.add(key)
+                fresh = pickle.loads(blob)
+                assert fresh._lp_template._highs is None
+                cold = solve_lp(build_syndrome_lp(fresh, s, w), solver="scipy")
+                assert same_solution(sol, cold)
+            assert stored and set(memo_of(code)) == stored
+
+
+def test_fractional_optima_are_not_remembered(toy22):
+    code, h1, h2 = toy22
+    lay = hgp_layout(h1, h2)
+    dense_hz = code.hz.to_dense()
+    pattern = build_overlap_pattern(code, dense_hz[lay.z_check(0, 1)],
+                                    dense_hz[lay.z_check(1, 1)])
+    first = solve_lp(build_syndrome_lp(code, pattern.syndrome), solver="scipy")
+    assert not is_integral(first)
+    assert np.packbits(pattern.syndrome).tobytes() not in memo_of(code)
+    again = solve_lp(build_syndrome_lp(code, pattern.syndrome), solver="scipy")
+    assert same_solution(first, again)
+
+
+def test_error_lp_clears_the_memo(surface5):
+    import pickle
+
+    code = pickle.loads(pickle.dumps(surface5))
+    e = np.zeros(code.n, dtype=np.uint8)
+    e[[4, 17]] = 1
+    s = code.syndrome(e)
+    first = solve_lp(build_syndrome_lp(code, s), solver="scipy")
+    assert is_zero_one(first)
+    assert list(memo_of(code)) == [np.packbits(s).tobytes()]
+    anchored = solve_lp(build_error_lp(code, e), solver="scipy")
+    assert np.packbits(s).tobytes() not in memo_of(code)
+    again = solve_lp(build_syndrome_lp(code, s), solver="scipy")
+    assert same_solution(first, again)
+    assert list(memo_of(code)) == [np.packbits(s).tobytes()]
+    fresh = pickle.loads(pickle.dumps(surface5))
+    assert same_solution(anchored, solve_lp(build_error_lp(fresh, e), solver="scipy"))
+
+
+def test_memo_is_bounded_and_least_recently_used_goes_first(monkeypatch):
+    import lposd.lp as lp_mod
+    from lposd import rotated_surface_code
+
+    monkeypatch.setattr(lp_mod, "_MEMO_ENTRIES", 3)
+    code = rotated_surface_code(5)
+    syndromes = []
+    for q in range(code.n):
+        e = np.zeros(code.n, dtype=np.uint8)
+        e[q] = 1
+        s = code.syndrome(e)
+        key = np.packbits(s).tobytes()
+        if key not in {k for k, _ in syndromes}:
+            syndromes.append((key, s))
+    keys = []
+    for key, s in syndromes[:8]:
+        assert is_zero_one(solve_lp(build_syndrome_lp(code, s), solver="scipy"))
+        keys = (keys + [key])[-3:]
+        assert list(memo_of(code)) == keys
+    # a hit makes its entry the most recently used, so the next one drops another
+    solve_lp(build_syndrome_lp(code, syndromes[5][1]), solver="scipy")
+    solve_lp(build_syndrome_lp(code, syndromes[8][1]), solver="scipy")
+    assert list(memo_of(code)) == [keys[2], keys[0], syndromes[8][0]]
 
 
 def test_blocked_highs_extension_is_a_solver_error(monkeypatch):

@@ -175,8 +175,11 @@ def test_workers_with_a_persistent_solver_model(surface3):
     s[0] = 1
     solve_lp(build_syndrome_lp(surface3, s), solver="scipy")
     assert surface3._lp_template._highs is not None
+    assert surface3._lp_template._highs._memo  # the 0/1 optimum is remembered
     clone = pickle.loads(pickle.dumps(surface3))
     assert clone._lp_template._highs is None
+    solve_lp(build_syndrome_lp(clone, s), solver="scipy")
+    assert len(clone._lp_template._highs._memo) == 1  # no entry came with the pickle
     spec = DecoderSpec("lp-osdcs", solver="scipy")
     serial = run_point(surface3, spec, p=0.1, trials=60, seed=9)
     parallel = run_point(surface3, spec, p=0.1, trials=60, seed=9, workers=2)
