@@ -268,8 +268,8 @@ class LpModel:
             subsets = self.mixture_subsets(j)
             for s in subsets:
                 names.append("w" + str(j) + "_" + ("_".join(map(str, s)) if s else "e"))
-            # a weight-0 check's parity-1 block is one column with no subset
-            names.extend([f"w{j}_none"] * (int(tpl.widths[j]) - len(subsets)))
+            if not subsets:  # a weight-0 check's parity-1 block: one column, no subset
+                names.append(f"w{j}_none")
         return names
 
 
@@ -552,14 +552,12 @@ class _HighsModel:
     of checks whose parity differs from the previous solve have their
     bounds changed, and the costs are sent only when they change.
 
-    Because every run is cold, the result is a function of the parities and
-    the qubit costs alone, so it can be remembered exactly.  The memo maps
-    packed parities to the 0/1 optima found under the current costs: the
-    int32 positions of the ones, the objective and HiGHS's pivot count, so
-    a hit returns what the cold solve returned.  Optima with any component
-    other than exactly 0 or 1 are solved every time.  New costs clear the
-    memo; it keeps at most ``_MEMO_ENTRIES`` entries, least recently used
-    first out.
+    Every run is cold, so its result depends on the parities and the qubit
+    costs alone and can be remembered exactly.  The memo maps packed
+    parities to the 0/1 optima found under the current costs (the int32
+    positions of the ones, the objective and the pivot count); other optima
+    are solved every time.  New costs clear it, and it keeps at most
+    ``_MEMO_ENTRIES`` entries, least recently used first out.
     """
 
     def __init__(self, core, tpl: _LpTemplate):

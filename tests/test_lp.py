@@ -534,14 +534,13 @@ def test_memo_is_bounded_and_least_recently_used_goes_first(monkeypatch):
 
     monkeypatch.setattr(lp_mod, "_MEMO_ENTRIES", 3)
     code = rotated_surface_code(5)
-    syndromes = []
+    unique = {}
     for q in range(code.n):
         e = np.zeros(code.n, dtype=np.uint8)
         e[q] = 1
         s = code.syndrome(e)
-        key = np.packbits(s).tobytes()
-        if key not in {k for k, _ in syndromes}:
-            syndromes.append((key, s))
+        unique.setdefault(np.packbits(s).tobytes(), s)
+    syndromes = list(unique.items())
     keys = []
     for key, s in syndromes[:8]:
         assert is_zero_one(solve_lp(build_syndrome_lp(code, s), solver="scipy"))
