@@ -11,7 +11,14 @@ stall is chained on in ``sim``, like the LP pipelines' second stage.
 
 H_X is read only through the code's Tanner edge arrays
 (``code.tanner.x_edge_qubit``/``x_edge_check``); a check without edges
-takes no part in the message passing.
+takes no part in the message passing, and a syndrome that flips one never
+converges.  Each shortcut of the lean kernel is exact in IEEE arithmetic:
+qubit-to-check messages reuse the previous posterior (already ``prior +
+totals``); signs come from the unclipped messages, since clipping keeps
+signs, as the XOR parity of each check's negative inputs and syndrome bit
+applied by multiplying by +-1; and ``min(alpha * magnitude, 50)`` before
+the sign equals clipping after it, since rounding is symmetric (it only
+bites on weight-1 checks, where the second minimum is inf).
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .errors import InvalidParameter
 __all__ = ["BpConfig", "BpResult", "min_sum_bp"]
 
 _CLAMP = 50.0
+_SIGN = np.array([1.0, -1.0])
 
 
 @dataclass
@@ -62,46 +70,45 @@ def min_sum_bp(code: CssCode, s, cfg: BpConfig) -> BpResult:
     n = code.n
     n_edges = eq.size
     s_arr = np.asarray(s, dtype=np.uint8) & 1
+    if s_arr.shape != (code.hx.n_rows,):
+        raise ValueError(f"syndrome must have length {code.hx.n_rows}")
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else n
     prior = math.log((1.0 - cfg.channel_p) / cfg.channel_p)
-    syn_sign = 1.0 - 2.0 * s_arr[ec]
 
     # the per-check reductions run over the checks that have edges: ptr
     # holds each one's first edge and seg maps an edge to its check's slot
     opens = np.diff(ec, prepend=-1) != 0
     ptr = np.flatnonzero(opens)
     seg = np.cumsum(opens) - 1
+    s_live = s_arr[ec[ptr]].astype(bool)
+    satisfiable = s_live.sum() == s_arr.sum()  # no flipped check lacks edges
     edge_index = np.arange(n_edges)
     c2v = np.zeros(n_edges)
     posterior = np.full(n, prior)
-    hard = np.zeros(n, dtype=np.uint8)
+    hard = np.zeros(n, dtype=bool)
     for t in range(1, max_iter + 1):
         alpha = 1.0 - 2.0 ** (-t)
-        totals = np.bincount(eq, weights=c2v, minlength=n)
-        v2c = np.clip(prior + totals[eq] - c2v, -_CLAMP, _CLAMP)
+        v2c = posterior[eq] - c2v
+        neg = v2c < 0.0  # sign(0) counts as +
+        mag = np.minimum(np.abs(v2c), _CLAMP)
 
-        # per-check sign product and two smallest magnitudes
-        sg = np.where(v2c < 0.0, -1.0, 1.0)  # sign(0) counts as +
-        neg = np.add.reduceat((sg < 0.0).astype(np.int64), ptr)
-        prod_sign = 1.0 - 2.0 * (neg & 1)
-        mag = np.abs(v2c)
+        # per-check sign parity (with the syndrome bit) and two smallest
+        # magnitudes; an edge's outgoing sign leaves its own sign out
+        flip = (np.bitwise_xor.reduceat(neg, ptr) ^ s_live)[seg] ^ neg
         min1 = np.minimum.reduceat(mag, ptr)
-        first_min = np.minimum.reduceat(
-            np.where(mag == min1[seg], edge_index, n_edges), ptr
-        )
-        masked = mag.copy()
-        masked[first_min] = np.inf
-        min2 = np.minimum.reduceat(masked, ptr)
         out_mag = min1[seg]
-        out_mag[first_min] = min2
-        c2v = np.clip(alpha * syn_sign * prod_sign[seg] * sg * out_mag,
-                      -_CLAMP, _CLAMP)
+        first_min = np.minimum.reduceat(
+            np.where(mag == out_mag, edge_index, n_edges), ptr
+        )
+        mag[first_min] = np.inf
+        out_mag[first_min] = np.minimum.reduceat(mag, ptr)
+        c2v = np.minimum(alpha * out_mag, _CLAMP)
+        c2v *= _SIGN[flip.view(np.uint8)]
 
         posterior = prior + np.bincount(eq, weights=c2v, minlength=n)
-        hard = (posterior < 0.0).astype(np.uint8)
-        if np.array_equal(code.syndrome(hard), s_arr):
-            return BpResult(hard=hard, soft=_error_probability(posterior),
+        hard = posterior < 0.0
+        if satisfiable and (np.bitwise_xor.reduceat(hard[eq], ptr) == s_live).all():
+            return BpResult(hard=hard.astype(np.uint8), soft=_error_probability(posterior),
                             converged=True, iterations=t)
-    return BpResult(hard=hard, soft=_error_probability(posterior), converged=False,
-                    iterations=max_iter)
-
+    return BpResult(hard=hard.astype(np.uint8), soft=_error_probability(posterior),
+                    converged=False, iterations=max_iter)

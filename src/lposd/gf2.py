@@ -228,7 +228,9 @@ class RowReduction:
 
 def _reduce_rows(rows: list[int], n_cols: int,
                  track: list[int] | None = None) -> tuple[list[int], list[int], list[int] | None]:
-    """In-place RREF; pivots chosen as the first nonzero row per column."""
+    """In-place RREF of the first ``n_cols`` columns (higher bits ride along);
+    pivots chosen as the first nonzero row per column.  The one GF(2)
+    elimination, shared by ``row_reduce`` and ``osd._eliminate``."""
     pivot_cols: list[int] = []
     r = 0
     n_rows = len(rows)

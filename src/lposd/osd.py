@@ -13,7 +13,8 @@ This module is the second stage only: ``sim`` runs the LP and
 message-passing front ends that supply the soft vector, and hands their
 undecided outcomes here.  It keeps no per-code cache: the ordering reads
 H_X's packed columns and rank, which ``BinaryMatrix`` caches, and the
-elimination scatters a dense H_X from the code's Tanner edge arrays.
+elimination packs the rows of [H_committed | H_remainder | s] into ints and
+reduces them with ``gf2._reduce_rows`` (the RREF is unique).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .codes import CssCode, bfs_distance_to_flipped
 from .errors import InvalidParameter, SingularSubmatrix
-from .gf2 import rank
+from .gf2 import _reduce_rows, rank
 
 __all__ = [
     "OsdConfig",
@@ -120,7 +121,7 @@ def order_qubits(soft, code: CssCode, s, cfg: OsdConfig,
 
 
 def _eliminate(code: CssCode, ordering: QubitOrdering, s) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce [H_committed | s | H_remainder] in one pass.
+    """Reduce [H_committed | H_remainder | s] in one pass.
 
     Returns (base, reach): ``base`` is the committed-set solution of
     H·e = s with the remainder forced to zero; ``reach`` maps each
@@ -128,37 +129,26 @@ def _eliminate(code: CssCode, ordering: QubitOrdering, s) -> tuple[np.ndarray, n
     qubit t changes the committed part by reach[:, t].  Both are expressed
     in committed order.
     """
-    tan = code.tanner
-    m = code.hx.n_rows
-    r = ordering.committed.size
-    t_cols = ordering.remainder
-    s_arr = np.asarray(s, dtype=np.uint8) & 1
-    dense = np.zeros((m, code.n), dtype=np.uint8)
-    dense[tan.x_edge_check, tan.x_edge_qubit] = 1
-    aug = np.empty((m, r + 1 + t_cols.size), dtype=np.uint8)
-    aug[:, :r] = dense[:, ordering.committed]
-    aug[:, r] = s_arr
-    aug[:, r + 1:] = dense[:, t_cols]
+    n, r = code.n, ordering.committed.size
+    # column position of each qubit, as one packed int per check
+    pos = np.argsort(np.concatenate((ordering.committed, ordering.remainder)))
+    aug = np.zeros((code.hx.n_rows, n + 1), dtype=np.uint8)
+    aug[code.tanner.x_edge_check, pos[code.tanner.x_edge_qubit]] = 1
+    aug[:, n] = np.asarray(s, dtype=np.uint8) & 1
+    packed = np.packbits(aug, axis=1, bitorder="little")
+    rows = [int.from_bytes(row, "little") for row in packed]
 
-    pivot_row_of = np.empty(r, dtype=np.int64)
-    next_row = 0
-    for col in range(r):
-        hit = np.flatnonzero(aug[next_row:, col])
-        if hit.size == 0:
-            raise SingularSubmatrix(f"committed column {col} became dependent")
-        piv = next_row + hit[0]
-        if piv != next_row:
-            aug[[next_row, piv]] = aug[[piv, next_row]]
-        others = np.flatnonzero(aug[:, col])
-        others = others[others != next_row]
-        aug[others] ^= aug[next_row]
-        pivot_row_of[col] = next_row
-        next_row += 1
-    if next_row < m and aug[next_row:, r:].any():
+    rows, pivots, _ = _reduce_rows(rows, r)
+    if len(pivots) < r:
+        col = next(c for c, p in enumerate(pivots + [r]) if c != p)
+        raise SingularSubmatrix(f"committed column {col} became dependent")
+    if any(row >> r for row in rows[r:]):
         raise SingularSubmatrix("syndrome outside the check-matrix column space")
-    base = aug[pivot_row_of, r].astype(np.uint8)
-    reach = aug[pivot_row_of, r + 1:].astype(np.uint8)
-    return base, reach
+    nbytes = packed.shape[1]
+    raw = b"".join(row.to_bytes(nbytes, "little") for row in rows[:r])
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(r, nbytes),
+                         axis=1, bitorder="little")
+    return bits[:, n], bits[:, r:n]
 
 
 def _scatter(code: CssCode, ordering: QubitOrdering,

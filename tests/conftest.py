@@ -31,6 +31,12 @@ def with_zero_x_row(code, at):
     return CssCode(BinaryMatrix(rows, code.n), code.hz, name=f"{code.name}-zero{at}")
 
 
+def weight_one_check_code():
+    """A weight-1 check next to a weight-3 one that shares its qubit."""
+    hx = BinaryMatrix.from_entries(2, 3, [(0, 0), (1, 0), (1, 1), (1, 2)])
+    return CssCode(hx, BinaryMatrix([], 3), name="weight-one-check")
+
+
 def make_toy22():
     """22-qubit product code with two adjacent weight-6 Z plaquettes.
 

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import with_zero_x_row
+from conftest import weight_one_check_code, with_zero_x_row
+from reference_bp import reference_min_sum_bp
 
 from lposd import (
     BinaryMatrix,
@@ -14,6 +15,9 @@ from lposd import (
     OsdConfig,
     bp_osd_decode,
     min_sum_bp,
+    named_bb_code,
+    rotated_surface_code,
+    sample_random_hgp,
 )
 
 _CLAMP = 50.0
@@ -55,12 +59,6 @@ def reference_min_sum(code, s, channel_p, max_iterations):
         if np.array_equal(code.syndrome(hard), s_arr):
             return hard, posterior, True, t
     return hard, posterior, False, max_iterations
-
-
-def weight_one_check_code():
-    """A weight-1 check next to a weight-3 one that shares its qubit."""
-    hx = BinaryMatrix.from_entries(2, 3, [(0, 0), (1, 0), (1, 1), (1, 2)])
-    return CssCode(hx, BinaryMatrix([], 3), name="weight-one-check")
 
 
 def twin_qubit_code():
@@ -156,6 +154,57 @@ def test_matches_reference_implementation(surface3):
             np.testing.assert_allclose(
                 res.soft, 1.0 / (1.0 + np.exp(posterior)), atol=1e-12
             )
+
+
+def test_matches_frozen_kernel_bitwise(surface3, bb72):
+    # every code family, with zero X rows in the middle and at the end and
+    # a weight-1 check; one syndrome in four is pushed off the coset
+    codes = [surface3, rotated_surface_code(7), bb72, named_bb_code("bb144"),
+             sample_random_hgp(2, 0), with_zero_x_row(surface3, 1),
+             with_zero_x_row(surface3, 4), weight_one_check_code()]
+    rng = np.random.default_rng(61)
+    for code in codes:
+        for p in (0.03, 0.06, 0.1):
+            for cap in (None, 8):
+                cfg = BpConfig(channel_p=p, max_iterations=cap)
+                for trial in range(4):
+                    s = code.syndrome((rng.random(code.n) < p).astype(np.uint8))
+                    if trial == 3:
+                        s[rng.integers(s.size)] ^= 1
+                    res = min_sum_bp(code, s, cfg)
+                    ref = reference_min_sum_bp(code, s, cfg)
+                    assert res.converged == ref.converged, code.name
+                    assert res.iterations == ref.iterations, code.name
+                    assert res.hard.dtype == np.uint8
+                    assert np.array_equal(res.hard, ref.hard), code.name
+                    assert res.soft.tobytes() == ref.soft.tobytes(), code.name
+
+
+def test_flipped_check_without_edges_never_converges(surface3):
+    for at in (1, 4):
+        code = with_zero_x_row(surface3, at)
+        s = np.zeros(code.hx.n_rows, dtype=np.uint8)
+        s[at] = 1
+        for cap in (None, 8):
+            cfg = BpConfig(channel_p=0.06, max_iterations=cap)
+            res = min_sum_bp(code, s, cfg)
+            ref = reference_min_sum_bp(code, s, cfg)
+            assert not res.converged
+            assert res.iterations == (cap or code.n)
+            assert np.array_equal(res.hard, ref.hard)
+            assert res.soft.tobytes() == ref.soft.tobytes()
+
+
+def test_syndrome_length_is_checked(surface3):
+    code = surface3
+    m_x = code.hx.n_rows
+    bad = [np.ones(m_x + 1, dtype=np.uint8), np.ones(m_x - 1, dtype=np.uint8),
+           np.ones((1, m_x), dtype=np.uint8)]
+    for s in bad:
+        with pytest.raises(ValueError, match=f"syndrome must have length {m_x}"):
+            min_sum_bp(code, s, BpConfig())
+    with pytest.raises(ValueError, match=f"syndrome must have length {m_x}"):
+        bp_osd_decode(code, bad[0])
 
 
 def test_symmetric_pair_stalls_and_osd_rescues():

@@ -2,22 +2,27 @@
 
 import numpy as np
 import pytest
+from conftest import weight_one_check_code, with_zero_x_row
 
 from lposd import (
     BinaryMatrix,
     CssCode,
     InvalidParameter,
     OsdConfig,
+    QubitOrdering,
     SingularSubmatrix,
     hgp_layout,
     build_overlap_pattern,
     lp_osd_decode,
     lp_round_decode,
+    named_bb_code,
     order_qubits,
     osd_postprocess,
+    rotated_surface_code,
+    sample_random_hgp,
 )
 from lposd.gf2 import rank
-from lposd.osd import osd0, osd_cs
+from lposd.osd import _eliminate, osd0, osd_cs
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +186,108 @@ def test_unreachable_syndrome_raises(surface3):
     ordering = order_qubits(np.zeros(3), code, s, OsdConfig())
     with pytest.raises(SingularSubmatrix):
         osd0(code, s, ordering)
+
+
+def reference_eliminate(code, ordering, s):
+    """The dense numpy pivot loop that ``_eliminate`` replaced, kept verbatim
+    as a bitwise oracle for the packed-row reduction."""
+    tan = code.tanner
+    m = code.hx.n_rows
+    r = ordering.committed.size
+    t_cols = ordering.remainder
+    s_arr = np.asarray(s, dtype=np.uint8) & 1
+    dense = np.zeros((m, code.n), dtype=np.uint8)
+    dense[tan.x_edge_check, tan.x_edge_qubit] = 1
+    aug = np.empty((m, r + 1 + t_cols.size), dtype=np.uint8)
+    aug[:, :r] = dense[:, ordering.committed]
+    aug[:, r] = s_arr
+    aug[:, r + 1:] = dense[:, t_cols]
+
+    pivot_row_of = np.empty(r, dtype=np.int64)
+    next_row = 0
+    for col in range(r):
+        hit = np.flatnonzero(aug[next_row:, col])
+        if hit.size == 0:
+            raise SingularSubmatrix(f"committed column {col} became dependent")
+        piv = next_row + hit[0]
+        if piv != next_row:
+            aug[[next_row, piv]] = aug[[piv, next_row]]
+        others = np.flatnonzero(aug[:, col])
+        others = others[others != next_row]
+        aug[others] ^= aug[next_row]
+        pivot_row_of[col] = next_row
+        next_row += 1
+    if next_row < m and aug[next_row:, r:].any():
+        raise SingularSubmatrix("syndrome outside the check-matrix column space")
+    base = aug[pivot_row_of, r].astype(np.uint8)
+    reach = aug[pivot_row_of, r + 1:].astype(np.uint8)
+    return base, reach
+
+
+def eliminate_both(code, ordering, s):
+    """(base, reach) or the SingularSubmatrix message, from both eliminations."""
+    out = []
+    for eliminate in (_eliminate, reference_eliminate):
+        try:
+            out.append(eliminate(code, ordering, s))
+        except SingularSubmatrix as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_elimination_matches_dense_reference(surface3, bb72):
+    codes = [surface3, rotated_surface_code(7), bb72, named_bb_code("bb144"),
+             sample_random_hgp(2, 0), with_zero_x_row(surface3, 1),
+             with_zero_x_row(surface3, 4), weight_one_check_code()]
+    rng = np.random.default_rng(67)
+    off_coset = 0
+    for code in codes:
+        for trial in range(12):
+            s = code.syndrome((rng.random(code.n) < 0.08).astype(np.uint8))
+            if trial % 4 == 3:
+                s[rng.integers(s.size)] ^= 1
+            # coarse soft values leave ties for the tie-break to settle
+            soft = rng.integers(0, 4, size=code.n) / 3.0
+            tie_break = "distance" if trial % 2 else "random"
+            cfg = OsdConfig(tie_break=tie_break, seed=trial)
+            ordering = order_qubits(soft, code, s, cfg)
+            got, want = eliminate_both(code, ordering, s)
+            if isinstance(want, str):
+                assert got == want == "syndrome outside the check-matrix column space"
+                off_coset += 1
+                continue
+            for g, w in zip(got, want):
+                assert g.dtype == np.uint8 and g.shape == w.shape, code.name
+                assert np.array_equal(g, w), code.name
+    assert off_coset >= 3
+
+
+def test_elimination_errors_match_dense_reference(surface3):
+    # the zero X row's bit set: no correction reproduces the syndrome
+    code = with_zero_x_row(surface3, 4)
+    s = np.zeros(code.hx.n_rows, dtype=np.uint8)
+    s[[0, 4]] = 1
+    ordering = order_qubits(np.zeros(code.n), code, s, OsdConfig())
+    got, want = eliminate_both(code, ordering, s)
+    assert got == want == "syndrome outside the check-matrix column space"
+
+    # a committed set whose second column repeats its first
+    code = surface3
+    cols = code.hx.transpose().rows
+    a, b = next((a, b) for a in range(code.n) for b in range(a + 1, code.n)
+                if cols[a] and cols[a] == cols[b])
+    soft = np.zeros(code.n)
+    soft[a] = 1.0
+    ordering = order_qubits(soft, code, np.zeros(code.hx.n_rows), OsdConfig())
+    assert ordering.committed[0] == a and b in ordering.remainder
+    committed = ordering.committed.copy()
+    displaced = committed[1]
+    committed[1] = b
+    remainder = np.where(ordering.remainder == b, displaced, ordering.remainder)
+    bad = QubitOrdering(ordering.permutation, committed, remainder)
+    s = code.syndrome(np.eye(code.n, dtype=np.uint8)[a])
+    got, want = eliminate_both(code, bad, s)
+    assert got == want == "committed column 1 became dependent"
 
 
 def test_postprocess_dispatches_on_order(surface3):
