@@ -130,7 +130,7 @@ def _eliminate(code: CssCode, ordering: QubitOrdering, s) -> tuple[np.ndarray, n
     in committed order.
     """
     n, r = code.n, ordering.committed.size
-    # column position of each qubit, as one packed int per check
+    # column of each qubit in [committed | remainder | s]; one packed int per check
     pos = np.argsort(np.concatenate((ordering.committed, ordering.remainder)))
     aug = np.zeros((code.hx.n_rows, n + 1), dtype=np.uint8)
     aug[code.tanner.x_edge_check, pos[code.tanner.x_edge_qubit]] = 1
