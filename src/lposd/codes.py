@@ -64,6 +64,7 @@ class TannerGraph:
     z_supports: tuple[tuple[int, ...], ...]
     x_checks_of_qubit: tuple[tuple[int, ...], ...]
     z_checks_of_qubit: tuple[tuple[int, ...], ...]
+    x_edges: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     x_edge_qubit: np.ndarray = field(init=False, repr=False, compare=False)
     x_edge_check: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -72,14 +73,9 @@ class TannerGraph:
         qubits = np.fromiter(itertools.chain.from_iterable(self.x_supports),
                              dtype=np.int64, count=sum(sizes))
         checks = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        object.__setattr__(self, "x_edges", tuple(zip(qubits.tolist(), checks.tolist())))
         object.__setattr__(self, "x_edge_qubit", qubits)
         object.__setattr__(self, "x_edge_check", checks)
-
-    @property
-    def x_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (q, j) for j, sup in enumerate(self.x_supports) for q in sup
-        )
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,13 @@ Two solver backends: HiGHS ('scipy', the default, ``DEFAULT_SOLVER``)
 and the embedded simplex ('embedded'), which needs nothing beyond numpy and
 scipy.sparse and is kept as a dependency-free cross-check.
 
-Each code has one constraint matrix, kept on its template: the qubit
-columns plus both parities' mixture blocks for every check (252 rows x
-2376 columns on bb72).  A syndrome or error model keeps the qubit columns
-and the block of each check's parity; it slices its own matrix ``a`` out
-of the template's only when ``a`` is first read.
+Each code has one constraint matrix, kept on its template as numpy CSC
+arrays that HiGHS reads directly: the qubit columns plus both parities'
+mixture blocks for every check (252 rows x 2376 columns on bb72).  A
+syndrome or error model keeps the qubit columns and the block of each
+check's parity; it slices its own ``scipy.sparse`` matrix ``a`` out of the
+template's only when ``a`` is first read.  Only that, ``build_dual_lp``
+and the embedded simplex import ``scipy.sparse``.
 
 HiGHS runs from scipy's bundled extension, loaded by file path so that a
 decode never imports ``scipy.optimize``; every HiGHS model is built by
@@ -66,14 +68,15 @@ import itertools
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .codes import CssCode
 from .errors import CheckWeightTooLarge, Infeasible, IterationLimit, LposdError
-from .simplex import solve_standard_form
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "DEFAULT_SOLVER",
@@ -121,13 +124,15 @@ def parity_subsets(support: Sequence[int], parity: int) -> list[tuple[int, ...]]
 class _LpTemplate:
     """Per-code constraint matrix shared by every syndrome and error model.
 
-    ``a`` has one column per qubit (0..n-1), then for each check its
+    The matrix is kept as numpy CSC arrays ``indptr``, ``indices``, ``data``
+    and ``shape``, exactly as ``scipy.sparse.csc_matrix`` builds them.  It
+    has one column per qubit (0..n-1), then for each check its
     parity-0 mixture block followed by its parity-1 block, each 2^(w-1)
     columns wide for a weight-w check (252 rows x 2376 columns on bb72).
     Rows: one normalization row per check (0..m_x-1), then one consistency
     row per Tanner edge in deterministic order.  Neither layout depends on
     the syndrome: a model keeps the qubit columns and, per check, the block
-    of its parity, so its matrix is a column slice of ``a`` (``columns``).
+    of its parity, so its matrix is a column slice of this one (``columns``).
     """
 
     def __init__(self, code: CssCode):
@@ -165,16 +170,17 @@ class _LpTemplate:
                 col += width
         self.n_vars = self.n + sum(widths)
         self.n_rows = self.m_x + len(self.edges)
-        cols_arr = np.asarray(cols, dtype=np.int32)
-        self.a = sp.csc_matrix(
-            (np.where(cols_arr < self.n, -1.0, 1.0), (np.asarray(rows, dtype=np.int32), cols_arr)),
-            shape=(self.n_rows, col),
-        )
+        self.shape = (self.n_rows, col)
+        order = np.lexsort((rows, cols))  # by column, then row
+        cols_arr = np.asarray(cols, dtype=np.int32)[order]
+        self.indptr = np.searchsorted(cols_arr, np.arange(col + 1)).astype(np.int32)
+        self.indices = np.asarray(rows, dtype=np.int32)[order]
+        self.data = np.where(cols_arr < self.n, -1.0, 1.0)
         self.rhs = np.concatenate([
             np.ones(self.m_x), np.zeros(len(self.edges)),
         ])
         self.widths = np.asarray(widths, dtype=np.int64)
-        # a model's block j sits this far left of its parity-0 block in ``a``
+        # a model's block j sits this far left of its parity-0 block in the matrix
         self._shift = np.asarray(self.w_offset, dtype=np.int64) - self.n
         self._qubits = np.arange(self.n)
         self._mix = np.arange(self.n, self.n_vars)
@@ -187,7 +193,7 @@ class _LpTemplate:
         return state
 
     def columns(self, parities: np.ndarray) -> np.ndarray:
-        """Columns of ``a`` that a model with these check parities keeps, in model order."""
+        """Columns of the matrix that a model with these check parities keeps, in model order."""
         shift = np.repeat(self._shift + self.widths * parities, self.widths)
         return np.concatenate([self._qubits, self._mix + shift])
 
@@ -222,8 +228,11 @@ class LpModel:
     @property
     def a(self) -> sp.csc_matrix:
         if self._a is None:
+            import scipy.sparse as sp
+
             tpl = _template(self.code)
-            self._a = tpl.a[:, tpl.columns(self.meta["parities"])]
+            a = sp.csc_matrix((tpl.data, tpl.indices, tpl.indptr), shape=tpl.shape)
+            self._a = a[:, tpl.columns(self.meta["parities"])]
         return self._a
 
     @property
@@ -398,6 +407,8 @@ def build_dual_lp(code: CssCode, e_prime) -> LpModel:
             r += 1
     c = np.zeros(n_sigma + n_tau)
     c[:n_sigma] = 1.0
+    import scipy.sparse as sp
+
     a = sp.coo_matrix((vals, (rows, cols)), shape=(r, n_sigma + n_tau)).tocsc()
     return LpModel(
         kind="dual",
@@ -443,6 +454,8 @@ def _to_standard_form(model: LpModel):
     to the model's variable space.  Pure equality models with nonnegative
     variables pass through untouched.
     """
+    import scipy.sparse as sp
+
     sign = 1.0 if model.sense == "min" else -1.0
     if not model.free_vars.any() and not model.row_sense.any():
         if sign == 1.0:
@@ -488,6 +501,8 @@ def _to_standard_form(model: LpModel):
 
 
 def _solve_embedded(model: LpModel, **opts) -> tuple[np.ndarray, float, str, int]:
+    from .simplex import solve_standard_form
+
     c_std, a_std, b_std, recover = _to_standard_form(model)
     res = solve_standard_form(c_std, a_std, b_std, **opts)
     if res.status == "infeasible":
@@ -504,8 +519,9 @@ def _solve_embedded(model: LpModel, **opts) -> tuple[np.ndarray, float, str, int
 def _new_highs(core, cost, a, col_lower, row_lower, row_upper):
     """A HiGHS instance holding min cost.x, row_lower <= a x <= row_upper, x >= col_lower.
 
-    Output and presolve are off; -inf marks a free column or a row without
-    a lower bound, and inf a row without an upper bound.
+    ``a`` is a template or a ``scipy.sparse`` CSC matrix.  Output and
+    presolve are off; -inf marks a free column or a row without a lower
+    bound, and inf a row without an upper bound.
     """
     lp = core.HighsLp()
     lp.num_row_, lp.num_col_ = a.shape
@@ -561,7 +577,7 @@ class _HighsModel:
     """
 
     def __init__(self, core, tpl: _LpTemplate):
-        n_cols = tpl.a.shape[1]
+        n_cols = tpl.shape[1]
         self._core = core
         self._tpl = tpl
         self._qubits = np.arange(tpl.n, dtype=np.int32)
@@ -570,7 +586,7 @@ class _HighsModel:
         self._parities = np.full(tpl.m_x, -1, dtype=np.int8)  # none set yet
         self._cost = np.zeros(tpl.n)  # the qubit costs HiGHS holds
         self._memo: dict[bytes, tuple[bytes, float, int]] = {}
-        self._highs = _new_highs(core, np.zeros(n_cols), tpl.a, np.zeros(n_cols),
+        self._highs = _new_highs(core, np.zeros(n_cols), tpl, np.zeros(n_cols),
                                  tpl.rhs, tpl.rhs)
 
     def solve(self, model: LpModel) -> tuple[np.ndarray, float, str, int]:
@@ -593,7 +609,7 @@ class _HighsModel:
         gather = self._tpl.columns(parities)
         changed = (parities != self._parities)[self._mix_check]
         if changed.any():
-            upper = np.zeros(self._tpl.a.shape[1])
+            upper = np.zeros(self._tpl.shape[1])
             upper[gather] = np.inf
             cols = self._mix_cols[changed]
             highs.changeColsBounds(cols.size, cols, np.zeros(cols.size), upper[cols])
@@ -617,14 +633,15 @@ def _load_highs_core_by_path() -> None:
 
     Importing it by name runs ``scipy/optimize/__init__.py`` first, which
     costs 0.1-0.3 s and about 19 MB; the extension itself needs neither.
-    ``importlib.util.find_spec`` would import the parent packages too, so
-    the file is located from ``scipy.__file__``.  On success the module is
-    in ``sys.modules``, where a later ``import scipy.optimize`` finds and
-    reuses it; on failure nothing is left behind.
+    ``find_spec`` of the extension would import its parent packages, so the
+    file is found from the spec of ``scipy``, which imports nothing.  On
+    success the module is in ``sys.modules``, where a later ``import
+    scipy.optimize`` finds and reuses it; on failure nothing is left behind.
     """
-    import scipy
-
-    base = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core")
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or scipy_spec.origin is None:
+        return
+    base = os.path.join(os.path.dirname(scipy_spec.origin), "optimize", "_highspy", "_core")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if os.path.isfile(base + suffix):
             spec = importlib.util.spec_from_file_location(_HIGHS_CORE, base + suffix)

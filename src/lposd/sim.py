@@ -430,6 +430,8 @@ def _decode_one(code: CssCode, spec: DecoderSpec, s,
                 p: float = 0.05) -> DecodeResult:
     """One pipeline on one syndrome; a solver error is raised, not counted."""
     s_arr = np.asarray(s, dtype=np.uint8) & 1
+    if s_arr.shape != (code.hx.n_rows,):  # before the zero-syndrome short-cut
+        raise ValueError(f"syndrome must have length {code.hx.n_rows}")
     result = _decode_all(code, [spec], s_arr, p, lambda _: rng, weights)[spec.key]
     if "error" in result.diagnostics:
         raise result.diagnostics["error"]

@@ -21,11 +21,14 @@ from lposd import (
     hgp_layout,
     hypergraph_product,
     is_integral,
+    named_bb_code,
     parity_subsets,
     repetition_parity_check,
     reflect_to_error_solution,
     reflect_to_syndrome_solution,
+    rotated_surface_code,
     round_independent,
+    sample_random_hgp,
     solve_lp,
 )
 
@@ -646,9 +649,53 @@ def test_dump_lp_output_unchanged(fixture, request, tmp_path):
         assert digest == _DUMP_DIGESTS[fixture][kind], kind
 
 
+def template_triplets(code):
+    """The template's entries as (vals, rows, cols) and its shape, from the Tanner graph."""
+    m_x = code.hx.n_rows
+    edge_row = {edge: m_x + p for p, edge in enumerate(code.tanner.x_edges)}
+    rows, cols = [], []
+    col = code.n
+    for j, support in enumerate(code.tanner.x_supports):
+        for q in support:
+            rows.append(edge_row[q, j])
+            cols.append(q)
+        for parity in (0, 1):
+            for t, subset in enumerate(parity_subsets(support, parity)):
+                for r in (j, *(edge_row[q, j] for q in subset)):
+                    rows.append(r)
+                    cols.append(col + t)
+            col += 1 << max(len(support) - 1, 0)
+    rows, cols = np.asarray(rows, dtype=np.int32), np.asarray(cols, dtype=np.int32)
+    return np.where(cols < code.n, -1.0, 1.0), rows, cols, (m_x + len(edge_row), col)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rotated_surface_code(5), lambda: named_bb_code("bb72"),
+    lambda: sample_random_hgp(2, 0),
+    lambda: with_zero_x_row(rotated_surface_code(3), 1),
+    lambda: with_zero_x_row(rotated_surface_code(3), 4),
+], ids=["surface5", "bb72", "random-hgp", "zero-row-middle", "zero-row-end"])
+def test_template_arrays_match_scipy_csc(make):
+    import scipy.sparse as sp
+
+    from lposd.lp import _template
+
+    code = make()
+    tpl = _template(code)
+    vals, rows, cols, shape = template_triplets(code)
+    ref = sp.csc_matrix((vals, (rows, cols)), shape=shape)
+    assert tpl.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(tpl, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
 def test_lean_import_keeps_scipy_optimize_out():
-    # A default decode loads only scipy's HiGHS extension, and so does a
-    # dual solve, which reuses the loaded extension.
+    # Importing lposd and decoding with LP or BP load neither scipy.sparse
+    # nor scipy.optimize, only scipy's HiGHS extension.  The matrix view,
+    # the dump, dual models and the embedded simplex load scipy.sparse
+    # when first used; a dual solve reuses the loaded extension.
     import os
     import subprocess
     import sys
@@ -657,22 +704,39 @@ def test_lean_import_keeps_scipy_optimize_out():
     import lposd
 
     script = textwrap.dedent("""
+        import os
         import sys
+        import tempfile
         import numpy as np
         import lposd
-        from lposd import (build_dual_lp, lp_osd_decode, rotated_surface_code,
-                           solve_lp)
+        from lposd import (bp_osd_decode, build_dual_lp, build_syndrome_lp, dump_lp,
+                           lp_osd_decode, rotated_surface_code, run_point, solve_lp)
 
+        def assert_absent(*names):
+            loaded = [m for m in names if m in sys.modules]
+            assert not loaded, loaded
+
+        assert_absent("scipy.sparse", "scipy.optimize")
         code = rotated_surface_code(5)
         e = np.zeros(code.n, dtype=np.uint8)
         e[[3, 11]] = 1
-        res = lp_osd_decode(code, code.syndrome(e))
+        s = code.syndrome(e)
+        res = lp_osd_decode(code, s)
         assert res.diagnostics["solver"] == "scipy", res.diagnostics
         assert code._lp_template._highs is not None
-        loaded = [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
-        assert not loaded, loaded
+        assert_absent("scipy.sparse", "scipy.optimize", "scipy.special")
+        bp_osd_decode(code, s)
+        assert_absent("scipy.sparse")
+        run_point(code, ["lp-round", "lp-osdcs", "bp-osd0"], p=0.05, trials=30, seed=1)
+        assert_absent("scipy.sparse", "scipy.optimize", "scipy.special")
         core = sys.modules["scipy.optimize._highspy._core"]
 
+        model = build_syndrome_lp(code, s)
+        assert model.a.shape == (model.b.size, model.n_vars)
+        with tempfile.TemporaryDirectory() as tmp:
+            dump_lp(model, os.path.join(tmp, "model.lp"))
+        embedded = solve_lp(model, solver="embedded")
+        assert embedded.objective == res.diagnostics["objective"]
         sol = solve_lp(build_dual_lp(code, e))
         assert sol.status == "optimal" and sol.solver == "scipy"
         assert "scipy.optimize" not in sys.modules

@@ -13,10 +13,12 @@ from lposd import (
     InvalidParameter,
     OsdConfig,
     SimConfig,
+    bp_osd_decode,
     decode_syndrome,
     exhaustive_sweep,
     is_success,
     lp_osd_decode,
+    lp_round_decode,
     run_ensemble,
     run_point,
     sample_error,
@@ -288,6 +290,18 @@ def test_point_rejects_bad_arguments(surface3):
         run_point(surface3, "lp-osd0", p=0.7, trials=10)
     with pytest.raises(InvalidParameter):
         run_point(surface3, "lp-osd0", p=0.1, trials=0)
+
+
+def test_one_shot_decoders_check_the_syndrome_length(surface3):
+    # a zero syndrome of the wrong length is rejected like a nonzero one
+    m_x = surface3.hx.n_rows
+    decoders = [lp_osd_decode, lp_round_decode, bp_osd_decode,
+                lambda code, s: decode_syndrome(code, "lp-osdcs", s)]
+    for length in (m_x - 1, m_x + 1):
+        for s in (np.zeros(length, dtype=np.uint8), np.ones(length, dtype=np.uint8)):
+            for decode in decoders:
+                with pytest.raises(ValueError, match=f"syndrome must have length {m_x}"):
+                    decode(surface3, s)
 
 
 def test_decode_syndrome_matches_pipeline(surface3):
