@@ -374,6 +374,8 @@ def build_dual_lp(code: CssCode, e_prime) -> LpModel:
     the reference error and -1 inside it, and (b) each check's score being
     at most the edge-weight sum over every even subset of its support.
     """
+    import scipy.sparse as sp
+
     tpl = _template(code)
     e_arr = np.asarray(e_prime, dtype=np.uint8)
     if e_arr.shape != (tpl.n,):
@@ -407,8 +409,6 @@ def build_dual_lp(code: CssCode, e_prime) -> LpModel:
             r += 1
     c = np.zeros(n_sigma + n_tau)
     c[:n_sigma] = 1.0
-    import scipy.sparse as sp
-
     a = sp.coo_matrix((vals, (rows, cols)), shape=(r, n_sigma + n_tau)).tocsc()
     return LpModel(
         kind="dual",
