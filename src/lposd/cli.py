@@ -29,7 +29,7 @@ from .codes import (
 )
 from .errors import InvalidParameter, LposdError
 from .gf2 import BinaryMatrix, in_rowspace, read_matrix
-from .lp import DEFAULT_SOLVER, build_syndrome_lp, dump_lp
+from .lp import DEFAULT_SOLVER, SOLVERS, build_syndrome_lp, dump_lp
 from .osd import OsdConfig
 from .patterns import search_patterns, write_patterns
 from .sim import (DECODER_NAMES, DecoderSpec, SimConfig, lp_osd_decode,
@@ -126,8 +126,8 @@ def _add_simulate(sub) -> None:
                    help="comma-separated pipelines; lp/bp shorthands honor --osd")
     p.add_argument("--p", required=True, help="comma-separated physical error rates")
     p.add_argument("--trials", type=int,
-                   help="trials per point; ensembles default to "
-                        "n-codes * trials-per-code")
+                   help="trials per point (single code only; an ensemble "
+                        "runs n-codes * trials-per-code)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="-", help="output file, '-' for stdout")
@@ -136,7 +136,7 @@ def _add_simulate(sub) -> None:
                    help="combination-sweep window")
     p.add_argument("--tie-break", choices=("distance", "random"))
     p.add_argument("--bp-max-iter", type=int)
-    p.add_argument("--solver", choices=("embedded", "scipy"), default=DEFAULT_SOLVER,
+    p.add_argument("--solver", choices=SOLVERS, default=DEFAULT_SOLVER,
                    help="LP backend: HiGHS (scipy, the default) or the "
                         "dependency-free embedded simplex")
     p.add_argument("--n-codes", type=int, default=1,
@@ -154,10 +154,13 @@ def _cmd_simulate(args) -> int:
     if ensemble and not args.code.startswith("random-hgp:"):
         raise InvalidParameter("--n-codes > 1 requires a random-hgp code spec")
     trials = args.trials
-    if trials is None:
-        if not ensemble:
-            raise InvalidParameter("--trials is required for single-code runs")
+    if ensemble:
         trials = args.n_codes * args.trials_per_code
+        if args.trials is not None and args.trials != trials:
+            print(f"--trials ignored: an ensemble runs n-codes * trials-per-code = "
+                  f"{trials} trials", file=sys.stderr)
+    elif trials is None:
+        raise InvalidParameter("--trials is required for single-code runs")
     cfg = SimConfig(
         code=args.code,
         decoders=tuple(decoders),
@@ -249,7 +252,7 @@ def _add_detector_decode(sub) -> None:
                    help="0/1 bit file or flipped-detector index file")
     p.add_argument("--osd", choices=("0", "cs", "round"), default="cs")
     p.add_argument("--lambda", dest="lam", type=int, default=60)
-    p.add_argument("--solver", choices=("embedded", "scipy"), default=DEFAULT_SOLVER,
+    p.add_argument("--solver", choices=SOLVERS, default=DEFAULT_SOLVER,
                    help="LP backend: HiGHS (scipy, the default) or the "
                         "dependency-free embedded simplex")
     p.add_argument("--dump-lp", help="also write the LP model to this path")

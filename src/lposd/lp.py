@@ -11,7 +11,8 @@ Three model builders:
   positions, so the optimum is negative exactly when a better explanation
   than the reference exists.
 * ``build_dual_lp``: the inequality dual of the error-anchored program,
-  whose feasible points price qubits and Tanner edges.
+  whose feasible points price qubits and Tanner edges; its matrix is the
+  error model's, transposed, with the edge columns negated.
 
 Auxiliary mixture variables are expanded explicitly (one variable per
 even- or odd-parity subset of each check's support), so check weight is
@@ -23,11 +24,12 @@ scipy.sparse and is kept as a dependency-free cross-check.
 
 Each code has one constraint matrix, kept on its template as numpy CSC
 arrays that HiGHS reads directly: the qubit columns plus both parities'
-mixture blocks for every check (252 rows x 2376 columns on bb72).  A
-syndrome or error model keeps the qubit columns and the block of each
-check's parity; it slices its own ``scipy.sparse`` matrix ``a`` out of the
-template's only when ``a`` is first read.  Only that, ``build_dual_lp``
-and the embedded simplex import ``scipy.sparse``.
+mixture blocks for every check (252 rows x 2376 columns on bb72).  Every
+formulation reads it.  A syndrome or error model keeps the qubit columns
+and the block of each check's parity; it slices its own ``scipy.sparse``
+matrix ``a`` out of the template's only when ``a`` is first read.  The
+dual transposes the error model's slice.  Only that slice, the dual's
+standard form and the embedded simplex import ``scipy.sparse``.
 
 HiGHS runs from scipy's bundled extension, loaded by file path so that a
 decode never imports ``scipy.optimize``; every HiGHS model is built by
@@ -80,6 +82,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DEFAULT_SOLVER",
+    "SOLVERS",
     "MAX_CHECK_WEIGHT",
     "LpModel",
     "LpSolution",
@@ -100,6 +103,9 @@ MAX_CHECK_WEIGHT = 12
 # The backend every decoder, simulation and CLI command uses unless told
 # otherwise: HiGHS on the persistent per-code model.
 DEFAULT_SOLVER = "scipy"
+
+# Every value ``solve_lp``, ``DecoderSpec`` and the CLI accept for ``solver``.
+SOLVERS = ("scipy", "embedded")
 
 # Components this close to an integer are snapped when a solution is packaged.
 _SNAP = 1e-11
@@ -266,12 +272,9 @@ class LpModel:
 
     def var_names(self) -> list[str]:
         """Deterministic variable names for the interchange dump."""
-        if self.kind == "dual":
-            m_x = self.code.hx.n_rows
-            names = [f"s{j}" for j in range(m_x)]
-            names += [f"t{q}_{j}" for q, j in _template(self.code).edges]
-            return names
         tpl = _template(self.code)
+        if self.kind == "dual":
+            return [f"s{j}" for j in range(tpl.m_x)] + [f"t{q}_{j}" for q, j in tpl.edges]
         names = [f"x{i}" for i in range(self.code.n)]
         for j in range(tpl.m_x):
             subsets = self.mixture_subsets(j)
@@ -313,30 +316,37 @@ class DualSolution:
     solver: str
 
 
-def build_syndrome_lp(code: CssCode, s, weights: Sequence[float] | None = None) -> LpModel:
-    """LP whose optimum lower-bounds the minimum error weight for syndrome s."""
+def _primal_lp(code: CssCode, kind: str, qubit_cost: np.ndarray, meta: dict) -> LpModel:
+    """A syndrome or error model: the template's rows, zero-cost mixture columns."""
     tpl = _template(code)
-    s_arr = np.asarray(s, dtype=np.int8) & 1
-    if s_arr.shape != (tpl.m_x,):
-        raise ValueError(f"syndrome must have length {tpl.m_x}")
     c = np.zeros(tpl.n_vars)
-    if weights is None:
-        c[: tpl.n] = 1.0
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (tpl.n,):
-            raise ValueError(f"weights must have length {tpl.n}")
-        c[: tpl.n] = w
+    c[: tpl.n] = qubit_cost
     return LpModel(
-        kind="syndrome",
+        kind=kind,
         code=code,
         sense="min",
         c=c,
         row_sense=np.zeros(tpl.n_rows, dtype=np.int8),
         b=tpl.rhs,
         free_vars=np.zeros(tpl.n_vars, dtype=bool),
-        meta={"syndrome": s_arr.astype(np.uint8), "parities": s_arr, "weights": weights},
+        meta=meta,
     )
+
+
+def build_syndrome_lp(code: CssCode, s, weights: Sequence[float] | None = None) -> LpModel:
+    """LP whose optimum lower-bounds the minimum error weight for syndrome s."""
+    tpl = _template(code)
+    s_arr = np.asarray(s, dtype=np.int8) & 1
+    if s_arr.shape != (tpl.m_x,):
+        raise ValueError(f"syndrome must have length {tpl.m_x}")
+    cost = 1.0
+    if weights is not None:
+        cost = np.asarray(weights, dtype=float)
+        if cost.shape != (tpl.n,):
+            raise ValueError(f"weights must have length {tpl.n}")
+    return _primal_lp(code, "syndrome", cost, {
+        "syndrome": s_arr.astype(np.uint8), "parities": s_arr, "weights": weights,
+    })
 
 
 def build_error_lp(code: CssCode, e_prime) -> LpModel:
@@ -350,75 +360,38 @@ def build_error_lp(code: CssCode, e_prime) -> LpModel:
     e_arr = np.asarray(e_prime, dtype=np.uint8)
     if e_arr.shape != (tpl.n,):
         raise ValueError(f"reference error must have length {tpl.n}")
-    c = np.zeros(tpl.n_vars)
-    c[: tpl.n] = 1.0 - 2.0 * e_arr
-    parities = np.zeros(tpl.m_x, dtype=np.int8)
-    return LpModel(
-        kind="error",
-        code=code,
-        sense="min",
-        c=c,
-        row_sense=np.zeros(tpl.n_rows, dtype=np.int8),
-        b=tpl.rhs,
-        free_vars=np.zeros(tpl.n_vars, dtype=bool),
-        meta={"e_prime": e_arr, "parities": parities},
-    )
+    return _primal_lp(code, "error", 1.0 - 2.0 * e_arr, {
+        "e_prime": e_arr, "parities": np.zeros(tpl.m_x, dtype=np.int8),
+    })
 
 
 def build_dual_lp(code: CssCode, e_prime) -> LpModel:
-    """Inequality dual of the error-anchored LP.
+    """Inequality dual of the error-anchored LP, read off the same matrix.
 
     Variables: one score per check, then one weight per Tanner edge (in the
     template's edge order).  Maximize the sum of check scores subject to
     (a) each qubit's incident edge weights summing to at most +1 outside
     the reference error and -1 inside it, and (b) each check's score being
     at most the edge-weight sum over every even subset of its support.
-    """
-    import scipy.sparse as sp
 
+    The matrix is the error model's transposed, with the edge columns
+    negated (an edge weight is minus the price of its consistency row);
+    the costs are the template's right-hand side and the bounds are the
+    error model's costs.
+    """
+    primal = build_error_lp(code, e_prime)
     tpl = _template(code)
-    e_arr = np.asarray(e_prime, dtype=np.uint8)
-    if e_arr.shape != (tpl.n,):
-        raise ValueError(f"reference error must have length {tpl.n}")
-    n_sigma = tpl.m_x
-    n_tau = len(tpl.edges)
-    edge_col = {edge: n_sigma + p for p, edge in enumerate(tpl.edges)}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    b: list[float] = []
-    r = 0
-    tan = code.tanner
-    for q in range(tpl.n):
-        for j in tan.x_checks_of_qubit[q]:
-            rows.append(r)
-            cols.append(edge_col[(q, j)])
-            vals.append(1.0)
-        b.append(1.0 - 2.0 * float(e_arr[q]))
-        r += 1
-    for j in range(tpl.m_x):
-        for s in parity_subsets(tan.x_supports[j], 0):
-            rows.append(r)
-            cols.append(j)
-            vals.append(1.0)
-            for q in s:
-                rows.append(r)
-                cols.append(edge_col[(q, j)])
-                vals.append(-1.0)
-            b.append(0.0)
-            r += 1
-    c = np.zeros(n_sigma + n_tau)
-    c[:n_sigma] = 1.0
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(r, n_sigma + n_tau)).tocsc()
+    a = primal.a.T.tocsc()
+    a.data[a.indptr[tpl.m_x]:] *= -1.0
     return LpModel(
         kind="dual",
         code=code,
         sense="max",
-        c=c,
-        row_sense=np.full(r, -1, dtype=np.int8),
-        b=np.asarray(b),
-        free_vars=np.ones(n_sigma + n_tau, dtype=bool),
-        meta={"e_prime": e_arr, "edge_col": edge_col},
+        c=tpl.rhs.copy(),
+        row_sense=np.full(primal.n_vars, -1, dtype=np.int8),
+        b=primal.c,
+        free_vars=np.ones(tpl.n_rows, dtype=bool),
+        meta={"e_prime": primal.meta["e_prime"]},
         _a=a,
     )
 
@@ -428,13 +401,11 @@ def as_dual_solution(sol: LpSolution) -> DualSolution:
     if model.kind != "dual":
         raise LposdError("not a dual model")
     m_x = model.code.hx.n_rows
-    edge_values = {
-        edge: float(sol.values[col]) for edge, col in model.meta["edge_col"].items()
-    }
+    edge_prices = map(float, sol.values[m_x:])
     return DualSolution(
         model=model,
         check_values=sol.values[:m_x].copy(),
-        edge_values=edge_values,
+        edge_values=dict(zip(_template(model.code).edges, edge_prices)),
         objective=sol.objective,
         status=sol.status,
         iterations=sol.iterations,
@@ -448,63 +419,27 @@ def as_dual_solution(sol: LpSolution) -> DualSolution:
 
 
 def _to_standard_form(model: LpModel):
-    """Rewrite a general model as min c.x, A x = b, x >= 0.
+    """Rewrite a model as min c.x, A x = b, x >= 0; return (c, a, b, recover).
 
-    Returns (c, a, b, recover) where recover maps a standard-form point back
-    to the model's variable space.  Pure equality models with nonnegative
-    variables pass through untouched.
+    Primal models already have this form.  The dual, max c.y s.t. A y <= b
+    with y free, becomes [A | -A | I] with costs [-c, c, 0], and ``recover``
+    maps a standard-form point back to y = y+ - y-.
     """
+    if model.kind != "dual":
+        return model.c, model.a, model.b, lambda x: x
     import scipy.sparse as sp
 
-    sign = 1.0 if model.sense == "min" else -1.0
-    if not model.free_vars.any() and not model.row_sense.any():
-        if sign == 1.0:
-            return model.c, model.a, model.b, lambda x: x
-        return sign * model.c, model.a, model.b, lambda x: x
-    n = model.n_vars
-    free_idx = np.flatnonzero(model.free_vars)
-    neg_col_of = {int(v): n + t for t, v in enumerate(free_idx)}
-    n_split = n + free_idx.size
-    coo = model.a.tocoo()
-    rows = [coo.row]
-    cols = [coo.col]
-    vals = [coo.data]
-    # mirrored columns for free variables
-    free_mask = model.free_vars[coo.col]
-    if free_mask.any():
-        rows.append(coo.row[free_mask])
-        cols.append(np.asarray([neg_col_of[int(v)] for v in coo.col[free_mask]]))
-        vals.append(-coo.data[free_mask])
-    # slack/surplus for inequality rows
-    ineq = np.flatnonzero(model.row_sense != 0)
-    slack_cols = np.arange(n_split, n_split + ineq.size)
-    rows.append(ineq)
-    cols.append(slack_cols)
-    vals.append(np.where(model.row_sense[ineq] < 0, 1.0, -1.0))
-    n_total = n_split + ineq.size
-    a_std = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(model.a.shape[0], n_total),
-    ).tocsc()
-    c_std = np.zeros(n_total)
-    c_std[:n] = sign * model.c
-    for v, nc in neg_col_of.items():
-        c_std[nc] = -sign * model.c[v]
-
-    def recover(x_std: np.ndarray) -> np.ndarray:
-        x = x_std[:n].copy()
-        if free_idx.size:
-            x[free_idx] -= x_std[n : n + free_idx.size]
-        return x
-
-    return c_std, a_std, model.b, recover
+    a, n = model.a, model.n_vars
+    a_std = sp.hstack([a, -a, sp.identity(a.shape[0], format="csc")], format="csc")
+    c_std = np.concatenate([-model.c, model.c, np.zeros(a.shape[0])])
+    return c_std, a_std, model.b, lambda x: x[:n] - x[n : 2 * n]
 
 
-def _solve_embedded(model: LpModel, **opts) -> tuple[np.ndarray, float, str, int]:
+def _solve_embedded(model: LpModel) -> tuple[np.ndarray, float, str, int]:
     from .simplex import solve_standard_form
 
     c_std, a_std, b_std, recover = _to_standard_form(model)
-    res = solve_standard_form(c_std, a_std, b_std, **opts)
+    res = solve_standard_form(c_std, a_std, b_std)
     if res.status == "infeasible":
         raise Infeasible(res.message or "model is infeasible")
     if res.status == "iteration_limit":
@@ -681,7 +616,7 @@ def _highs_model(code: CssCode) -> _HighsModel:
     return tpl._highs
 
 
-def _solve_scipy(model: LpModel, **opts) -> tuple[np.ndarray, float, str, int]:
+def _solve_scipy(model: LpModel) -> tuple[np.ndarray, float, str, int]:
     if model.kind != "dual" and not model.c[model.code.n:].any():
         return _highs_model(model.code).solve(model)
     # dual models and mixture costs: a one-off HiGHS model of this LP alone
@@ -695,7 +630,7 @@ def _solve_scipy(model: LpModel, **opts) -> tuple[np.ndarray, float, str, int]:
     return values, sign * objective, "optimal", iterations
 
 
-def solve_lp(model: LpModel, solver: str = DEFAULT_SOLVER, **opts) -> LpSolution:
+def solve_lp(model: LpModel, solver: str = DEFAULT_SOLVER) -> LpSolution:
     """Solve a model with the chosen backend ('scipy' or 'embedded').
 
     'scipy', the default, runs HiGHS: syndrome and error models on the
@@ -713,24 +648,15 @@ def solve_lp(model: LpModel, solver: str = DEFAULT_SOLVER, **opts) -> LpSolution
     'scipy' without scipy's HiGHS extension, raise LposdError.
     """
     if solver == "embedded":
-        values, objective, status, iterations = _solve_embedded(model, **opts)
+        values, objective, status, iterations = _solve_embedded(model)
     elif solver == "scipy":
-        values, objective, status, iterations = _solve_scipy(model, **opts)
+        values, objective, status, iterations = _solve_scipy(model)
     else:
-        raise ValueError(f"unknown solver {solver!r}")
-    near_zero = np.abs(values) < _SNAP
-    values[near_zero] = 0.0
-    near_one = np.abs(values - 1.0) < _SNAP
-    values[near_one] = 1.0
-    sol = LpSolution(
-        model=model,
-        values=values,
-        objective=float(objective),
-        status=status,
-        iterations=iterations,
-        solver=solver,
-    )
-    return sol
+        raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+    values[np.abs(values) < _SNAP] = 0.0
+    values[np.abs(values - 1.0) < _SNAP] = 1.0
+    return LpSolution(model=model, values=values, objective=float(objective),
+                      status=status, iterations=iterations, solver=solver)
 
 
 def is_integral(sol: LpSolution | np.ndarray, tol: float = 1e-6) -> bool:

@@ -43,6 +43,10 @@ from .gf2 import (
 )
 
 _EXHAUSTIVE_RANK_LIMIT = 20
+# A builder rejects a sampled pick that a sum of up to this many Z check rows
+# makes lighter, and gives up after this many picks.
+_REDUCE_BUDGET = 2
+_MAX_RESAMPLES = 200
 _POISON_TOL = 1e-9
 
 
@@ -346,32 +350,41 @@ def is_reduced(code: CssCode, error, budget: int = 2,
     """
     if budget < 0:
         raise InvalidParameter("budget must be nonnegative")
-    e = _as_error_vector(code.n, error)
-    n = code.n
-    e_bits = vector_to_bits(e, n)
-    weight = e_bits.bit_count()
-    if weight == 0:
+    e_bits = vector_to_bits(_as_error_vector(code.n, error), code.n)
+    if e_bits == 0:
         return ReducedCheck(status="yes")
+    lighter = _row_search(code, e_bits, budget)
+    if lighter is not None:
+        return ReducedCheck(status="no", witness=bits_to_vector(lighter, code.n))
+    return _coset_walk(code, e_bits) if exhaustive else ReducedCheck(status="unchecked")
 
-    rows = [code.hz.row_bits(i) for i in range(code.hz.n_rows)]
+
+def _row_search(code: CssCode, e_bits: int, budget: int) -> int | None:
+    """A strictly lighter error that adds up to ``budget`` Z check rows, or None."""
+    weight = e_bits.bit_count()
     for size in range(1, budget + 1):
-        for combo in itertools.combinations(range(len(rows)), size):
+        for combo in itertools.combinations(code.hz.rows, size):
             cand = e_bits
-            for idx in combo:
-                cand ^= rows[idx]
+            for row in combo:
+                cand ^= row
             if cand.bit_count() < weight:
-                return ReducedCheck(status="no", witness=bits_to_vector(cand, n))
+                return cand
+    return None
 
+
+def _coset_walk(code: CssCode, e_bits: int) -> ReducedCheck:
+    """Grade an error by a Gray-code walk over its coset, if the Z rank allows it."""
     reduction = row_reduce(code.hz)
     r = reduction.rank
-    if not exhaustive or r > _EXHAUSTIVE_RANK_LIMIT:
+    if r > _EXHAUSTIVE_RANK_LIMIT:
         return ReducedCheck(status="unchecked")
-    basis = [reduction.reduced.row_bits(i) for i in range(r)]
+    weight = e_bits.bit_count()
+    basis = reduction.reduced.rows[:r]
     cur = e_bits
     for t in range(1, 1 << r):
         cur ^= basis[(t & -t).bit_length() - 1]
         if cur.bit_count() < weight:
-            return ReducedCheck(status="no", witness=bits_to_vector(cur, n))
+            return ReducedCheck(status="no", witness=bits_to_vector(cur, code.n))
     return ReducedCheck(status="yes")
 
 
@@ -402,10 +415,23 @@ def _check_flipped_checks_touch(code: CssCode, inside: Iterable[int],
                 )
 
 
-def _finalize_pattern(code: CssCode, kind: str, e: np.ndarray,
-                      generators: tuple[tuple[int, ...], ...],
-                      link_qubits: tuple[int, ...], corrupted: int,
-                      half: frozenset[int], reduced_status: str) -> ErrorPattern:
+def _sample_pattern(code: CssCode, kind: str, draw,
+                    generators: tuple[tuple[int, ...], ...],
+                    link_qubits: tuple[int, ...], half: frozenset[int]) -> ErrorPattern:
+    """Certify the first pick of ``draw()`` (an error and its corrupted link)
+    that no sum of up to ``_REDUCE_BUDGET`` Z check rows makes lighter.
+
+    Only that pick is graded by the coset walk.  ``_MAX_RESAMPLES`` rejected
+    picks raise SamplingExhausted.
+    """
+    for _ in range(_MAX_RESAMPLES):
+        e, corrupted = draw()
+        e_bits = vector_to_bits(e, code.n)
+        if _row_search(code, e_bits, _REDUCE_BUDGET) is None:
+            break
+    else:
+        what = "ring" if kind == "cycle" else kind
+        raise SamplingExhausted(f"no reduced pick found in {_MAX_RESAMPLES} {what} samples")
     syndrome = code.syndrome(e)
     weight = int(e.sum())
     certificate = _build_certificate(code, half, syndrome)
@@ -424,7 +450,7 @@ def _finalize_pattern(code: CssCode, kind: str, e: np.ndarray,
         syndrome=syndrome,
         certificate=certificate,
         claimed_objective=claimed,
-        reduced_verified=reduced_status,
+        reduced_verified=_coset_walk(code, e_bits).status,
     )
     report = verify_certificate(code, pattern)
     if not report.ok:
@@ -435,18 +461,16 @@ def _finalize_pattern(code: CssCode, kind: str, e: np.ndarray,
     return pattern
 
 
-def build_overlap_pattern(code: CssCode, g, g2, rng_seed: int = 0, *,
-                          max_resamples: int = 200,
-                          reduce_budget: int = 2) -> ErrorPattern:
+def build_overlap_pattern(code: CssCode, g, g2, rng_seed: int = 0) -> ErrorPattern:
     """Build an undecodable error from two stabilizers sharing >= 2 qubits.
 
     The error takes half of each private region (rounding down in the
     first, up in the second) plus exactly one shared qubit.  Requires both
     supports even, both in the Z stabilizer group, an overlap of at least
     two qubits, and that every X check meeting the overlap also meets the
-    symmetric difference.  Sampled picks that an up-to-``reduce_budget``
-    row search proves non-reduced are rejected and resampled; exceeding
-    ``max_resamples`` raises SamplingExhausted.
+    symmetric difference.  Sampled picks that a sum of up to
+    ``_REDUCE_BUDGET`` Z check rows makes lighter are rejected and
+    resampled; ``_MAX_RESAMPLES`` rejections raise SamplingExhausted.
     """
     ga = _as_error_vector(code.n, g)
     gb = _as_error_vector(code.n, g2)
@@ -466,7 +490,8 @@ def build_overlap_pattern(code: CssCode, g, g2, rng_seed: int = 0, *,
     a_only = np.flatnonzero(ga & ~gb)
     b_only = np.flatnonzero(gb & ~ga)
     rng = np.random.default_rng(rng_seed)
-    for _ in range(max_resamples):
+
+    def draw() -> tuple[np.ndarray, int]:
         e = np.zeros(code.n, dtype=np.uint8)
         picked_a = rng.choice(a_only, size=len(a_only) // 2, replace=False) \
             if len(a_only) else np.array([], dtype=int)
@@ -476,23 +501,13 @@ def build_overlap_pattern(code: CssCode, g, g2, rng_seed: int = 0, *,
         e[picked_a] = 1
         e[picked_b] = 1
         e[corrupted] = 1
-        if is_reduced(code, e, budget=reduce_budget, exhaustive=False).status == "no":
-            continue
-        grade = is_reduced(code, e, budget=reduce_budget)
-        return _finalize_pattern(
-            code, "overlap", e,
-            generators=(_support(ga), _support(gb)),
-            link_qubits=tuple(int(q) for q in overlap),
-            corrupted=corrupted, half=half, reduced_status=grade.status,
-        )
-    raise SamplingExhausted(
-        f"no reduced pick found in {max_resamples} overlap samples"
-    )
+        return e, corrupted
+
+    return _sample_pattern(code, "overlap", draw, (_support(ga), _support(gb)),
+                           tuple(int(q) for q in overlap), half)
 
 
-def build_cycle_pattern(code: CssCode, generators: Sequence, rng_seed: int = 0, *,
-                        max_resamples: int = 200,
-                        reduce_budget: int = 2) -> ErrorPattern:
+def build_cycle_pattern(code: CssCode, generators: Sequence, rng_seed: int = 0) -> ErrorPattern:
     """Build an undecodable error from a ring of stabilizers.
 
     Consecutive generators (cyclically) must share exactly one qubit, the
@@ -507,10 +522,7 @@ def build_cycle_pattern(code: CssCode, generators: Sequence, rng_seed: int = 0, 
     if len(gens) < 2:
         raise PreconditionViolated("need at least two generators")
     if len(gens) == 2:
-        return build_overlap_pattern(
-            code, gens[0], gens[1], rng_seed,
-            max_resamples=max_resamples, reduce_budget=reduce_budget,
-        )
+        return build_overlap_pattern(code, gens[0], gens[1], rng_seed)
     k_count = len(gens)
     for idx, gv in enumerate(gens):
         _check_stabilizer(code, gv, f"generator {idx}")
@@ -546,31 +558,23 @@ def build_cycle_pattern(code: CssCode, generators: Sequence, rng_seed: int = 0, 
         np.array([q for q in _support(gv) if q not in link_set], dtype=int)
         for gv in gens
     ]
+    takes = [int(gv.sum()) // 2 - 1 for gv in gens]
+    for idx, (take, interior) in enumerate(zip(takes, interiors)):
+        if take > len(interior):
+            raise PreconditionViolated(f"generator {idx} interior too small for its half weight")
     rng = np.random.default_rng(rng_seed)
-    for _ in range(max_resamples):
+
+    def draw() -> tuple[np.ndarray, int]:
         e = np.zeros(code.n, dtype=np.uint8)
         corrupted = int(rng.choice(np.array(links)))
         e[corrupted] = 1
-        for idx, interior in enumerate(interiors):
-            take = int(gens[idx].sum()) // 2 - 1
-            if take > len(interior):
-                raise PreconditionViolated(
-                    f"generator {idx} interior too small for its half weight"
-                )
+        for take, interior in zip(takes, interiors):
             if take:
                 e[rng.choice(interior, size=take, replace=False)] = 1
-        if is_reduced(code, e, budget=reduce_budget, exhaustive=False).status == "no":
-            continue
-        grade = is_reduced(code, e, budget=reduce_budget)
-        return _finalize_pattern(
-            code, "cycle", e,
-            generators=tuple(_support(gv) for gv in gens),
-            link_qubits=tuple(links), corrupted=corrupted,
-            half=half, reduced_status=grade.status,
-        )
-    raise SamplingExhausted(
-        f"no reduced pick found in {max_resamples} ring samples"
-    )
+        return e, corrupted
+
+    return _sample_pattern(code, "cycle", draw, tuple(_support(gv) for gv in gens),
+                           tuple(links), half)
 
 
 def stabilizers_within(code: CssCode, support) -> list[np.ndarray]:
@@ -759,7 +763,7 @@ def _cycles_through_edges(code: CssCode, max_len: int,
     return found
 
 
-def _compose_even(code: CssCode, gens: list[np.ndarray]) -> list[np.ndarray] | None:
+def _compose_even(gens: list[np.ndarray]) -> list[np.ndarray] | None:
     """Merge adjacent odd-weight ring members pairwise until all are even.
 
     Merging neighbors keeps the ring structure: their shared link cancels
@@ -782,8 +786,7 @@ def _compose_even(code: CssCode, gens: list[np.ndarray]) -> list[np.ndarray] | N
 
 
 def search_patterns(code: CssCode, max_cycle_len: int = 12, limit: int = 10,
-                    rng_seed: int = 0, *, reduce_budget: int = 2,
-                    max_resamples: int = 200) -> list[ErrorPattern]:
+                    rng_seed: int = 0) -> list[ErrorPattern]:
     """Harvest undecodable patterns from short cycles of the Z check graph.
 
     Each distinct short cycle yields a candidate ring of Z generators;
@@ -799,15 +802,12 @@ def search_patterns(code: CssCode, max_cycle_len: int = 12, limit: int = 10,
             for c in cycle.checks
         ]
         if any(int(gv.sum()) % 2 for gv in gens):
-            repaired = _compose_even(code, gens)
+            repaired = _compose_even(gens)
             if repaired is None:
                 continue
             gens = repaired
         try:
-            pattern = build_cycle_pattern(
-                code, gens, rng_seed=rng_seed * 100003 + idx,
-                max_resamples=max_resamples, reduce_budget=reduce_budget,
-            )
+            pattern = build_cycle_pattern(code, gens, rng_seed=rng_seed * 100003 + idx)
         except (PreconditionViolated, SamplingExhausted):
             continue
         patterns.append(pattern)

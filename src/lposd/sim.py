@@ -30,7 +30,8 @@ from .bp import BpConfig, min_sum_bp
 from .codes import CssCode, sample_random_hgp
 from .errors import EnumerationTooLarge, InvalidParameter, LposdError
 from .gf2 import in_rowspace
-from .lp import DEFAULT_SOLVER, build_syndrome_lp, is_integral, round_independent, solve_lp
+from .lp import (DEFAULT_SOLVER, SOLVERS, build_syndrome_lp, is_integral, round_independent,
+                 solve_lp)
 from .osd import OsdConfig, osd_postprocess
 
 __all__ = [
@@ -73,7 +74,10 @@ class DecoderSpec:
     message passing.  ``bp_channel_p=None`` uses the simulated physical
     error rate as the channel prior; ``bp_iteration_cap=None`` runs up to
     the block length.  ``label`` distinguishes two configurations of the
-    same pipeline within one run (defaults to the pipeline name).
+    same pipeline within one run (defaults to the pipeline name).  A setting
+    the pipeline cannot run with raises InvalidParameter here: an unknown
+    solver, or a lam, BP iteration cap or channel prior that ``OsdConfig``
+    or ``BpConfig`` rejects.
     """
 
     name: str
@@ -90,6 +94,14 @@ class DecoderSpec:
                 f"unknown decoder {self.name!r}; expected one of {DECODER_NAMES}")
         if self.tie_break not in (None, "distance", "random"):
             raise InvalidParameter(f"unknown tie_break {self.tie_break!r}")
+        if self.solver not in SOLVERS:
+            raise InvalidParameter(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
+        # The stage configs reject a bad lam, iteration cap or channel prior.
+        self.osd_config()
+        if not self.uses_lp:
+            BpConfig(max_iterations=self.bp_iteration_cap)
+            if self.bp_channel_p is not None:
+                BpConfig(channel_p=self.bp_channel_p)
 
     @property
     def tag(self) -> int:

@@ -140,10 +140,13 @@ def test_simulate_ensemble_mode(capsys):
                "--p", "0.05", "--trials", "1", "--n-codes", "2",
                "--trials-per-code", "5", "--out", "-"])
     assert rc == 0
-    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+    captured = capsys.readouterr()
+    lines = [ln for ln in captured.out.splitlines() if ln.strip()]
     record = json.loads(lines[0])
     assert record["n_codes"] == 2
     assert record["trials"] == 10
+    assert record["config"]["trials"] == 10
+    assert "--trials" in captured.err
     assert len(record["per_code_failures"]) == 2
 
 

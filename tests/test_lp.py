@@ -622,11 +622,13 @@ _DUMP_DIGESTS = {
         "syndrome": "f94e26fcbc0dadc01a94cf49497731d1976dd4dd3418cbe30baf30cf0521e493",
         "weighted": "b6f6d9d412cf08f82cb3aebeedbaad1e1741e1c3e81e31a485662f4f6b1cc800",
         "error": "154260772ff0db36f277dedb4a4b18e1bb5b3085d6205c5450efddfab927c6da",
+        "dual": "a545a7374f0c0e10c78700859ed2cc2350f765312ea2ecc4d115ba8a6bd2059e",
     },
     "bb72": {
         "syndrome": "86de551a13d7fd7860570f402a5f36ab7ec6356561290da553445b3d45fa7044",
         "weighted": "035dfe973ea82c36e49dcc1d46573858647b0ea746e231b864e40e813270846a",
         "error": "a83fea07626629479fe9d4de9e0738847ce9de7c67ce8caf54f05df991821ed9",
+        "dual": "3a405cfde179b0d1c74677dec44d47d25a945d27b42e1a1d458478f92dec7e22",
     },
 }
 
@@ -641,13 +643,103 @@ def test_dump_lp_output_unchanged(fixture, request, tmp_path):
     s = code.syndrome(e)
     models = {"syndrome": build_syndrome_lp(code, s),
               "weighted": build_syndrome_lp(code, s, rng.uniform(0.5, 2.0, code.n)),
-              "error": build_error_lp(code, e)}
+              "error": build_error_lp(code, e),
+              "dual": build_dual_lp(code, e)}
     for kind, model in models.items():
         path = tmp_path / f"{kind}.lp"
         dump_lp(model, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == _DUMP_DIGESTS[fixture][kind], kind
 
+
+
+def hand_dual(code, e):
+    """The dual LP's (a, b, c), assembled row by row from the Tanner graph.
+
+    One row per qubit (its edge weights sum to at most 1 - 2 e_q), then one
+    per even subset of each check's support (the check's score is at most
+    the subset's edge weights); variables are the check scores, then the
+    edge weights in the template's edge order.
+    """
+    import scipy.sparse as sp
+
+    tan = code.tanner
+    m_x = code.hx.n_rows
+    edge_col = {edge: m_x + p for p, edge in enumerate(tan.x_edges)}
+    rows, cols, vals, b = [], [], [], []
+    for q in range(code.n):
+        for j in tan.x_checks_of_qubit[q]:
+            rows.append(len(b))
+            cols.append(edge_col[q, j])
+            vals.append(1.0)
+        b.append(1.0 - 2.0 * float(e[q]))
+    for j in range(m_x):
+        for subset in parity_subsets(tan.x_supports[j], 0):
+            rows.append(len(b))
+            cols.append(j)
+            vals.append(1.0)
+            for q in subset:
+                rows.append(len(b))
+                cols.append(edge_col[q, j])
+                vals.append(-1.0)
+            b.append(0.0)
+    c = np.zeros(m_x + len(edge_col))
+    c[:m_x] = 1.0
+    a = sp.coo_matrix((vals, (rows, cols)), shape=(len(b), c.size)).tocsc()
+    return a, np.asarray(b), c
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rotated_surface_code(5), lambda: named_bb_code("bb72"),
+    lambda: sample_random_hgp(2, 0),
+    lambda: with_zero_x_row(rotated_surface_code(3), 1),
+    lambda: with_zero_x_row(rotated_surface_code(3), 4),
+], ids=["surface5", "bb72", "random-hgp", "zero-row-middle", "zero-row-end"])
+def test_dual_matches_hand_assembly(make):
+    code = make()
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        e = (rng.random(code.n) < 0.2).astype(np.uint8)
+        model = build_dual_lp(code, e)
+        a, b, c = hand_dual(code, e)
+        assert model.a.shape == a.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(model.a, name), getattr(a, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        for got, want in ((model.b, b), (model.c, c)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert np.all(model.row_sense == -1) and model.row_sense.size == b.size
+        assert model.free_vars.all() and model.free_vars.size == c.size
+
+
+# sha256 of (values, objective, iterations) and the edge prices of four dual
+# solves per code, recorded while build_dual_lp assembled its matrix by hand
+_DUAL_SOLUTION_DIGESTS = {
+    ("surface3", "scipy"): "8a1557e9248f6268972122c92fb86658f91b4e855cc6addc16374fd238a5aad7",
+    ("surface3", "embedded"): "6ea379795c8222b108472a1653557faf276c0fd3f9cd98188c4d504d9f7aa323",
+    ("toy22", "scipy"): "bf1d40599be0b4e5df5bdd771da5272006f24d7a9d767bcb1bab1c1290f58672",
+    ("toy22", "embedded"): "f4dea91d54bfbe36b9a10f2fed83bafb925bbbe12be8c7497355c4d146145669",
+}
+
+
+@pytest.mark.parametrize("fixture,solver", sorted(_DUAL_SOLUTION_DIGESTS))
+def test_dual_solutions_unchanged(fixture, solver, request):
+    import hashlib
+
+    code = request.getfixturevalue(fixture)
+    if fixture == "toy22":
+        code = code[0]
+    rng = np.random.default_rng(7)
+    digest = hashlib.sha256()
+    for _ in range(4):
+        e = (rng.random(code.n) < 0.25).astype(np.uint8)
+        sol = solve_lp(build_dual_lp(code, e), solver=solver)
+        digest.update(sol.values.tobytes())
+        digest.update(repr((sol.objective, sol.iterations)).encode())
+        digest.update(repr(sorted(as_dual_solution(sol).edge_values.items())).encode())
+    assert digest.hexdigest() == _DUAL_SOLUTION_DIGESTS[fixture, solver]
 
 def template_triplets(code):
     """The template's entries as (vals, rows, cols) and its shape, from the Tanner graph."""

@@ -478,3 +478,41 @@ def test_stabilizers_within_full_support_recovers_everything(toy_pattern):
         code.n,
     )
     assert any(not in_rowspace(gen_span, vec) for vec in everything)
+
+
+# sha256 of the serialized records, recorded while each builder ran its own
+# sampling loop and graded every pick twice
+_PATTERN_DIGESTS = {
+    "search-bb72": "4d17ff6a68ca06cd72974753818dda74ffc1318d2d298106a6e3259debaf733d",
+    "search-ring108": "26791b7654921a18a1ca6899d6d4b6f41d0f9e1213fc9805624f61337daf7065",
+    "overlap-toy22": "75c3436bc15661ddf4c5dd7d1bd881042bc5968ef2138323cbf8e564ad61e956",
+    "cycle-ring108": "d7a9d5213f479e64852eaf52b5caff8c8ace15681c24442d2a5789bdd59cb95d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PATTERN_DIGESTS))
+def test_pattern_records_unchanged(case, toy22, ring108, bb72):
+    import hashlib
+    import json
+
+    if case == "search-bb72":
+        patterns = [p for seed in range(3) for p in search_patterns(bb72, rng_seed=seed)]
+    elif case == "search-ring108":
+        patterns = [p for seed in range(5)
+                    for p in search_patterns(ring108[0], max_cycle_len=8, limit=3,
+                                             rng_seed=seed)]
+    elif case == "overlap-toy22":
+        code, h1, h2 = toy22
+        lay = hgp_layout(h1, h2)
+        dz = code.hz.to_dense()
+        patterns = [build_overlap_pattern(code, dz[lay.z_check(0, 1)],
+                                          dz[lay.z_check(1, 1)], seed)
+                    for seed in range(10)]
+    else:
+        code, h_ring, h_c9 = ring108
+        lay = hgp_layout(h_ring, h_c9)
+        dz = code.hz.to_dense()
+        patterns = [build_cycle_pattern(code, [dz[lay.z_check(b, 0)] for b in range(4)], seed)
+                    for seed in range(10)]
+    records = json.dumps([pattern_to_record(p) for p in patterns], sort_keys=True)
+    assert hashlib.sha256(records.encode()).hexdigest() == _PATTERN_DIGESTS[case]

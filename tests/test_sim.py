@@ -108,6 +108,16 @@ def test_decoder_spec_validation_and_defaults():
                           tie_break="random")
     assert labeled.key == "osd0-random"
     assert labeled.tag == DecoderSpec(name="lp-osd0").tag
+    # settings a pipeline cannot run with fail when the spec is made
+    for bad in (dict(name="lp-osdcs", solver="cuts"), dict(name="bp", solver="nonsense"),
+                dict(name="lp-osdcs", lam=-1), dict(name="bp-osd0", lam=-1),
+                dict(name="bp", bp_iteration_cap=0), dict(name="bp-osdcs", bp_iteration_cap=0),
+                dict(name="bp", bp_channel_p=0.7), dict(name="bp-osd0", bp_channel_p=0.0)):
+        with pytest.raises(InvalidParameter):
+            DecoderSpec(**bad)
+    for ok in (dict(name="bp", solver="embedded"), dict(name="lp-round", lam=-1),
+               dict(name="bp", bp_iteration_cap=1, bp_channel_p=0.49)):
+        DecoderSpec(**ok)
 
 
 def test_sim_config_validation():
