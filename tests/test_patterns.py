@@ -12,6 +12,7 @@ from lposd import (
     BinaryMatrix,
     InvalidParameter,
     PreconditionViolated,
+    SamplingExhausted,
     ZCycle,
     build_cycle_pattern,
     build_overlap_pattern,
@@ -487,6 +488,9 @@ _PATTERN_DIGESTS = {
     "search-ring108": "26791b7654921a18a1ca6899d6d4b6f41d0f9e1213fc9805624f61337daf7065",
     "overlap-toy22": "75c3436bc15661ddf4c5dd7d1bd881042bc5968ef2138323cbf8e564ad61e956",
     "cycle-ring108": "d7a9d5213f479e64852eaf52b5caff8c8ace15681c24442d2a5789bdd59cb95d",
+    # picks here are resampled when two Z rows make them lighter, and the
+    # coset walk grades the accepted ones "no"
+    "overlap-surface5": "4606d4eb9d7c5b575f49a75dd5640d576cae1c20c973d9c453d7ad311c8959b4",
 }
 
 
@@ -508,6 +512,11 @@ def test_pattern_records_unchanged(case, toy22, ring108, bb72):
         patterns = [build_overlap_pattern(code, dz[lay.z_check(0, 1)],
                                           dz[lay.z_check(1, 1)], seed)
                     for seed in range(10)]
+    elif case == "overlap-surface5":
+        code = rotated_surface_code(5)
+        dz = code.hz.to_dense()
+        patterns = [build_overlap_pattern(code, dz[0] ^ dz[3], dz[3] ^ dz[7], seed)
+                    for seed in range(10)]
     else:
         code, h_ring, h_c9 = ring108
         lay = hgp_layout(h_ring, h_c9)
@@ -516,3 +525,10 @@ def test_pattern_records_unchanged(case, toy22, ring108, bb72):
                     for seed in range(10)]
     records = json.dumps([pattern_to_record(p) for p in patterns], sort_keys=True)
     assert hashlib.sha256(records.encode()).hexdigest() == _PATTERN_DIGESTS[case]
+
+
+def test_sampling_gives_up_when_every_pick_is_lighter(ring108):
+    code = ring108[0]
+    dz = code.hz.to_dense()
+    with pytest.raises(SamplingExhausted, match="no reduced pick found in 200 overlap samples"):
+        build_overlap_pattern(code, dz[0], dz[1] ^ dz[8])
