@@ -72,7 +72,6 @@ from .patterns import (
     Certificate,
     CertificateReport,
     ErrorPattern,
-    PoisonAssignment,
     PoisonReport,
     ReducedCheck,
     build_cycle_pattern,

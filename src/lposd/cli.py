@@ -80,15 +80,27 @@ def resolve_code(spec: str, seed: int = 0) -> CssCode:
     """
     if os.path.isdir(spec):
         return load_code(spec)
-    family, _, arg = spec.partition(":")
-    if family == "surface" and arg:
-        return rotated_surface_code(int(arg))
-    if family == "bb" and arg:
+    family, arg = _parse_inline(spec)
+    if family == "surface":
+        return rotated_surface_code(arg)
+    if family == "bb":
         return named_bb_code(arg)
-    if family == "random-hgp" and arg:
-        return sample_random_hgp(int(arg), seed)
-    raise InvalidParameter(
-        f"{spec!r} is neither a code directory nor an inline family spec")
+    return sample_random_hgp(arg, seed)
+
+
+def _parse_inline(spec: str) -> tuple[str, int | str]:
+    """Split an inline code spec into its family and argument, an int for
+    ``surface`` and ``random-hgp``; InvalidParameter when it is not one."""
+    family, _, arg = spec.partition(":")
+    if family not in ("surface", "bb", "random-hgp") or not arg:
+        raise InvalidParameter(
+            f"{spec!r} is neither a code directory nor an inline family spec")
+    if family == "bb":
+        return family, arg
+    try:
+        return family, int(arg)
+    except ValueError:
+        raise InvalidParameter(f"{spec!r}: {family} takes an integer, not {arg!r}") from None
 
 
 def resolve_decoders(tokens, osd: str | None, lam: int, tie_break: str | None,
@@ -98,7 +110,7 @@ def resolve_decoders(tokens, osd: str | None, lam: int, tie_break: str | None,
     ``lp`` and ``bp`` are shorthands completed by ``--osd``: plain ``lp``
     is LP with independent rounding, ``lp --osd cs`` is LP with the
     combination-sweep search, and so on.  Full pipeline names pass through
-    unchanged.
+    unchanged.  ``bp_max_iter`` reaches the BP pipelines only.
     """
     specs = []
     for token in tokens:
@@ -113,8 +125,9 @@ def resolve_decoders(tokens, osd: str | None, lam: int, tie_break: str | None,
             raise InvalidParameter(
                 f"unknown decoder {token!r}; expected one of {DECODER_NAMES} "
                 "or the shorthands lp/bp with --osd")
+        bp_cap = bp_max_iter if name.startswith("bp") else None
         specs.append(DecoderSpec(name=name, lam=lam, tie_break=tie_break,
-                                 solver=solver, bp_iteration_cap=bp_max_iter))
+                                 solver=solver, bp_iteration_cap=bp_cap))
     return specs
 
 
@@ -151,10 +164,11 @@ def _cmd_simulate(args) -> int:
                                 args.tie_break, args.solver, args.bp_max_iter)
     ps = tuple(float(tok) for tok in args.p.split(","))
     ensemble = args.n_codes > 1
-    if ensemble and not args.code.startswith("random-hgp:"):
-        raise InvalidParameter("--n-codes > 1 requires a random-hgp code spec")
     trials = args.trials
     if ensemble:
+        if not args.code.startswith("random-hgp:"):
+            raise InvalidParameter("--n-codes > 1 requires a random-hgp code spec")
+        scale = _parse_inline(args.code)[1]
         trials = args.n_codes * args.trials_per_code
         if args.trials is not None and args.trials != trials:
             print(f"--trials ignored: an ensemble runs n-codes * trials-per-code = "
@@ -178,7 +192,6 @@ def _cmd_simulate(args) -> int:
         for point_index, p in enumerate(ps):
             start = time.perf_counter()
             if ensemble:
-                scale = int(args.code.partition(":")[2])
                 results = run_ensemble(scale, decoders, p, args.n_codes,
                                        args.trials_per_code, args.seed,
                                        workers=args.workers)

@@ -585,11 +585,13 @@ class ZCycle:
 
 
 def _bfs_cycle_path(tan: TannerGraph, start_check: int, goal_qubit: int,
-                    depth_cap: int) -> list[tuple[bool, int]] | None:
-    """Shortest Z-graph path from a check to one of its qubits that avoids
-    their direct edge, as (is_check, index) vertices; None beyond
-    ``depth_cap`` edges.  Closing it with that edge gives a shortest cycle
-    through the edge."""
+                    max_len: int) -> ZCycle | None:
+    """Shortest Z-graph cycle through the edge (start_check, goal_qubit), or
+    None when it is longer than ``max_len`` vertices.
+
+    Breadth-first search for the shortest path from the check to the qubit
+    that avoids their direct edge; that edge closes it into the cycle.
+    """
     skip_edge = (start_check, goal_qubit)
     parent: dict[tuple[bool, int], tuple[bool, int] | None] = {
         (True, start_check): None
@@ -597,7 +599,7 @@ def _bfs_cycle_path(tan: TannerGraph, start_check: int, goal_qubit: int,
     frontier = deque([((True, start_check), 0)])
     while frontier:
         (is_check, v), depth = frontier.popleft()
-        if depth >= depth_cap:
+        if depth >= max_len - 1:
             continue
         neighbors = tan.z_supports[v] if is_check else tan.z_checks_of_qubit[v]
         for u in neighbors:
@@ -611,7 +613,8 @@ def _bfs_cycle_path(tan: TannerGraph, start_check: int, goal_qubit: int,
                 while parent[path[-1]] is not None:
                     path.append(parent[path[-1]])
                 path.reverse()
-                return path
+                return ZCycle(checks=tuple(idx for is_c, idx in path if is_c),
+                              qubits=tuple(idx for is_c, idx in path if not is_c))
             frontier.append((key, depth + 1))
     return None
 
@@ -624,24 +627,18 @@ def find_short_z_cycle(code: CssCode, max_len: int) -> ZCycle:
     girth exceeds ``max_len`` (or no cycle exists).
     """
     tan = code.tanner
-    m = code.hz.n_rows
-    best: list[tuple[bool, int]] | None = None
-    cap = max_len - 1
-    for k in range(m):
+    best: ZCycle | None = None
+    for k in range(code.hz.n_rows):
         for q in tan.z_supports[k]:
-            limit = (len(best) - 1) - 1 if best is not None else cap
-            path = _bfs_cycle_path(tan, k, q, min(cap, limit))
-            if path is not None and (best is None or len(path) + 1 < len(best) + 1):
-                best = path
-                if len(best) + 1 == 4:
-                    break
-        if best is not None and len(best) + 1 == 4:
-            break
-    if best is None or len(best) + 1 > max_len:
+            # lengths are even: only a cycle two vertices shorter improves on best
+            cycle = _bfs_cycle_path(tan, k, q, max_len if best is None else len(best) - 2)
+            if cycle is not None:
+                best = cycle
+                if len(best) == 4:
+                    return best
+    if best is None:
         raise CycleNotFound(f"no Z-graph cycle of length <= {max_len}")
-    checks = tuple(idx for is_check, idx in best if is_check)
-    qubits = tuple(idx for is_check, idx in best if not is_check)
-    return ZCycle(checks=checks, qubits=qubits)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,8 @@ __all__ = [
 ]
 
 
-def vector_to_bits(v: Sequence[int] | np.ndarray | int, length: int) -> int:
+def vector_to_bits(v: Sequence[int] | np.ndarray, length: int) -> int:
     """Pack a 0/1 vector into an int bitset (bit i = entry i)."""
-    if isinstance(v, int):
-        if v < 0 or v >> length:
-            raise ValueError("bitset out of range for given length")
-        return v
     arr = np.asarray(v, dtype=np.uint8)
     if arr.ndim != 1 or arr.shape[0] != length:
         raise ValueError(f"expected a length-{length} vector, got shape {arr.shape}")
@@ -94,14 +90,6 @@ class BinaryMatrix:
             rows[i] ^= 1 << j
         return cls(rows, n_cols)
 
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "BinaryMatrix":
-        return cls([0] * n_rows, n_cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "BinaryMatrix":
-        return cls([1 << i for i in range(n)], n)
-
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -120,9 +108,6 @@ class BinaryMatrix:
     def rows(self) -> tuple[int, ...]:
         """Rows as int bitsets."""
         return self._rows
-
-    def row_bits(self, i: int) -> int:
-        return self._rows[i]
 
     def row_support(self, i: int) -> tuple[int, ...]:
         """Sorted column indices of the ones in row i."""
@@ -162,25 +147,11 @@ class BinaryMatrix:
 
     def mat_vec(self, v) -> np.ndarray:
         """Matrix-vector product over GF(2)."""
-        bits = vector_to_bits(v, self._n_cols) if not isinstance(v, int) else v
+        bits = vector_to_bits(v, self._n_cols)
         out = np.empty(len(self._rows), dtype=np.uint8)
         for i, r in enumerate(self._rows):
             out[i] = (r & bits).bit_count() & 1
         return out
-
-    def mat_mul(self, other: "BinaryMatrix") -> "BinaryMatrix":
-        """Matrix product self @ other over GF(2)."""
-        if self._n_cols != other.n_rows:
-            raise ValueError("inner dimensions do not match")
-        other_t = other.transpose()
-        rows = []
-        for r in self._rows:
-            acc = 0
-            for j, c in enumerate(other_t.rows):
-                if (r & c).bit_count() & 1:
-                    acc |= 1 << j
-            rows.append(acc)
-        return BinaryMatrix(rows, other.n_cols)
 
     def commutes_with(self, other: "BinaryMatrix") -> bool:
         """True when self @ other.T == 0 over GF(2)."""
@@ -212,22 +183,19 @@ class BinaryMatrix:
 class RowReduction:
     """Result of full row reduction.
 
-    ``transform @ original == reduced`` over GF(2); ``transform`` is square
-    and invertible, ``reduced`` is in reduced row-echelon form and
-    ``pivot_cols[r]`` is the pivot column of reduced row ``r``.
+    ``reduced`` is in reduced row-echelon form, its rows span the original
+    rows, and ``pivot_cols[r]`` is the pivot column of reduced row ``r``.
     """
 
     reduced: BinaryMatrix
     pivot_cols: tuple[int, ...]
-    transform: BinaryMatrix
 
     @property
     def rank(self) -> int:
         return len(self.pivot_cols)
 
 
-def _reduce_rows(rows: list[int], n_cols: int,
-                 track: list[int] | None = None) -> tuple[list[int], list[int], list[int] | None]:
+def _reduce_rows(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
     """In-place RREF of the first ``n_cols`` columns (higher bits ride along);
     pivots chosen as the first nonzero row per column.  The one GF(2)
     elimination, shared by ``row_reduce`` and ``osd._eliminate``."""
@@ -240,33 +208,23 @@ def _reduce_rows(rows: list[int], n_cols: int,
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        if track is not None:
-            track[r], track[pivot] = track[pivot], track[r]
         for i in range(n_rows):
             if i != r and rows[i] & mask:
                 rows[i] ^= rows[r]
-                if track is not None:
-                    track[i] ^= track[r]
         pivot_cols.append(c)
         r += 1
         if r == n_rows:
             break
-    return rows, pivot_cols, track
+    return rows, pivot_cols
 
 
 def row_reduce(m: BinaryMatrix) -> RowReduction:
-    """Full reduced row-echelon form with the row transform that produced it."""
+    """Full reduced row-echelon form, cached on the matrix."""
     cached = m._cache.get("rref")
     if cached is not None:
         return cached
-    rows = list(m.rows)
-    track = [1 << i for i in range(m.n_rows)]
-    rows, pivots, track = _reduce_rows(rows, m.n_cols, track)
-    result = RowReduction(
-        reduced=BinaryMatrix(rows, m.n_cols),
-        pivot_cols=tuple(pivots),
-        transform=BinaryMatrix(track, m.n_rows),
-    )
+    rows, pivots = _reduce_rows(list(m.rows), m.n_cols)
+    result = RowReduction(reduced=BinaryMatrix(rows, m.n_cols), pivot_cols=tuple(pivots))
     m._cache["rref"] = result
     return result
 
@@ -278,7 +236,7 @@ def rank(m: BinaryMatrix) -> int:
 def in_rowspace(m: BinaryMatrix, v) -> bool:
     """True when v is a GF(2) linear combination of the rows of m."""
     red = row_reduce(m)
-    bits = vector_to_bits(v, m.n_cols) if not isinstance(v, int) else v
+    bits = vector_to_bits(v, m.n_cols)
     for r, c in zip(red.reduced.rows, red.pivot_cols):
         if (bits >> c) & 1:
             bits ^= r

@@ -215,17 +215,17 @@ class LpModel:
     """A linear program with named structure over a code's Tanner graph.
 
     ``kind`` is one of 'syndrome', 'error', 'dual'.  For the primal kinds
-    the first ``n`` columns are the qubit variables; ``subset_of_col`` maps
-    a mixture column back to its (check, subset) pair on demand.  Their
-    constraint matrix ``a`` is sliced from the code's template on first
-    read; dual models pass theirs in as ``_a``.
+    the first ``n`` columns are the qubit variables and ``mixture_col``
+    finds the column of a (check, subset) pair.  Their constraint matrix
+    ``a`` is sliced from the code's template on first read; dual models
+    pass theirs in as ``_a``.
     """
 
     kind: str
     code: CssCode
     sense: str  # 'min' or 'max'
     c: np.ndarray
-    row_sense: np.ndarray  # 0 equality, -1 <=, +1 >=
+    row_sense: np.ndarray  # 0 equality, -1 <=
     b: np.ndarray
     free_vars: np.ndarray  # bool mask; False means lower bound 0
     meta: dict = field(default_factory=dict)
@@ -248,11 +248,6 @@ class LpModel:
     @property
     def n_qubits(self) -> int:
         return self.code.n
-
-    def qubit_values(self, values: np.ndarray) -> np.ndarray:
-        if self.kind == "dual":
-            raise LposdError("dual models have no qubit variables")
-        return values[: self.code.n]
 
     # -- structural lookups (primal kinds) --------------------------------
 
@@ -297,7 +292,9 @@ class LpSolution:
     solver: str
 
     def x(self) -> np.ndarray:
-        return self.model.qubit_values(self.values)
+        if self.model.kind == "dual":
+            raise LposdError("dual models have no qubit variables")
+        return self.values[: self.model.code.n]
 
     def mixture_value(self, j: int, subset) -> float:
         return float(self.values[self.model.mixture_col(j, subset)])
@@ -345,7 +342,7 @@ def build_syndrome_lp(code: CssCode, s, weights: Sequence[float] | None = None) 
         if cost.shape != (tpl.n,):
             raise ValueError(f"weights must have length {tpl.n}")
     return _primal_lp(code, "syndrome", cost, {
-        "syndrome": s_arr.astype(np.uint8), "parities": s_arr, "weights": weights,
+        "syndrome": s_arr.astype(np.uint8), "parities": s_arr,
     })
 
 
@@ -624,8 +621,7 @@ def _solve_scipy(model: LpModel) -> tuple[np.ndarray, float, str, int]:
     sign = 1.0 if model.sense == "min" else -1.0
     highs = _new_highs(core, sign * model.c, model.a,
                        np.where(model.free_vars, -np.inf, 0.0),
-                       np.where(model.row_sense < 0, -np.inf, model.b),
-                       np.where(model.row_sense > 0, np.inf, model.b))
+                       np.where(model.row_sense < 0, -np.inf, model.b), model.b)
     values, objective, iterations = _run_highs(core, highs)
     return values, sign * objective, "optimal", iterations
 
@@ -759,7 +755,7 @@ def dump_lp(model: LpModel, path) -> None:
     lines.append(" obj: " + " ".join(terms).lstrip("+ "))
     lines.append("Subject To")
     csr = model.a.tocsr()
-    rel = {0: "=", -1: "<=", 1: ">="}
+    rel = {0: "=", -1: "<="}
     for r in range(csr.shape[0]):
         lo, hi = csr.indptr[r], csr.indptr[r + 1]
         parts = [

@@ -15,6 +15,13 @@ undecided outcomes here.  It keeps no per-code cache: the ordering reads
 H_X's packed columns and rank, which ``BinaryMatrix`` caches, and the
 elimination packs the rows of [H_committed | H_remainder | s] into ints and
 reduces them with ``gf2._reduce_rows`` (the RREF is unique).
+
+The ordering keeps its own incremental column basis instead of picking
+the committed set with ``_reduce_rows`` over all n permuted columns.  Both
+pick the same set, but the basis stops at rank(H_X) columns and reduces
+each column against at most rank(H_X) stored ones: on 300 stalled bb144
+BP syndromes at p=0.06 (2-CPU Xeon) it took 0.14-0.20 ms per syndrome
+against 0.94-1.22 ms for the full elimination.
 """
 
 from __future__ import annotations
@@ -138,7 +145,7 @@ def _eliminate(code: CssCode, ordering: QubitOrdering, s) -> tuple[np.ndarray, n
     packed = np.packbits(aug, axis=1, bitorder="little")
     rows = [int.from_bytes(row, "little") for row in packed]
 
-    rows, pivots, _ = _reduce_rows(rows, r)
+    rows, pivots = _reduce_rows(rows, r)
     if len(pivots) < r:
         col = next(c for c, p in enumerate(pivots + [r]) if c != p)
         raise SingularSubmatrix(f"committed column {col} became dependent")

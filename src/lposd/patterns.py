@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -98,13 +98,6 @@ class PoisonReport:
 
     ok: bool
     violations: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class PoisonAssignment:
-    """Flow values on Tanner edges of the X graph, keyed (qubit, check)."""
-
-    edge_values: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -291,7 +284,7 @@ def verify_certificate(code: CssCode, pattern: ErrorPattern) -> CertificateRepor
 
 
 def check_poison(code: CssCode, error,
-                 tau: Mapping[tuple[int, int], float] | PoisonAssignment,
+                 tau: Mapping[tuple[int, int], float],
                  tol: float = _POISON_TOL) -> PoisonReport:
     """Check a Tanner-edge flow against the simplified dual conditions.
 
@@ -303,8 +296,6 @@ def check_poison(code: CssCode, error,
     exhibits the corrupted qubits as sources that clean qubits cannot
     absorb, which is what dooms the relaxation on the constructed patterns.
     """
-    if isinstance(tau, PoisonAssignment):
-        tau = tau.edge_values
     e = _as_error_vector(code.n, error)
     tan = code.tanner
     missing = [edge for edge in tan.x_edges if edge not in tau]
@@ -609,12 +600,6 @@ def _hgp_path_edges_ok(h: BinaryMatrix, check: int, bit: int) -> bool:
     return 0 <= check < h.n_rows and 0 <= bit < h.n_cols and h.get(check, bit) == 1
 
 
-def _verify_ring_intersections(code: CssCode, checks: Sequence[int],
-                               qubits: Sequence[int]) -> None:
-    supports = [set(code.hz.row_support(c)) for c in checks]
-    _verify_pairwise_links(supports, checks, qubits)
-
-
 def _verify_pairwise_links(supports: Sequence[set[int]], checks: Sequence[int],
                            qubits: Sequence[int]) -> None:
     k_count = len(checks)
@@ -731,7 +716,8 @@ def verify_hgp_cycle(code: CssCode, cycle: ZCycle) -> None:
     Raises PreconditionViolated when consecutive Z checks share anything
     besides their designated link, or non-adjacent checks share anything.
     """
-    _verify_ring_intersections(code, cycle.checks, cycle.qubits)
+    supports = [set(code.hz.row_support(c)) for c in cycle.checks]
+    _verify_pairwise_links(supports, cycle.checks, cycle.qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -745,19 +731,16 @@ def _cycles_through_edges(code: CssCode, max_len: int,
     tan = code.tanner
     found: list[ZCycle] = []
     seen: set[frozenset[int]] = set()
-    depth_cap = max_len - 1
     for k in range(code.hz.n_rows):
         for q in tan.z_supports[k]:
-            path = _bfs_cycle_path(tan, k, q, depth_cap)
-            if path is None:
+            cycle = _bfs_cycle_path(tan, k, q, max_len)
+            if cycle is None:
                 continue
-            checks = tuple(idx for is_check, idx in path if is_check)
-            qubits = tuple(idx for is_check, idx in path if not is_check)
-            key = frozenset(checks)
+            key = frozenset(cycle.checks)
             if key in seen:
                 continue
             seen.add(key)
-            found.append(ZCycle(checks=checks, qubits=qubits))
+            found.append(cycle)
             if len(found) >= cap:
                 return found
     return found

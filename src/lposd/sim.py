@@ -63,6 +63,7 @@ _DECODER_TAG = {name: idx for idx, name in enumerate(DECODER_NAMES)}
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _SWEEP_GUARD = 10_000_000
+_BOOTSTRAP_RESAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ class DecoderSpec:
     the block length.  ``label`` distinguishes two configurations of the
     same pipeline within one run (defaults to the pipeline name).  A setting
     the pipeline cannot run with raises InvalidParameter here: an unknown
-    solver, or a lam, BP iteration cap or channel prior that ``OsdConfig``
-    or ``BpConfig`` rejects.
+    solver, a lam, BP iteration cap or channel prior that ``OsdConfig`` or
+    ``BpConfig`` rejects, or a BP setting on an LP pipeline.
     """
 
     name: str
@@ -98,7 +99,10 @@ class DecoderSpec:
             raise InvalidParameter(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
         # The stage configs reject a bad lam, iteration cap or channel prior.
         self.osd_config()
-        if not self.uses_lp:
+        if self.uses_lp:
+            if self.bp_iteration_cap is not None or self.bp_channel_p is not None:
+                raise InvalidParameter(f"{self.name} runs no BP; it takes no BP settings")
+        else:
             BpConfig(max_iterations=self.bp_iteration_cap)
             if self.bp_channel_p is not None:
                 BpConfig(channel_p=self.bp_channel_p)
@@ -605,7 +609,7 @@ def run_point(code: CssCode, decoder, p: float, trials: int, seed: int = 0, *,
 
 
 def _bootstrap_interval(per_code_failures: Sequence[int], trials_per_code: int,
-                        seed: int, resamples: int = 1000) -> tuple[float, float]:
+                        seed: int) -> tuple[float, float]:
     """Percentile bootstrap over codes of the pooled failure rate."""
     counts = np.asarray(per_code_failures, dtype=np.int64)
     n_codes = counts.size
@@ -613,15 +617,14 @@ def _bootstrap_interval(per_code_failures: Sequence[int], trials_per_code: int,
         return wilson_interval(int(counts[0]), trials_per_code)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(seed, spawn_key=(987654321,))))
-    picks = rng.integers(0, n_codes, size=(resamples, n_codes))
+    picks = rng.integers(0, n_codes, size=(_BOOTSTRAP_RESAMPLES, n_codes))
     rates = counts[picks].sum(axis=1) / (n_codes * trials_per_code)
     return float(np.percentile(rates, 2.5)), float(np.percentile(rates, 97.5))
 
 
 def run_ensemble(s: int, decoder, p: float, n_codes: int,
                  trials_per_code: int = 10, seed: int = 0, *,
-                 workers: int = 1, resamples: int = 1000,
-                 code_factory=None):
+                 workers: int = 1, code_factory=None):
     """Pool failures over an ensemble of random product codes.
 
     ``s`` scales the random family (block length grows with s^2).  Codes are
@@ -650,8 +653,7 @@ def run_ensemble(s: int, decoder, p: float, n_codes: int,
     for spec in specs:
         failures = per_code[spec.key]
         total_failures = sum(failures)
-        low, high = _bootstrap_interval(failures, trials_per_code, seed,
-                                        resamples=resamples)
+        low, high = _bootstrap_interval(failures, trials_per_code, seed)
         results.append(EnsembleResult(
             decoder=spec.key,
             pipeline=spec.name,

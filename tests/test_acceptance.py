@@ -17,7 +17,7 @@ half-widths of ~0.0025; separating the intervals would need roughly
 fifty times more trials (hours of runtime).  The per-trial paired
 comparison on the same run does confirm the ordering: the pipelines
 share error streams and LP solutions, and OSD-CS strictly improves on
-rounding in 14 trials of 20000 while never doing worse.
+rounding in 9 trials of 20000 while never doing worse.
 """
 
 import itertools

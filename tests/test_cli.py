@@ -161,6 +161,28 @@ def test_simulate_ensemble_defaults_trials(capsys):
     assert record["config"]["trials"] == 10
 
 
+def test_simulate_gives_bp_max_iter_to_bp_pipelines_only(capsys):
+    rc = main(["simulate", "--code", "surface:3", "--decoder", "lp,bp",
+               "--p", "0.05", "--trials", "2", "--bp-max-iter", "10", "--out", "-"])
+    assert rc == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+    caps = {d["name"]: d["bp_iteration_cap"]
+            for d in json.loads(lines[0])["config"]["decoders"]}
+    assert caps == {"lp-round": None, "bp": 10}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--code", "surface:x", "--trials", "2"],
+    ["--code", "random-hgp:x", "--trials", "2"],
+    ["--code", "random-hgp:x", "--n-codes", "2"],
+])
+def test_simulate_bad_family_argument_exits_2(argv, capsys):
+    rc = main(["simulate", "--decoder", "bp", "--p", "0.1", "--out", "-", *argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'x'" in err
+
+
 def test_simulate_single_code_requires_trials(capsys):
     rc = main(["simulate", "--code", "surface:3", "--decoder", "bp",
                "--p", "0.1", "--out", "-"])

@@ -210,6 +210,14 @@ def test_find_short_z_cycle(ring108):
         assert q in code.hz.row_support(b)
 
 
+def test_find_short_z_cycle_accepts_a_cycle_of_exactly_max_len():
+    h = BinaryMatrix.from_dense([[1, 1, 1, 0], [0, 1, 1, 1]])
+    cycle = find_short_z_cycle(hypergraph_product(h, h), 4)
+    assert len(cycle) == 4 == 2 * len(cycle.qubits)
+    cycle = find_short_z_cycle(named_bb_code("bb72"), 6)
+    assert len(cycle) == 6 == 2 * len(cycle.qubits)
+
+
 def test_find_short_z_cycle_absent(surface3):
     with pytest.raises(CycleNotFound):
         find_short_z_cycle(surface3, 2)

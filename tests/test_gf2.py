@@ -70,12 +70,21 @@ def test_mat_vec_matches_dense(dense, pick):
 
 
 @given(dense_matrices())
-def test_row_reduce_transform_reproduces_reduced(dense):
+def test_row_reduce_is_row_equivalent_rref(dense):
     m = BinaryMatrix.from_dense(dense)
     red = row_reduce(m)
-    assert (red.transform.mat_mul(m).to_dense() == red.reduced.to_dense()).all()
-    # pivot columns are singleton in the reduced matrix
     reduced = red.reduced.to_dense()
+    # each row of m is the XOR of the reduced rows its pivot-column bits pick,
+    # and the reduced rows span no more than m does
+    for row in dense:
+        combo = np.zeros(dense.shape[1], dtype=np.uint8)
+        for r, c in enumerate(red.pivot_cols):
+            if row[c]:
+                combo ^= reduced[r]
+        assert (combo == row).all()
+    assert len(red.pivot_cols) == dense_rank(dense)
+    assert not reduced[red.rank:].any()
+    # pivot columns are singleton in the reduced matrix
     for r, c in enumerate(red.pivot_cols):
         col = reduced[:, c]
         assert col[r] == 1 and col.sum() == 1

@@ -112,7 +112,8 @@ def test_decoder_spec_validation_and_defaults():
     for bad in (dict(name="lp-osdcs", solver="cuts"), dict(name="bp", solver="nonsense"),
                 dict(name="lp-osdcs", lam=-1), dict(name="bp-osd0", lam=-1),
                 dict(name="bp", bp_iteration_cap=0), dict(name="bp-osdcs", bp_iteration_cap=0),
-                dict(name="bp", bp_channel_p=0.7), dict(name="bp-osd0", bp_channel_p=0.0)):
+                dict(name="bp", bp_channel_p=0.7), dict(name="bp-osd0", bp_channel_p=0.0),
+                dict(name="lp-round", bp_iteration_cap=5), dict(name="lp-osdcs", bp_channel_p=0.1)):
         with pytest.raises(InvalidParameter):
             DecoderSpec(**bad)
     for ok in (dict(name="bp", solver="embedded"), dict(name="lp-round", lam=-1),
