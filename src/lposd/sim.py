@@ -629,7 +629,7 @@ def run_ensemble(s: int, decoder, p: float, n_codes: int,
 
     ``s`` scales the random family (block length grows with s^2).  Codes are
     drawn from seeds derived from ``seed``; each code decodes its own error
-    batch.  The confidence interval resamples codes with replacement.
+    batch.  The confidence interval is a bootstrap over codes.
     ``decoder`` may again be one spec or a sequence.
     """
     single = isinstance(decoder, (str, DecoderSpec))
