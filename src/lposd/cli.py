@@ -110,7 +110,8 @@ def resolve_decoders(tokens, osd: str | None, lam: int, tie_break: str | None,
     ``lp`` and ``bp`` are shorthands completed by ``--osd``: plain ``lp``
     is LP with independent rounding, ``lp --osd cs`` is LP with the
     combination-sweep search, and so on.  Full pipeline names pass through
-    unchanged.  ``bp_max_iter`` reaches the BP pipelines only.
+    unchanged.  ``solver`` reaches the LP pipelines only, and
+    ``bp_max_iter`` the BP pipelines only.
     """
     specs = []
     for token in tokens:
@@ -125,9 +126,10 @@ def resolve_decoders(tokens, osd: str | None, lam: int, tie_break: str | None,
             raise InvalidParameter(
                 f"unknown decoder {token!r}; expected one of {DECODER_NAMES} "
                 "or the shorthands lp/bp with --osd")
-        bp_cap = bp_max_iter if name.startswith("bp") else None
+        bp = name.startswith("bp")
         specs.append(DecoderSpec(name=name, lam=lam, tie_break=tie_break,
-                                 solver=solver, bp_iteration_cap=bp_cap))
+                                 solver=DEFAULT_SOLVER if bp else solver,
+                                 bp_iteration_cap=bp_max_iter if bp else None))
     return specs
 
 

@@ -108,6 +108,8 @@ class CssCode:
         self._params: CodeParameters | None = None
         # the LP decoder's per-code model cache (see lp._LpTemplate)
         self._lp_template = None
+        # search_patterns' prepared rings (see patterns._prepared_rings)
+        self._pattern_rings: dict = {}
 
     @property
     def n(self) -> int:
@@ -543,30 +545,22 @@ def bfs_distance_to_flipped(code: CssCode, s) -> np.ndarray:
 
     Distances are measured in the X Tanner graph (qubits at odd levels),
     with math.inf for qubits unreachable from any flipped check (in
-    particular everywhere when the syndrome is all zero).
+    particular everywhere when the syndrome is all zero).  The search
+    expands a whole level at a time over ``x_edge_qubit``/``x_edge_check``.
     """
-    s_arr = np.asarray(s, dtype=np.uint8)
     tan = code.tanner
-    n = code.n
-    dist_q = np.full(n, math.inf)
-    dist_c = np.full(code.hx.n_rows, math.inf)
-    frontier: deque[tuple[bool, int]] = deque()
-    for j in np.flatnonzero(s_arr):
-        dist_c[j] = 0
-        frontier.append((True, int(j)))
-    while frontier:
-        is_check, v = frontier.popleft()
-        if is_check:
-            for q in tan.x_supports[v]:
-                if math.isinf(dist_q[q]):
-                    dist_q[q] = dist_c[v] + 1
-                    frontier.append((False, q))
-        else:
-            for j in tan.x_checks_of_qubit[v]:
-                if math.isinf(dist_c[j]):
-                    dist_c[j] = dist_q[v] + 1
-                    frontier.append((True, j))
-    return dist_q
+    eq, ec = tan.x_edge_qubit, tan.x_edge_check
+    dist_q = np.full(code.n, math.inf)
+    seen_c = np.asarray(s, dtype=np.uint8) != 0
+    frontier, level = seen_c, 1.0
+    while True:
+        new_q = (np.bincount(eq[frontier[ec]], minlength=code.n) > 0) & np.isinf(dist_q)
+        if not new_q.any():
+            return dist_q
+        dist_q[new_q] = level
+        frontier = (np.bincount(ec[new_q[eq]], minlength=seen_c.size) > 0) & ~seen_c
+        seen_c |= frontier
+        level += 2.0
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,16 @@ supports share at least two qubits.  The ring pattern uses a cyclic chain
 of stabilizers in which adjacent members share exactly one qubit (a link)
 and non-adjacent members are disjoint.  Both produce an :class:`ErrorPattern`
 carrying the error, its syndrome, the witness, and a reducedness report.
+A builder validates its ring once, without a seed, then samples from it;
+``search_patterns`` keeps a code's validated rings on the code, and
+``verify_certificate`` checks a witness in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -172,7 +176,8 @@ def _build_certificate(code: CssCode, half_set: Iterable[int],
     """
     half = frozenset(int(i) for i in half_set)
     tan = code.tanner
-    x = {i: Fraction(1, 2) for i in sorted(half)}
+    one_half = Fraction(1, 2)  # shared: Fractions are immutable
+    x = {i: one_half for i in sorted(half)}
     w: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     for j in range(code.hx.n_rows):
         shared = sorted(half.intersection(tan.x_supports[j]))
@@ -189,44 +194,66 @@ def _build_certificate(code: CssCode, half_set: Iterable[int],
                 )
             w[(j, ())] = Fraction(1)
         elif s_j == 0:
-            w[(j, tuple(shared))] = Fraction(1, 2)
-            w[(j, ())] = Fraction(1, 2)
+            w[(j, tuple(shared))] = one_half
+            w[(j, ())] = one_half
         else:
             anchor = shared[0]
             rest = tuple(shared[1:])
-            w[(j, (anchor,))] = Fraction(1, 2)
-            w[(j, rest)] = Fraction(1, 2)
+            w[(j, (anchor,))] = one_half
+            w[(j, rest)] = one_half
     objective = Fraction(len(half), 2)
     return Certificate(x=x, w=w, objective=objective)
 
 
 def verify_certificate(code: CssCode, pattern: ErrorPattern) -> CertificateReport:
-    """Check a pattern's witness exactly, in rational arithmetic.
+    """Check a pattern's witness exactly, in integer arithmetic.
 
     Verifies that every subset key is a parity-consistent subset of its
     check's support, that each check's subset weights sum to one, that for
     every Tanner edge the subset weights containing the qubit sum to the
     qubit's value, and that the witnessed objective equals the claimed
     value, which must be one less than the error weight.
+
+    Values are scaled to integer numerators over the LCM of their
+    denominators, so the sums are exact integers; a float counts at its
+    exact binary value, and a sum with a float term prints as a float.
     """
     cert = pattern.certificate
     tan = code.tanner
     syndrome = pattern.syndrome
+    m = code.hx.n_rows
+    ratios = [v.as_integer_ratio() if isinstance(v, float) else (v.numerator, v.denominator)
+              for v in (*cert.x.values(), *cert.w.values())]
+    den = math.lcm(*(d for _, d in ratios))
+    nums = [num * (den // d) for num, d in ratios]
+    x_num = dict(zip(cert.x, nums))
     violations: list[str] = []
 
-    for i, val in cert.x.items():
+    def shown(num: int, floaty: bool) -> Fraction | float:
+        value = Fraction(num, den)
+        return float(value) if floaty else value
+
+    for (i, val), num in zip(cert.x.items(), x_num.values()):
         if not 0 <= i < code.n:
             violations.append(f"x[{i}]: qubit index out of range")
-        if not 0 <= val <= 1:
+        if not 0 <= num <= den:
             violations.append(f"x[{i}] = {val} outside [0, 1]")
 
-    per_check: dict[int, Fraction] = {}
-    for (j, subset), val in cert.w.items():
-        if not 0 <= j < code.hx.n_rows:
+    supports = [frozenset(sup) for sup in tan.x_supports]
+    per_check = [0] * m
+    edge_sums: dict[tuple[int, int], int] = {}
+    floaty: set = set()  # the checks and edges whose sums have a float term
+    for ((j, subset), val), num in zip(cert.w.items(), nums[len(x_num):]):
+        is_float = isinstance(val, float)
+        for i in subset:
+            key = (int(i), j)
+            edge_sums[key] = edge_sums.get(key, 0) + num
+            if is_float:
+                floaty.add(key)
+        if not 0 <= j < m:
             violations.append(f"w[{j}, {subset}]: check index out of range")
             continue
-        support = set(tan.x_supports[j])
-        if tuple(sorted(subset)) != tuple(subset) or not set(subset) <= support:
+        if tuple(sorted(subset)) != tuple(subset) or not supports[j].issuperset(subset):
             violations.append(
                 f"w[{j}, {subset}]: not a sorted subset of the check support"
             )
@@ -236,30 +263,26 @@ def verify_certificate(code: CssCode, pattern: ErrorPattern) -> CertificateRepor
                 f"w[{j}, {subset}]: subset parity {len(subset) % 2} does not "
                 f"match syndrome bit {int(syndrome[j])}"
             )
-        if val < 0:
+        if num < 0:
             violations.append(f"w[{j}, {subset}] = {val} is negative")
-        per_check[j] = per_check.get(j, Fraction(0)) + val
+        per_check[j] += num
+        if is_float:
+            floaty.add(j)
 
-    for j in range(code.hx.n_rows):
-        total = per_check.get(j, Fraction(0))
-        if total != 1:
-            violations.append(f"check {j}: subset weights sum to {total}, not 1")
-
-    edge_sums: dict[tuple[int, int], Fraction] = {}
-    for (j, subset), val in cert.w.items():
-        for i in subset:
-            key = (int(i), j)
-            edge_sums[key] = edge_sums.get(key, Fraction(0)) + val
-    for q, j in tan.x_edges:
-        got = edge_sums.get((q, j), Fraction(0))
-        want = cert.x.get(q, Fraction(0))
-        if got != want:
+    for j, total in enumerate(per_check):
+        if total != den:
             violations.append(
-                f"edge (qubit {q}, check {j}): subset weights sum to {got}, "
-                f"qubit value is {want}"
+                f"check {j}: subset weights sum to {shown(total, j in floaty)}, not 1")
+
+    for q, j in tan.x_edges:
+        got = edge_sums.get((q, j), 0)
+        if got != x_num.get(q, 0):
+            violations.append(
+                f"edge (qubit {q}, check {j}): subset weights sum to "
+                f"{shown(got, (q, j) in floaty)}, qubit value is {cert.x.get(q, Fraction(0))}"
             )
 
-    total_x = sum(cert.x.values(), Fraction(0))
+    total_x = shown(sum(x_num.values()), any(isinstance(v, float) for v in cert.x.values()))
     if total_x != cert.objective:
         violations.append(
             f"stored objective {cert.objective} != sum of qubit values {total_x}"
@@ -406,26 +429,48 @@ def _check_flipped_checks_touch(code: CssCode, inside: Iterable[int],
                 )
 
 
-def _sample_pattern(code: CssCode, kind: str, draw,
-                    generators: tuple[tuple[int, ...], ...],
-                    link_qubits: tuple[int, ...], half: frozenset[int]) -> ErrorPattern:
-    """Certify the first pick of ``draw()`` (an error and its corrupted link)
-    that no sum of up to ``_REDUCE_BUDGET`` Z check rows makes lighter.
+@dataclass(frozen=True)
+class _Ring:
+    """A validated ring: a pick draws ``takes[t]`` qubits of ``pools[t]`` and
+    corrupts one of ``link_qubits`` (first for a cycle, last for an overlap);
+    ``half`` is the certificate's half set.  Nothing here depends on a seed."""
+
+    kind: str
+    generators: tuple[tuple[int, ...], ...]
+    link_qubits: tuple[int, ...]
+    half: tuple[int, ...]
+    pools: tuple[np.ndarray, ...]
+    takes: tuple[int, ...]
+
+
+def _sample_ring(code: CssCode, ring: _Ring, rng_seed: int) -> ErrorPattern:
+    """Certify the first seeded pick that no sum of up to ``_REDUCE_BUDGET``
+    Z check rows makes lighter.
 
     Only that pick is graded by the coset walk.  ``_MAX_RESAMPLES`` rejected
     picks raise SamplingExhausted.
     """
+    rng = np.random.default_rng(rng_seed)
+    links = np.array(ring.link_qubits)
     for _ in range(_MAX_RESAMPLES):
-        e, corrupted = draw()
+        e = np.zeros(code.n, dtype=np.uint8)
+        if ring.kind == "cycle":
+            corrupted = int(rng.choice(links))
+        for take, pool in zip(ring.takes, ring.pools):
+            if take:
+                e[rng.choice(pool, size=take, replace=False)] = 1
+        if ring.kind == "overlap":
+            corrupted = int(rng.choice(links))
+        e[corrupted] = 1
         e_bits = vector_to_bits(e, code.n)
         if _row_search(code, e_bits, _REDUCE_BUDGET) is None:
             break
     else:
-        what = "ring" if kind == "cycle" else kind
+        what = "ring" if ring.kind == "cycle" else ring.kind
         raise SamplingExhausted(f"no reduced pick found in {_MAX_RESAMPLES} {what} samples")
     syndrome = code.syndrome(e)
     weight = int(e.sum())
-    certificate = _build_certificate(code, half, syndrome)
+    certificate = _build_certificate(code, ring.half, syndrome)
     claimed = Fraction(weight - 1)
     if certificate.objective != claimed:
         raise LposdError(
@@ -433,10 +478,10 @@ def _sample_pattern(code: CssCode, kind: str, draw,
             f"weight-1 = {claimed}"
         )
     pattern = ErrorPattern(
-        kind=kind,
+        kind=ring.kind,
         error=e,
-        generators=generators,
-        link_qubits=link_qubits,
+        generators=ring.generators,
+        link_qubits=ring.link_qubits,
         corrupted_link=corrupted,
         syndrome=syndrome,
         certificate=certificate,
@@ -452,6 +497,25 @@ def _sample_pattern(code: CssCode, kind: str, draw,
     return pattern
 
 
+def _prepare_overlap(code: CssCode, ga: np.ndarray, gb: np.ndarray) -> _Ring:
+    _check_stabilizer(code, ga, "first stabilizer")
+    _check_stabilizer(code, gb, "second stabilizer")
+    overlap = np.flatnonzero(ga & gb)
+    if overlap.size < 2:
+        raise PreconditionViolated(
+            f"stabilizer supports share {overlap.size} qubits, need >= 2"
+        )
+    diff = ga ^ gb
+    if not diff.any():
+        raise PreconditionViolated("stabilizers have identical supports")
+    half = _support(diff)
+    _check_flipped_checks_touch(code, (int(q) for q in overlap), frozenset(half), "overlap")
+    a_only = np.flatnonzero(ga & ~gb)
+    b_only = np.flatnonzero(gb & ~ga)
+    return _Ring("overlap", (_support(ga), _support(gb)), tuple(int(q) for q in overlap),
+                 half, (a_only, b_only), (len(a_only) // 2, (len(b_only) + 1) // 2))
+
+
 def build_overlap_pattern(code: CssCode, g, g2, rng_seed: int = 0) -> ErrorPattern:
     """Build an undecodable error from two stabilizers sharing >= 2 qubits.
 
@@ -463,57 +527,15 @@ def build_overlap_pattern(code: CssCode, g, g2, rng_seed: int = 0) -> ErrorPatte
     ``_REDUCE_BUDGET`` Z check rows makes lighter are rejected and
     resampled; ``_MAX_RESAMPLES`` rejections raise SamplingExhausted.
     """
-    ga = _as_error_vector(code.n, g)
-    gb = _as_error_vector(code.n, g2)
-    _check_stabilizer(code, ga, "first stabilizer")
-    _check_stabilizer(code, gb, "second stabilizer")
-    overlap = np.flatnonzero(ga & gb)
-    if overlap.size < 2:
-        raise PreconditionViolated(
-            f"stabilizer supports share {overlap.size} qubits, need >= 2"
-        )
-    diff = ga ^ gb
-    if not diff.any():
-        raise PreconditionViolated("stabilizers have identical supports")
-    half = frozenset(_support(diff))
-    _check_flipped_checks_touch(code, (int(q) for q in overlap), half, "overlap")
-
-    a_only = np.flatnonzero(ga & ~gb)
-    b_only = np.flatnonzero(gb & ~ga)
-    rng = np.random.default_rng(rng_seed)
-
-    def draw() -> tuple[np.ndarray, int]:
-        e = np.zeros(code.n, dtype=np.uint8)
-        picked_a = rng.choice(a_only, size=len(a_only) // 2, replace=False) \
-            if len(a_only) else np.array([], dtype=int)
-        picked_b = rng.choice(b_only, size=(len(b_only) + 1) // 2, replace=False) \
-            if len(b_only) else np.array([], dtype=int)
-        corrupted = int(rng.choice(overlap))
-        e[picked_a] = 1
-        e[picked_b] = 1
-        e[corrupted] = 1
-        return e, corrupted
-
-    return _sample_pattern(code, "overlap", draw, (_support(ga), _support(gb)),
-                           tuple(int(q) for q in overlap), half)
+    ring = _prepare_overlap(code, _as_error_vector(code.n, g), _as_error_vector(code.n, g2))
+    return _sample_ring(code, ring, rng_seed)
 
 
-def build_cycle_pattern(code: CssCode, generators: Sequence, rng_seed: int = 0) -> ErrorPattern:
-    """Build an undecodable error from a ring of stabilizers.
-
-    Consecutive generators (cyclically) must share exactly one qubit, the
-    link; non-adjacent generators must be disjoint; every support must be
-    even and in the Z stabilizer group; and every X check meeting a link
-    must meet the sum of the generators.  The error takes one link plus
-    half-minus-one qubits from each generator's interior.  Two generators
-    dispatch to the overlap construction, since their shared qubits then
-    play the role of two links.
-    """
-    gens = [_as_error_vector(code.n, g) for g in generators]
+def _prepare_ring(code: CssCode, gens: list[np.ndarray]) -> _Ring:
     if len(gens) < 2:
         raise PreconditionViolated("need at least two generators")
     if len(gens) == 2:
-        return build_overlap_pattern(code, gens[0], gens[1], rng_seed)
+        return _prepare_overlap(code, gens[0], gens[1])
     k_count = len(gens)
     for idx, gv in enumerate(gens):
         _check_stabilizer(code, gv, f"generator {idx}")
@@ -541,31 +563,35 @@ def build_cycle_pattern(code: CssCode, generators: Sequence, rng_seed: int = 0) 
     sigma = np.zeros(code.n, dtype=np.uint8)
     for gv in gens:
         sigma ^= gv
-    half = frozenset(_support(sigma))
-    _check_flipped_checks_touch(code, links, half, "link")
+    half = _support(sigma)
+    _check_flipped_checks_touch(code, links, frozenset(half), "link")
 
     link_set = set(links)
-    interiors = [
+    interiors = tuple(
         np.array([q for q in _support(gv) if q not in link_set], dtype=int)
         for gv in gens
-    ]
-    takes = [int(gv.sum()) // 2 - 1 for gv in gens]
+    )
+    takes = tuple(int(gv.sum()) // 2 - 1 for gv in gens)
     for idx, (take, interior) in enumerate(zip(takes, interiors)):
         if take > len(interior):
             raise PreconditionViolated(f"generator {idx} interior too small for its half weight")
-    rng = np.random.default_rng(rng_seed)
+    return _Ring("cycle", tuple(_support(gv) for gv in gens), tuple(links), half,
+                 interiors, takes)
 
-    def draw() -> tuple[np.ndarray, int]:
-        e = np.zeros(code.n, dtype=np.uint8)
-        corrupted = int(rng.choice(np.array(links)))
-        e[corrupted] = 1
-        for take, interior in zip(takes, interiors):
-            if take:
-                e[rng.choice(interior, size=take, replace=False)] = 1
-        return e, corrupted
 
-    return _sample_pattern(code, "cycle", draw, tuple(_support(gv) for gv in gens),
-                           tuple(links), half)
+def build_cycle_pattern(code: CssCode, generators: Sequence, rng_seed: int = 0) -> ErrorPattern:
+    """Build an undecodable error from a ring of stabilizers.
+
+    Consecutive generators (cyclically) must share exactly one qubit, the
+    link; non-adjacent generators must be disjoint; every support must be
+    even and in the Z stabilizer group; and every X check meeting a link
+    must meet the sum of the generators.  The error takes one link plus
+    half-minus-one qubits from each generator's interior.  Two generators
+    dispatch to the overlap construction, since their shared qubits then
+    play the role of two links.
+    """
+    ring = _prepare_ring(code, [_as_error_vector(code.n, g) for g in generators])
+    return _sample_ring(code, ring, rng_seed)
 
 
 def stabilizers_within(code: CssCode, support) -> list[np.ndarray]:
@@ -746,12 +772,13 @@ def _cycles_through_edges(code: CssCode, max_len: int,
     return found
 
 
-def _compose_even(gens: list[np.ndarray]) -> list[np.ndarray] | None:
+def _compose_even(gens: list[np.ndarray]) -> list[np.ndarray]:
     """Merge adjacent odd-weight ring members pairwise until all are even.
 
     Merging neighbors keeps the ring structure: their shared link cancels
     and the merged support meets each remaining neighbor in the original
-    single link.  Returns None when the odd members cannot be paired up.
+    single link.  A ring of even members comes back as it is; one whose
+    odd members cannot be paired up raises PreconditionViolated.
     """
     out: list[np.ndarray] = []
     pending: np.ndarray | None = None
@@ -764,8 +791,24 @@ def _compose_even(gens: list[np.ndarray]) -> list[np.ndarray] | None:
         else:
             out.append(gv)
     if pending is not None or len(out) < 2:
-        return None
+        raise PreconditionViolated("odd-weight ring members cannot be paired up")
     return out
+
+
+def _prepared_rings(code: CssCode, max_cycle_len: int, cap: int) -> list[tuple[int, _Ring]]:
+    """The valid rings of the first ``cap`` short cycles, with their cycle indices."""
+    key = (max_cycle_len, cap)
+    if key not in code._pattern_rings:
+        rings = []
+        for idx, cycle in enumerate(_cycles_through_edges(code, max_cycle_len, cap)):
+            try:
+                gens = _compose_even([_as_error_vector(code.n, code.hz.row_support(c))
+                                      for c in cycle.checks])
+                rings.append((idx, _prepare_ring(code, gens)))
+            except PreconditionViolated:
+                continue
+        code._pattern_rings[key] = rings
+    return code._pattern_rings[key]
 
 
 def search_patterns(code: CssCode, max_cycle_len: int = 12, limit: int = 10,
@@ -775,25 +818,22 @@ def search_patterns(code: CssCode, max_cycle_len: int = 12, limit: int = 10,
     Each distinct short cycle yields a candidate ring of Z generators;
     rings with odd-weight members are repaired by merging adjacent odd
     pairs.  Candidates that violate the ring preconditions or never
-    produce a reduced pick are skipped.  Returns up to ``limit`` patterns.
+    produce a reduced pick are skipped.  Returns up to ``limit`` (>= 1).
+
+    The cycles and every seed-independent ring check depend only on the
+    code, ``max_cycle_len`` and the cycle cap (8 per pattern, at least 64),
+    so the code keeps its valid rings per (length, cap) after the first
+    search.  Each ring keeps its cycle's index, which seeds its picks, so a
+    warm code gives exactly the patterns a fresh one gives.
     """
-    cycles = _cycles_through_edges(code, max_cycle_len, cap=max(limit * 8, 64))
+    if limit < 1:
+        raise InvalidParameter(f"limit must be >= 1, got {limit}")
     patterns: list[ErrorPattern] = []
-    for idx, cycle in enumerate(cycles):
-        gens: list[np.ndarray] = [
-            _as_error_vector(code.n, code.hz.row_support(c))
-            for c in cycle.checks
-        ]
-        if any(int(gv.sum()) % 2 for gv in gens):
-            repaired = _compose_even(gens)
-            if repaired is None:
-                continue
-            gens = repaired
+    for idx, ring in _prepared_rings(code, max_cycle_len, max(limit * 8, 64)):
         try:
-            pattern = build_cycle_pattern(code, gens, rng_seed=rng_seed * 100003 + idx)
-        except (PreconditionViolated, SamplingExhausted):
+            patterns.append(_sample_ring(code, ring, rng_seed * 100003 + idx))
+        except SamplingExhausted:
             continue
-        patterns.append(pattern)
         if len(patterns) >= limit:
             break
     return patterns

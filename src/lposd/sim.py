@@ -77,8 +77,10 @@ class DecoderSpec:
     the block length.  ``label`` distinguishes two configurations of the
     same pipeline within one run (defaults to the pipeline name).  A setting
     the pipeline cannot run with raises InvalidParameter here: an unknown
-    solver, a lam, BP iteration cap or channel prior that ``OsdConfig`` or
-    ``BpConfig`` rejects, or a BP setting on an LP pipeline.
+    solver, a negative lam on any pipeline, a BP iteration cap or channel
+    prior that ``BpConfig`` rejects, a BP setting on an LP pipeline, or a
+    solver other than ``DEFAULT_SOLVER`` on a BP pipeline.  A BP pipeline
+    records its solver as None.
     """
 
     name: str
@@ -97,12 +99,14 @@ class DecoderSpec:
             raise InvalidParameter(f"unknown tie_break {self.tie_break!r}")
         if self.solver not in SOLVERS:
             raise InvalidParameter(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
-        # The stage configs reject a bad lam, iteration cap or channel prior.
-        self.osd_config()
+        if self.lam < 0:
+            raise InvalidParameter("lam must be >= 0")
         if self.uses_lp:
             if self.bp_iteration_cap is not None or self.bp_channel_p is not None:
                 raise InvalidParameter(f"{self.name} runs no BP; it takes no BP settings")
-        else:
+        elif self.solver != DEFAULT_SOLVER:
+            raise InvalidParameter(f"{self.name} runs no LP; it takes no solver")
+        else:  # BpConfig rejects a bad iteration cap or channel prior
             BpConfig(max_iterations=self.bp_iteration_cap)
             if self.bp_channel_p is not None:
                 BpConfig(channel_p=self.bp_channel_p)
@@ -140,7 +144,7 @@ class DecoderSpec:
             "label": self.key,
             "lam": self.lam,
             "tie_break": self.resolved_tie_break(),
-            "solver": self.solver,
+            "solver": self.solver if self.uses_lp else None,
             "bp_iteration_cap": self.bp_iteration_cap,
             "bp_channel_p": self.bp_channel_p,
         }

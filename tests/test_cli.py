@@ -171,6 +171,15 @@ def test_simulate_gives_bp_max_iter_to_bp_pipelines_only(capsys):
     assert caps == {"lp-round": None, "bp": 10}
 
 
+def test_simulate_gives_solver_to_lp_pipelines_only(capsys):
+    rc = main(["simulate", "--code", "surface:3", "--decoder", "lp,bp",
+               "--p", "0.05", "--trials", "2", "--solver", "embedded", "--out", "-"])
+    assert rc == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+    solvers = {d["name"]: d["solver"] for d in json.loads(lines[0])["config"]["decoders"]}
+    assert solvers == {"lp-round": "embedded", "bp": None}
+
+
 @pytest.mark.parametrize("argv", [
     ["--code", "surface:x", "--trials", "2"],
     ["--code", "random-hgp:x", "--trials", "2"],
@@ -208,6 +217,18 @@ def test_find_patterns_roundtrip(tmp_path, capsys):
     loaded = read_patterns(out, load_code(code_dir))
     assert 1 <= len(loaded) <= 2
     assert all(p.weight >= 3 for p in loaded)
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_find_patterns_rejects_a_limit_below_one(tmp_path, capsys, limit):
+    code_dir = tmp_path / "ring"
+    save_code(make_ring108()[0], code_dir)
+    out = tmp_path / "patterns.jsonl"
+    rc = main(["find-patterns", "--code", str(code_dir), "--limit", limit,
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import with_zero_x_row
+from reference_bfs import reference_bfs_distance_to_flipped
 
 from lposd.codes import (
     bfs_distance_to_flipped,
@@ -196,6 +197,40 @@ def test_bfs_distance_to_flipped(surface3):
     assert dist.min() == 1
     zero = bfs_distance_to_flipped(surface3, np.zeros_like(s))
     assert np.isinf(zero).all()
+
+
+_BFS_CODES = {
+    "surface-3": lambda: rotated_surface_code(3),
+    "surface-7": lambda: rotated_surface_code(7),
+    "bb72": lambda: named_bb_code("bb72"),
+    "bb144": lambda: named_bb_code("bb144"),
+    "random-hgp": lambda: sample_random_hgp(2, 0),
+    "zero-row-middle": lambda: with_zero_x_row(rotated_surface_code(3), 1),
+    "zero-row-end": lambda: with_zero_x_row(rotated_surface_code(3), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BFS_CODES))
+def test_bfs_distance_matches_frozen_deque_search(name):
+    code = _BFS_CODES[name]()
+    m = code.hx.n_rows
+    rng = np.random.default_rng(7)
+    syndromes = [np.zeros(m, dtype=np.uint8), np.ones(m, dtype=np.uint8)]
+    syndromes += [(rng.random(m) < rate).astype(np.uint8)
+                  for rate in (0.02, 0.1, 0.3) for _ in range(10)]
+    syndromes += [code.syndrome((rng.random(code.n) < 0.05).astype(np.uint8))
+                  for _ in range(10)]
+    for s in syndromes:
+        got = bfs_distance_to_flipped(code, s)
+        want = reference_bfs_distance_to_flipped(code, s)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    zero_at = {"zero-row-middle": 1, "zero-row-end": 4}.get(name)
+    if zero_at is not None:
+        # a flipped all-zero check reaches nothing: every qubit stays inf
+        alone = np.zeros(m, dtype=np.uint8)
+        alone[zero_at] = 1
+        assert np.isinf(bfs_distance_to_flipped(code, alone)).all()
+        assert np.isinf(reference_bfs_distance_to_flipped(code, alone)).all()
 
 
 def test_find_short_z_cycle(ring108):

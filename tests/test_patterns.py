@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -33,8 +34,9 @@ from lposd import (
     verify_hgp_cycle,
     write_patterns,
 )
-from lposd.codes import rotated_surface_code
+from lposd.codes import named_bb_code, rotated_surface_code
 from lposd.patterns import pattern_to_record, record_to_pattern
+from reference_certificate import reference_verify_certificate
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +177,81 @@ def test_certificate_mutations_are_caught(toy_pattern):
     bad_claim = dataclasses.replace(pattern,
                                     claimed_objective=Fraction(7, 2))
     assert not verify_certificate(code, bad_claim).ok
+
+
+def _mutations(code, pattern):
+    """Certificates that break every check ``verify_certificate`` makes,
+    plus int, float and thirds versions that keep or break it."""
+    cert = pattern.certificate
+
+    def with_cert(**changes):
+        return dataclasses.replace(pattern, certificate=dataclasses.replace(cert, **changes))
+
+    x_first = next(iter(cert.x))
+    j = int(np.flatnonzero(pattern.syndrome)[0])
+    support = code.tanner.x_supports[j]
+    off_support = next(q for q in range(code.n) if q not in support)
+    (key, val), *_ = cert.w.items()
+    out = {
+        "qubit out of range": with_cert(x={**cert.x, code.n: Fraction(1, 2)}),
+        "x outside [0, 1]": with_cert(x={**cert.x, x_first: Fraction(3, 2)}),
+        "check out of range": with_cert(w={**cert.w, (code.hx.n_rows, ()): Fraction(1)}),
+        "unsorted subset": with_cert(w={**cert.w, (j, tuple(support[2::-1])): Fraction(1, 2)}),
+        "off-support subset": with_cert(w={**cert.w, (j, (off_support,)): Fraction(1, 2)}),
+        "wrong parity": with_cert(w={**cert.w, (j, tuple(support[:2])): Fraction(0)}),
+        "negative weight": with_cert(w={**cert.w, (j, tuple(support[:3])): Fraction(-1, 2)}),
+        "dropped weight": with_cert(w={k: v for k, v in cert.w.items() if k != key}),
+        "edge mismatch": with_cert(x={**cert.x, x_first: Fraction(1)}),
+        "stored objective": with_cert(objective=cert.objective + 1),
+        "claimed objective": dataclasses.replace(pattern, claimed_objective=Fraction(7, 2)),
+        "thirds": with_cert(x={**cert.x, x_first: Fraction(1, 3)},
+                            w={**cert.w, key: val - Fraction(1, 3)}),
+        "ints": with_cert(x={i: int(v) if v.denominator == 1 else v for i, v in cert.x.items()},
+                          w={k: int(v) if v.denominator == 1 else v for k, v in cert.w.items()},
+                          objective=int(cert.objective)),
+        "numpy ints": with_cert(w={k: np.int64(v) if v == 1 else v for k, v in cert.w.items()}),
+        "floats": with_cert(x={i: float(v) for i, v in cert.x.items()},
+                            w={k: float(v) for k, v in cert.w.items()},
+                            objective=float(cert.objective)),
+        "floats dropped": with_cert(x={i: float(v) for i, v in cert.x.items()},
+                                    w={k: float(v) for k, v in cert.w.items() if k != key}),
+        "float x": with_cert(x={**cert.x, x_first: 0.75}),
+        "float w": with_cert(w={**cert.w, key: 0.25}),
+    }
+    return out
+
+
+def _oracle_codes_and_patterns(toy22, ring108, bb72):
+    toy, h1, h2 = toy22
+    lay = hgp_layout(h1, h2)
+    dz = toy.hz.to_dense()
+    yield toy, build_overlap_pattern(toy, dz[lay.z_check(0, 1)], dz[lay.z_check(1, 1)])
+    surface5 = rotated_surface_code(5)
+    dz5 = surface5.hz.to_dense()
+    yield surface5, build_overlap_pattern(surface5, dz5[0] ^ dz5[3], dz5[3] ^ dz5[7])
+    for pattern in search_patterns(ring108[0], max_cycle_len=8, limit=3):
+        yield ring108[0], pattern
+    for pattern in search_patterns(bb72, limit=12):
+        yield bb72, pattern
+
+
+def test_verify_certificate_matches_frozen_fraction_check(toy22, ring108, bb72):
+    seen = set()
+    for code, pattern in _oracle_codes_and_patterns(toy22, ring108, bb72):
+        cases = {"as built": pattern, **_mutations(code, pattern)}
+        for name, case in cases.items():
+            got = verify_certificate(code, case)
+            want = reference_verify_certificate(code, case)
+            assert got == want, name
+            assert type(got.objective) is type(want.objective), name
+            assert got.ok == (name in ("as built", "ints", "numpy ints", "floats")), name
+            seen.update(got.violations)
+    for fragment in ("qubit index out of range", "outside [0, 1]",
+                     "check index out of range", "not a sorted subset",
+                     "subset parity", "is negative", ", not 1", "edge (qubit",
+                     "stored objective", "!= witnessed", "!= weight-1", "1/3",
+                     "sum to 0.5, not 1"):
+        assert any(fragment in v for v in seen), fragment
 
 
 def test_overlap_preconditions(toy22, ring108):
@@ -417,6 +494,62 @@ def test_search_respects_limit(ring108):
     assert len(found) == 1
 
 
+def test_search_rejects_a_limit_below_one(bb72):
+    for limit in (0, -3):
+        with pytest.raises(InvalidParameter, match="limit"):
+            search_patterns(bb72, limit=limit)
+
+
+def _records(patterns):
+    return [pattern_to_record(p) for p in patterns]
+
+
+@pytest.mark.parametrize("name", ["bb72", "ring108", "toy22"])
+def test_warm_searches_equal_fresh_ones(name, monkeypatch):
+    import lposd.patterns as patterns_mod
+    from conftest import make_ring108, make_toy22
+
+    # toy22's one valid ring is its third cycle, so a ring must keep its
+    # cycle's index to seed its picks as a fresh search does
+    def build():
+        return {"bb72": lambda: named_bb_code("bb72"), "ring108": lambda: make_ring108()[0],
+                "toy22": lambda: make_toy22()[0]}[name]()
+
+    max_len = 12 if name == "bb72" else 8
+    warm = build()
+    calls = {"cycle": 0, "stabilizer": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(patterns_mod, "_bfs_cycle_path",
+                        counted("cycle", patterns_mod._bfs_cycle_path))
+    monkeypatch.setattr(patterns_mod, "_check_stabilizer",
+                        counted("stabilizer", patterns_mod._check_stabilizer))
+    # a limit of 3 caps the search at 64 cycles, fewer than bb72 has
+    first = search_patterns(warm, max_cycle_len=max_len, limit=3, rng_seed=0)
+    assert calls["cycle"] > 0 and calls["stabilizer"] > 0
+    calls.update(cycle=0, stabilizer=0)
+    assert _records(search_patterns(warm, max_cycle_len=max_len, limit=3, rng_seed=0)) \
+        == _records(first)
+    assert calls == {"cycle": 0, "stabilizer": 0}
+
+    for seed, limit in ((1, 10), (2, 3), (3, 200), (1, 1)):
+        got = search_patterns(warm, max_cycle_len=max_len, limit=limit, rng_seed=seed)
+        want = search_patterns(build(), max_cycle_len=max_len, limit=limit, rng_seed=seed)
+        assert got and _records(got) == _records(want), (seed, limit)
+
+    loaded = pickle.loads(pickle.dumps(warm))
+    calls.update(cycle=0, stabilizer=0)
+    again = search_patterns(loaded, max_cycle_len=max_len, limit=10, rng_seed=4)
+    assert calls == {"cycle": 0, "stabilizer": 0}
+    assert _records(again) == _records(
+        search_patterns(build(), max_cycle_len=max_len, limit=10, rng_seed=4))
+
+
 def test_serialization_round_trip(tmp_path, ring_pattern, ring108):
     code, pattern = ring_pattern
     extra = search_patterns(code, max_cycle_len=8, limit=1)
@@ -486,6 +619,9 @@ def test_stabilizers_within_full_support_recovers_everything(toy_pattern):
 _PATTERN_DIGESTS = {
     "search-bb72": "4d17ff6a68ca06cd72974753818dda74ffc1318d2d298106a6e3259debaf733d",
     "search-ring108": "26791b7654921a18a1ca6899d6d4b6f41d0f9e1213fc9805624f61337daf7065",
+    # recorded before search_patterns kept prepared rings; toy22's one valid
+    # ring is its third cycle, whose index seeds the picks
+    "search-toy22": "cdfd032da2ea036fae616dd19d55d3825a5449bf04db39940baa569e2193fa77",
     "overlap-toy22": "75c3436bc15661ddf4c5dd7d1bd881042bc5968ef2138323cbf8e564ad61e956",
     "cycle-ring108": "d7a9d5213f479e64852eaf52b5caff8c8ace15681c24442d2a5789bdd59cb95d",
     # picks here are resampled when two Z rows make them lighter, and the
@@ -504,6 +640,10 @@ def test_pattern_records_unchanged(case, toy22, ring108, bb72):
     elif case == "search-ring108":
         patterns = [p for seed in range(5)
                     for p in search_patterns(ring108[0], max_cycle_len=8, limit=3,
+                                             rng_seed=seed)]
+    elif case == "search-toy22":
+        patterns = [p for seed in range(5)
+                    for p in search_patterns(toy22[0], max_cycle_len=8, limit=3,
                                              rng_seed=seed)]
     elif case == "overlap-toy22":
         code, h1, h2 = toy22

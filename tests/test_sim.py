@@ -8,6 +8,7 @@ from conftest import with_zero_x_row
 
 from lposd import (
     DECODER_NAMES,
+    DEFAULT_SOLVER,
     DecoderSpec,
     EnumerationTooLarge,
     InvalidParameter,
@@ -111,14 +112,19 @@ def test_decoder_spec_validation_and_defaults():
     # settings a pipeline cannot run with fail when the spec is made
     for bad in (dict(name="lp-osdcs", solver="cuts"), dict(name="bp", solver="nonsense"),
                 dict(name="lp-osdcs", lam=-1), dict(name="bp-osd0", lam=-1),
+                dict(name="lp-round", lam=-1), dict(name="bp", lam=-1),
+                dict(name="bp", solver="embedded"), dict(name="bp-osdcs", solver="embedded"),
                 dict(name="bp", bp_iteration_cap=0), dict(name="bp-osdcs", bp_iteration_cap=0),
                 dict(name="bp", bp_channel_p=0.7), dict(name="bp-osd0", bp_channel_p=0.0),
                 dict(name="lp-round", bp_iteration_cap=5), dict(name="lp-osdcs", bp_channel_p=0.1)):
         with pytest.raises(InvalidParameter):
             DecoderSpec(**bad)
-    for ok in (dict(name="bp", solver="embedded"), dict(name="lp-round", lam=-1),
+    for ok in (dict(name="lp-round", lam=0), dict(name="lp-round", solver="embedded"),
                dict(name="bp", bp_iteration_cap=1, bp_channel_p=0.49)):
         DecoderSpec(**ok)
+    # a BP pipeline runs no LP, so its record names no solver
+    assert DecoderSpec(name="bp-osdcs").to_record()["solver"] is None
+    assert DecoderSpec(name="lp-osd0").to_record()["solver"] == DEFAULT_SOLVER
 
 
 def test_sim_config_validation():
