@@ -192,7 +192,7 @@ def _mutations(code, pattern):
     support = code.tanner.x_supports[j]
     off_support = next(q for q in range(code.n) if q not in support)
     (key, val), *_ = cert.w.items()
-    out = {
+    return {
         "qubit out of range": with_cert(x={**cert.x, code.n: Fraction(1, 2)}),
         "x outside [0, 1]": with_cert(x={**cert.x, x_first: Fraction(3, 2)}),
         "check out of range": with_cert(w={**cert.w, (code.hx.n_rows, ()): Fraction(1)}),
@@ -218,7 +218,6 @@ def _mutations(code, pattern):
         "float x": with_cert(x={**cert.x, x_first: 0.75}),
         "float w": with_cert(w={**cert.w, key: 0.25}),
     }
-    return out
 
 
 def _oracle_codes_and_patterns(toy22, ring108, bb72):
@@ -509,8 +508,7 @@ def test_warm_searches_equal_fresh_ones(name, monkeypatch):
     import lposd.patterns as patterns_mod
     from conftest import make_ring108, make_toy22
 
-    # toy22's one valid ring is its third cycle, so a ring must keep its
-    # cycle's index to seed its picks as a fresh search does
+    # toy22 keeps one valid ring of its five cycles; bb72 and ring108 keep all
     def build():
         return {"bb72": lambda: named_bb_code("bb72"), "ring108": lambda: make_ring108()[0],
                 "toy22": lambda: make_toy22()[0]}[name]()
