@@ -63,8 +63,8 @@ def _cmd_make_code(args) -> int:
     else:
         if not args.h1 or not args.h2:
             raise InvalidParameter("hgp family needs --h1 and --h2 matrix files")
-        h1 = read_matrix(args.h1)
-        h2 = read_matrix(args.h2)
+        h1 = _read(read_matrix, args.h1)
+        h2 = _read(read_matrix, args.h2)
         code = hypergraph_product(h1, h2, name="hgp")
     save_code(code, args.out)
     params = code.parameters()
@@ -79,7 +79,7 @@ def resolve_code(spec: str, seed: int = 0) -> CssCode:
     ``seed``).
     """
     if os.path.isdir(spec):
-        return load_code(spec)
+        return _read(load_code, spec)
     family, arg = _parse_inline(spec)
     if family == "surface":
         return rotated_surface_code(arg)
@@ -225,7 +225,7 @@ def _add_find_patterns(sub) -> None:
 
 
 def _cmd_find_patterns(args) -> int:
-    code = load_code(args.code)
+    code = _read(load_code, args.code)
     patterns = search_patterns(code, max_cycle_len=args.max_cycle,
                                limit=args.limit, rng_seed=args.seed)
     write_patterns(patterns, args.out, code_ref=args.code)
@@ -234,6 +234,14 @@ def _cmd_find_patterns(args) -> int:
               f"reduced {pat.reduced_verified}")
     print(f"{len(patterns)} patterns -> {args.out}")
     return 0
+
+
+def _read(reader, path, *args):
+    """``reader(path, *args)``; a missing or malformed file is InvalidParameter."""
+    try:
+        return reader(path, *args)
+    except (OSError, ValueError) as exc:
+        raise InvalidParameter(f"{path}: {exc}") from None
 
 
 def _read_floats(path) -> list[float]:
@@ -275,8 +283,8 @@ def _add_detector_decode(sub) -> None:
 
 
 def _cmd_detector_decode(args) -> int:
-    matrix = read_matrix(args.matrix)
-    probs = _read_floats(args.probs)
+    matrix = _read(read_matrix, args.matrix)
+    probs = _read(_read_floats, args.probs)
     if len(probs) != matrix.n_cols:
         raise InvalidParameter(
             f"expected {matrix.n_cols} probabilities, got {len(probs)}")
@@ -285,7 +293,7 @@ def _cmd_detector_decode(args) -> int:
             raise InvalidParameter(f"probability {prob} outside (0, 1)")
     weights = [math.log((1.0 - prob) / prob) for prob in probs]
     code = CssCode(matrix, BinaryMatrix([], matrix.n_cols), name="detector")
-    s = _read_syndrome(args.syndrome, matrix.n_rows)
+    s = _read(_read_syndrome, args.syndrome, matrix.n_rows)
     if args.dump_lp:
         dump_lp(build_syndrome_lp(code, s, weights), args.dump_lp)
     if not in_rowspace(matrix.transpose(), s):

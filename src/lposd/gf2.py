@@ -195,14 +195,17 @@ class RowReduction:
         return len(self.pivot_cols)
 
 
-def _reduce_rows(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
-    """In-place RREF of the first ``n_cols`` columns (higher bits ride along);
-    pivots chosen as the first nonzero row per column.  The one GF(2)
-    elimination, shared by ``row_reduce`` and ``osd._eliminate``."""
+def row_reduce(m: BinaryMatrix) -> RowReduction:
+    """Full reduced row-echelon form, cached on the matrix; pivots are
+    chosen as the first nonzero row per column."""
+    cached = m._cache.get("rref")
+    if cached is not None:
+        return cached
+    rows = list(m.rows)
     pivot_cols: list[int] = []
     r = 0
     n_rows = len(rows)
-    for c in range(n_cols):
+    for c in range(m.n_cols):
         mask = 1 << c
         pivot = next((i for i in range(r, n_rows) if rows[i] & mask), None)
         if pivot is None:
@@ -215,16 +218,7 @@ def _reduce_rows(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
         r += 1
         if r == n_rows:
             break
-    return rows, pivot_cols
-
-
-def row_reduce(m: BinaryMatrix) -> RowReduction:
-    """Full reduced row-echelon form, cached on the matrix."""
-    cached = m._cache.get("rref")
-    if cached is not None:
-        return cached
-    rows, pivots = _reduce_rows(list(m.rows), m.n_cols)
-    result = RowReduction(reduced=BinaryMatrix(rows, m.n_cols), pivot_cols=tuple(pivots))
+    result = RowReduction(reduced=BinaryMatrix(rows, m.n_cols), pivot_cols=tuple(pivot_cols))
     m._cache["rref"] = result
     return result
 

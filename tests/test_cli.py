@@ -62,6 +62,17 @@ def test_make_code_hgp_requires_matrices(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_make_code_hgp_missing_matrix_file_exits_2(tmp_path, capsys):
+    h_path = tmp_path / "h.txt"
+    write_matrix(repetition_parity_check(3), h_path)
+    missing = tmp_path / "absent.txt"
+    rc = main(["make-code", "--family", "hgp", "--h1", str(missing),
+               "--h2", str(h_path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -332,6 +343,48 @@ def test_detector_decode_infeasible_syndrome_exits_2(tmp_path, capsys):
                 captured = capsys.readouterr()
                 assert "error:" in captured.err
                 assert captured.out == ""
+
+
+@pytest.mark.parametrize("field, text", [
+    ("probs", "0.05 x\n"),
+    ("syndrome", "a\n"),
+    ("matrix", "1 5\n5\n"),
+    ("matrix", None),
+], ids=["probability-not-a-number", "syndrome-not-an-integer",
+        "matrix-entry-out-of-bounds", "matrix-missing"])
+def test_detector_decode_unreadable_file_exits_2(detector_files, tmp_path, capsys,
+                                                 field, text):
+    paths = dict(zip(("matrix", "probs", "syndrome"), detector_files[:3]))
+    paths[field] = tmp_path / "bad.txt"
+    if text is not None:
+        paths[field].write_text(text)
+    rc = main(["detector-decode", "--matrix", str(paths["matrix"]),
+               "--probs", str(paths["probs"]), "--syndrome", str(paths["syndrome"])])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(paths[field]) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("hx_text", ["1 9\n9\n", None], ids=["bad-hx", "missing-hx"])
+@pytest.mark.parametrize("command", ["simulate", "find-patterns"])
+def test_saved_code_with_unreadable_hx_exits_2(surface_dir, tmp_path, capsys,
+                                               command, hx_text):
+    hx_path = surface_dir / "hx.txt"
+    if hx_text is None:
+        hx_path.unlink()
+    else:
+        hx_path.write_text(hx_text)
+    if command == "simulate":
+        argv = ["simulate", "--code", str(surface_dir), "--decoder", "bp",
+                "--p", "0.1", "--trials", "2", "--out", "-"]
+    else:
+        argv = ["find-patterns", "--code", str(surface_dir),
+                "--out", str(tmp_path / "patterns.jsonl")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(surface_dir) in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

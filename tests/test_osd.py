@@ -289,6 +289,15 @@ def test_elimination_errors_match_dense_reference(surface3):
     got, want = eliminate_both(code, bad, s)
     assert got == want == "committed column 1 became dependent"
 
+    # independent committed columns, one short of rank(H_X): s reduces, but
+    # the dropped column, now first in the remainder, does not
+    short = QubitOrdering(ordering.permutation, ordering.committed[:-1],
+                          np.concatenate((ordering.committed[-1:], ordering.remainder)))
+    assert committed_submatrix_rank(code, short.committed) == short.committed.size
+    assert short.committed.size < rank(code.hx)
+    got, want = eliminate_both(code, short, s)
+    assert got == want == "syndrome outside the check-matrix column space"
+
 
 def test_postprocess_dispatches_on_order(surface3):
     code = surface3
