@@ -110,7 +110,7 @@ def _column_basis(code: CssCode, order, stop: int) -> tuple[dict[int, int], list
 
     Returns (basis, picked).  ``picked`` holds the positions in ``order`` of
     the independent columns.  A basis vector is an int whose bits from
-    ``stop`` up are checks, keyed by its highest bit; below them, bit k
+    ``stop`` up are checks, keyed by its bit length; below them, bit k
     marks picked column k as a term of the sum it stands for.
     """
     cols = code.hx.transpose().rows  # column q of H_X as a bitset over checks
