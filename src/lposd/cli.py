@@ -164,7 +164,10 @@ def _add_simulate(sub) -> None:
 def _cmd_simulate(args) -> int:
     decoders = resolve_decoders(args.decoder.split(","), args.osd, args.lam,
                                 args.tie_break, args.solver, args.bp_max_iter)
-    ps = tuple(float(tok) for tok in args.p.split(","))
+    try:
+        ps = tuple(float(tok) for tok in args.p.split(","))
+    except ValueError:
+        raise InvalidParameter(f"--p takes comma-separated numbers, not {args.p!r}") from None
     ensemble = args.n_codes > 1
     trials = args.trials
     if ensemble:
@@ -329,7 +332,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LposdError as exc:
+    except (LposdError, OSError) as exc:  # bad input or an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -110,6 +110,9 @@ SOLVERS = ("scipy", "embedded")
 # Components this close to an integer are snapped when a solution is packaged.
 _SNAP = 1e-11
 
+# A qubit variable this close to 0 or 1 counts as integral.
+_INTEGRAL_TOL = 1e-6
+
 # Most 0/1 optima the persistent HiGHS model remembers per code (about 0.8 MB
 # on bb72).
 _MEMO_ENTRIES = 2048
@@ -655,10 +658,10 @@ def solve_lp(model: LpModel, solver: str = DEFAULT_SOLVER) -> LpSolution:
                       status=status, iterations=iterations, solver=solver)
 
 
-def is_integral(sol: LpSolution | np.ndarray, tol: float = 1e-6) -> bool:
-    """True when every qubit variable is within tol of 0 or 1."""
+def is_integral(sol: LpSolution | np.ndarray) -> bool:
+    """True when every qubit variable is within 1e-6 of 0 or 1."""
     x = sol.x() if isinstance(sol, LpSolution) else np.asarray(sol, dtype=float)
-    return bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= tol))
+    return bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= _INTEGRAL_TOL))
 
 
 def round_independent(x) -> np.ndarray:

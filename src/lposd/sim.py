@@ -22,6 +22,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -195,28 +196,51 @@ class SimConfig:
         }
 
 
+_POINT_RECORD_KEYS = (
+    "code", "decoder", "pipeline", "p", "trials", "failures", "p_l", "ci_low",
+    "ci_high", "wrong_syndrome", "p_ws", "ws_ratio", "fractional", "solver_faults",
+    "lp_iterations", "stage_counts", "mean_decode_seconds", "seed", "point_index")
+
+_ENSEMBLE_RECORD_KEYS = (
+    "decoder", "pipeline", "p", "n_codes", "trials", "failures", "p_l", "ci_low",
+    "ci_high", "per_code_failures", "trials_per_code", "seed")
+
+
 @dataclass
 class PointResult:
-    """Aggregated outcome of one (code, decoder, p) sweep point."""
+    """Counts of one (code, decoder, p) sweep point; the rates, the Wilson
+    interval and the mean decode time are derived from them."""
 
     code_name: str
     decoder: str
     pipeline: str
     p: float
-    trials: int
-    failures: int
-    p_l: float
-    ci_low: float
-    ci_high: float
-    wrong_syndrome: int
-    p_ws: float
-    fractional: int
-    solver_faults: int
-    stage_counts: dict[str, int]
-    mean_decode_seconds: float
     seed: int
     point_index: int
-    lp_iterations: int  # simplex iterations summed over the LP solves used
+    trials: int = 0
+    failures: int = 0
+    wrong_syndrome: int = 0
+    fractional: int = 0
+    solver_faults: int = 0
+    lp_iterations: int = 0  # simplex iterations summed over the LP solves used
+    stage_counts: dict[str, int] = field(default_factory=dict)
+    decode_seconds: float = 0.0  # summed over the trials
+
+    @property
+    def p_l(self) -> float:
+        return self.failures / self.trials
+
+    @property
+    def ci_low(self) -> float:
+        return wilson_interval(self.failures, self.trials)[0]
+
+    @property
+    def ci_high(self) -> float:
+        return wilson_interval(self.failures, self.trials)[1]
+
+    @property
+    def p_ws(self) -> float:
+        return self.wrong_syndrome / self.trials
 
     @property
     def ws_ratio(self) -> float | None:
@@ -225,62 +249,73 @@ class PointResult:
             return None
         return self.wrong_syndrome / self.failures
 
+    @property
+    def mean_decode_seconds(self) -> float:
+        return self.decode_seconds / self.trials
+
+    def merge(self, other: "PointResult") -> None:
+        """Add the counts of another run of the same point."""
+        self.trials += other.trials
+        self.failures += other.failures
+        self.wrong_syndrome += other.wrong_syndrome
+        self.fractional += other.fractional
+        self.solver_faults += other.solver_faults
+        self.lp_iterations += other.lp_iterations
+        for stage, count in other.stage_counts.items():
+            self.stage_counts[stage] = self.stage_counts.get(stage, 0) + count
+        self.decode_seconds += other.decode_seconds
+
     def to_record(self) -> dict:
-        return {
-            "code": self.code_name,
-            "decoder": self.decoder,
-            "pipeline": self.pipeline,
-            "p": self.p,
-            "trials": self.trials,
-            "failures": self.failures,
-            "p_l": self.p_l,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "wrong_syndrome": self.wrong_syndrome,
-            "p_ws": self.p_ws,
-            "ws_ratio": self.ws_ratio,
-            "fractional": self.fractional,
-            "solver_faults": self.solver_faults,
-            "lp_iterations": self.lp_iterations,
-            "stage_counts": dict(sorted(self.stage_counts.items())),
-            "mean_decode_seconds": self.mean_decode_seconds,
-            "seed": self.seed,
-            "point_index": self.point_index,
-        }
+        record = {key: getattr(self, "code_name" if key == "code" else key)
+                  for key in _POINT_RECORD_KEYS}
+        record["stage_counts"] = dict(sorted(self.stage_counts.items()))
+        return record
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnsembleResult:
-    """Pooled outcome over an ensemble of random codes at one (decoder, p)."""
+    """Per-code failure counts over an ensemble of random codes at one
+    (decoder, p); the pooled rate and its bootstrap interval are derived."""
 
     decoder: str
     pipeline: str
     p: float
-    n_codes: int
-    trials: int
-    failures: int
-    p_l: float
-    ci_low: float
-    ci_high: float
     per_code_failures: tuple[int, ...]
     trials_per_code: int
     seed: int
 
+    @property
+    def n_codes(self) -> int:
+        return len(self.per_code_failures)
+
+    @property
+    def trials(self) -> int:
+        return self.n_codes * self.trials_per_code
+
+    @property
+    def failures(self) -> int:
+        return sum(self.per_code_failures)
+
+    @property
+    def p_l(self) -> float:
+        return self.failures / self.trials
+
+    @cached_property
+    def _interval(self) -> tuple[float, float]:
+        return _bootstrap_interval(self.per_code_failures, self.trials_per_code, self.seed)
+
+    @property
+    def ci_low(self) -> float:
+        return self._interval[0]
+
+    @property
+    def ci_high(self) -> float:
+        return self._interval[1]
+
     def to_record(self) -> dict:
-        return {
-            "decoder": self.decoder,
-            "pipeline": self.pipeline,
-            "p": self.p,
-            "n_codes": self.n_codes,
-            "trials": self.trials,
-            "failures": self.failures,
-            "p_l": self.p_l,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "per_code_failures": list(self.per_code_failures),
-            "trials_per_code": self.trials_per_code,
-            "seed": self.seed,
-        }
+        record = {key: getattr(self, key) for key in _ENSEMBLE_RECORD_KEYS}
+        record["per_code_failures"] = list(self.per_code_failures)
+        return record
 
 
 @dataclass
@@ -290,12 +325,13 @@ class SweepRow:
     n_failures: int
 
 
-def wilson_interval(failures: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
     if not 0 <= failures <= trials:
         raise InvalidParameter("failures must lie in [0, trials]")
+    z = _WILSON_Z
     phat = failures / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -332,29 +368,6 @@ def _error_rng(seed: int, point_index: int, trial: int) -> np.random.Generator:
 def _decoder_rng(seed: int, point_index: int, trial: int, tag: int) -> np.random.Generator:
     ss = np.random.SeedSequence(seed, spawn_key=(point_index, trial, tag))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-@dataclass
-class _Tally:
-    trials: int = 0
-    failures: int = 0
-    wrong_syndrome: int = 0
-    fractional: int = 0
-    solver_faults: int = 0
-    lp_iterations: int = 0
-    stage_counts: dict = field(default_factory=dict)
-    decode_seconds: float = 0.0
-
-    def merge(self, other: "_Tally") -> None:
-        self.trials += other.trials
-        self.failures += other.failures
-        self.wrong_syndrome += other.wrong_syndrome
-        self.fractional += other.fractional
-        self.solver_faults += other.solver_faults
-        self.lp_iterations += other.lp_iterations
-        for stage, count in other.stage_counts.items():
-            self.stage_counts[stage] = self.stage_counts.get(stage, 0) + count
-        self.decode_seconds += other.decode_seconds
 
 
 @dataclass
@@ -514,8 +527,10 @@ def bp_osd_decode(code: CssCode, s, bp_cfg: BpConfig | None = None,
 
 def _run_trials(code: CssCode, specs: Sequence[DecoderSpec], p: float,
                 seed: int, point_index: int, start: int, stop: int,
-                ) -> dict[str, _Tally]:
-    tallies = {spec.key: _Tally() for spec in specs}
+                ) -> list[PointResult]:
+    code_name = code.name or f"css-n{code.n}"
+    results = [PointResult(code_name, spec.key, spec.name, p, seed, point_index)
+               for spec in specs]
     for trial in range(start, stop):
         err_rng = _error_rng(seed, point_index, trial)
         error = sample_error(code.n, p, err_rng)
@@ -523,26 +538,24 @@ def _run_trials(code: CssCode, specs: Sequence[DecoderSpec], p: float,
         outcomes = _decode_all(
             code, specs, s, p,
             lambda spec: _decoder_rng(seed, point_index, trial, spec.tag))
-        for spec in specs:
-            outcome = outcomes[spec.key]
-            tally = tallies[spec.key]
-            tally.trials += 1
-            tally.decode_seconds += outcome.seconds
-            tally.lp_iterations += outcome.diagnostics.get("lp_iterations", 0)
-            tally.stage_counts[outcome.stage] = (
-                tally.stage_counts.get(outcome.stage, 0) + 1)
+        for res in results:
+            outcome = outcomes[res.decoder]
+            res.trials += 1
+            res.decode_seconds += outcome.seconds
+            res.lp_iterations += outcome.diagnostics.get("lp_iterations", 0)
+            res.stage_counts[outcome.stage] = res.stage_counts.get(outcome.stage, 0) + 1
             if outcome.diagnostics.get("fractional"):
-                tally.fractional += 1
+                res.fractional += 1
             if outcome.stage == "solver-fault":
-                tally.solver_faults += 1
+                res.solver_faults += 1
             if not is_success(code, error, outcome.correction):
-                tally.failures += 1
+                res.failures += 1
                 if (code.syndrome(outcome.correction) != s).any():
-                    tally.wrong_syndrome += 1
-    return tallies
+                    res.wrong_syndrome += 1
+    return results
 
 
-def _worker_entry(args) -> dict[str, _Tally]:
+def _worker_entry(args) -> list[PointResult]:
     return _run_trials(*args)
 
 
@@ -574,41 +587,17 @@ def run_point(code: CssCode, decoder, p: float, trials: int, seed: int = 0, *,
         ranges = _chunk_ranges(trials, workers)
         args = [(code, specs, p, seed, point_index, lo, hi) for lo, hi in ranges]
         with multiprocessing.Pool(min(workers, len(ranges))) as pool:
-            partials = pool.map(_worker_entry, args)
-        tallies = {spec.key: _Tally() for spec in specs}
+            results, *partials = pool.map(_worker_entry, args)
         for part in partials:
-            for name, tally in part.items():
-                tallies[name].merge(tally)
+            for res, other in zip(results, part):
+                res.merge(other)
     else:
-        tallies = _run_trials(code, specs, p, seed, point_index, 0, trials)
+        results = _run_trials(code, specs, p, seed, point_index, 0, trials)
 
-    results = []
-    for spec in specs:
-        tally = tallies[spec.key]
-        if tally.solver_faults:
+    for res in results:
+        if res.solver_faults:
             logger.warning("%s: %d solver faults at p=%g counted as failures",
-                           spec.key, tally.solver_faults, p)
-        low, high = wilson_interval(tally.failures, tally.trials)
-        results.append(PointResult(
-            code_name=code.name or f"css-n{code.n}",
-            decoder=spec.key,
-            pipeline=spec.name,
-            p=p,
-            trials=tally.trials,
-            failures=tally.failures,
-            p_l=tally.failures / tally.trials,
-            ci_low=low,
-            ci_high=high,
-            wrong_syndrome=tally.wrong_syndrome,
-            p_ws=tally.wrong_syndrome / tally.trials,
-            fractional=tally.fractional,
-            solver_faults=tally.solver_faults,
-            stage_counts=dict(tally.stage_counts),
-            mean_decode_seconds=tally.decode_seconds / tally.trials,
-            seed=seed,
-            point_index=point_index,
-            lp_iterations=tally.lp_iterations,
-        ))
+                           res.decoder, res.solver_faults, p)
     return results[0] if single else results
 
 
@@ -647,31 +636,12 @@ def run_ensemble(s: int, decoder, p: float, n_codes: int,
         code_seed = int(np.random.SeedSequence(
             seed, spawn_key=(idx,)).generate_state(1)[0])
         code = factory(s, code_seed)
-        point = run_point(code, specs, p, trials_per_code, seed,
-                          point_index=idx, workers=workers)
-        for res in point:
+        for res in run_point(code, specs, p, trials_per_code, seed,
+                             point_index=idx, workers=workers):
             per_code[res.decoder].append(res.failures)
 
-    results = []
-    total_trials = n_codes * trials_per_code
-    for spec in specs:
-        failures = per_code[spec.key]
-        total_failures = sum(failures)
-        low, high = _bootstrap_interval(failures, trials_per_code, seed)
-        results.append(EnsembleResult(
-            decoder=spec.key,
-            pipeline=spec.name,
-            p=p,
-            n_codes=n_codes,
-            trials=total_trials,
-            failures=total_failures,
-            p_l=total_failures / total_trials,
-            ci_low=low,
-            ci_high=high,
-            per_code_failures=tuple(failures),
-            trials_per_code=trials_per_code,
-            seed=seed,
-        ))
+    results = [EnsembleResult(spec.key, spec.name, p, tuple(per_code[spec.key]),
+                              trials_per_code, seed) for spec in specs]
     return results[0] if single else results
 
 

@@ -210,6 +210,31 @@ def test_simulate_single_code_requires_trials(capsys):
     assert "--trials" in capsys.readouterr().err
 
 
+# sha256 of the JSONL lines of two simulate runs without their timings,
+# recorded while run_point and run_ensemble assembled their results from a
+# separate per-point tally
+@pytest.mark.parametrize("argv, digest", [
+    (["--code", "surface:3", "--decoder", "lp,bp", "--osd", "cs",
+      "--p", "0.05,0.1", "--trials", "20", "--seed", "1"],
+     "f9ad55db814e78b5334e2972c19757ba950bc4f100aa4e6cb4923989187a87ad"),
+    (["--code", "random-hgp:2", "--decoder", "lp-osd0,bp", "--p", "0.05",
+      "--n-codes", "3", "--trials-per-code", "5", "--seed", "2"],
+     "fe0155f4aff92a0139ef1b9efd09c1985d644f3cb9bfbf4a744f2a59949fb9a5"),
+], ids=["single-code", "ensemble"])
+def test_simulate_records_unchanged(argv, digest, capsys):
+    import hashlib
+
+    assert main(["simulate", *argv, "--out", "-"]) == 0
+    records = []
+    for line in capsys.readouterr().out.splitlines():
+        record = json.loads(line)
+        record.pop("wall_seconds")
+        record.pop("mean_decode_seconds", None)
+        records.append(record)
+    text = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # find-patterns
 # ---------------------------------------------------------------------------
@@ -385,6 +410,25 @@ def test_saved_code_with_unreadable_hx_exits_2(surface_dir, tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and str(surface_dir) in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--code", "surface:3", "--decoder", "bp", "--p", "x",
+     "--trials", "2", "--out", "-"],
+    ["simulate", "--code", "surface:3", "--decoder", "bp", "--p", "0.1",
+     "--trials", "2", "--out", "{missing}/x.jsonl"],
+    ["find-patterns", "--code", "{ring}", "--limit", "1", "--out", "{missing}/p.jsonl"],
+    ["detector-decode", "--matrix", "{matrix}", "--probs", "{probs}",
+     "--syndrome", "{syndrome}", "--dump-lp", "{missing}/m.lp"],
+], ids=["simulate-bad-p", "simulate-out", "find-patterns-out", "detector-decode-dump-lp"])
+def test_bad_value_or_unwritable_output_exits_2(argv, detector_files, tmp_path, capsys):
+    ring = tmp_path / "ring"
+    save_code(make_ring108()[0], ring)
+    paths = dict(zip(("matrix", "probs", "syndrome"), detector_files[:3]),
+                 ring=ring, missing=tmp_path / "missing")
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

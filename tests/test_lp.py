@@ -333,8 +333,8 @@ def test_reflection_rejects_mismatched_reference(surface3):
 def test_is_integral_on_vectors():
     assert is_integral(np.array([0.0, 1.0, 0.0]))
     assert not is_integral(np.array([0.5, 0.0]))
-    assert is_integral(np.array([1.0 - 5e-7, 3e-7]), tol=1e-6)
-    assert not is_integral(np.array([1.0 - 2e-6]), tol=1e-6)
+    assert is_integral(np.array([1.0 - 5e-7, 3e-7]))
+    assert not is_integral(np.array([1.0 - 2e-6]))
 
 
 def test_is_integral_ignores_mixture_variables(surface3):

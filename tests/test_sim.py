@@ -185,6 +185,13 @@ def test_workers_do_not_change_results(surface3):
     assert point_fingerprint(serial) == point_fingerprint(parallel)
 
 
+@pytest.mark.parametrize("name", ["lp-osdcs", "bp-osd0"])
+def test_workers_merge_an_uneven_split(surface3, name):
+    serial = run_point(surface3, name, p=0.1, trials=61, seed=9)
+    parallel = run_point(surface3, name, p=0.1, trials=61, seed=9, workers=3)
+    assert point_fingerprint(serial) == point_fingerprint(parallel)
+    assert parallel.trials == 61
+
 def test_workers_with_a_persistent_solver_model(surface3):
     import pickle
 
@@ -494,3 +501,25 @@ def test_one_shot_decoders_unchanged(fixture, weighted, request):
         rows.append([(res.correction.tolist(), res.stage) for res in results])
     kind = "weighted" if weighted else "unweighted"
     assert _digest(rows) == _EQUIVALENCE_DIGESTS[fixture][kind]
+
+
+# sha256 of run_ensemble records, recorded while run_point and
+# run_ensemble assembled their results from a separate per-point tally
+_ENSEMBLE_DIGESTS = {
+    "surface3-factory": "5f18fb337f21b29024a1a729bd7d684edc013dff6f3b49f00e0236fa3233a48d",
+    "random-hgp": "04e2ef6182416a6b2ff5fcf7322a0cd26e53ddff0246432723e12ff1b9cf0c23",
+}
+
+
+def test_run_ensemble_records_unchanged(surface3):
+    specs = ["lp-round", "lp-osdcs", "bp-osd0",
+             DecoderSpec("bp-osdcs", tie_break="random", label="bp-osdcs-random")]
+    records = []
+    for n_codes in (1, 3):  # Wilson interval, then the bootstrap over codes
+        results = run_ensemble(2, specs, p=0.08, n_codes=n_codes, trials_per_code=20,
+                               seed=4, code_factory=lambda s, seed: surface3)
+        records += [res.to_record() for res in results]
+    assert _digest(records) == _ENSEMBLE_DIGESTS["surface3-factory"]
+    results = run_ensemble(2, ["lp-osd0", "bp-osdcs"], p=0.05, n_codes=3,
+                           trials_per_code=10, seed=6)
+    assert _digest([res.to_record() for res in results]) == _ENSEMBLE_DIGESTS["random-hgp"]
