@@ -686,19 +686,8 @@ def reflect_to_syndrome_solution(sol: LpSolution, e_prime=None) -> LpSolution:
     model = sol.model
     if model.kind != "error":
         raise LposdError("expected a solution of the error-anchored LP")
-    code = model.code
     e_arr = model.meta["e_prime"] if e_prime is None else np.asarray(e_prime, dtype=np.uint8)
-    s = code.syndrome(e_arr)
-    target = build_syndrome_lp(code, s)
-    values = _reflect_values(sol.values, model, target, e_arr)
-    return LpSolution(
-        model=target,
-        values=values,
-        objective=sol.objective + float(e_arr.sum()),
-        status=sol.status,
-        iterations=sol.iterations,
-        solver=sol.solver,
-    )
+    return _reflect(sol, build_syndrome_lp(model.code, model.code.syndrome(e_arr)), e_arr, +1)
 
 
 def reflect_to_error_solution(sol: LpSolution, e_prime) -> LpSolution:
@@ -706,40 +695,30 @@ def reflect_to_error_solution(sol: LpSolution, e_prime) -> LpSolution:
     model = sol.model
     if model.kind != "syndrome":
         raise LposdError("expected a solution of the syndrome LP")
-    code = model.code
     e_arr = np.asarray(e_prime, dtype=np.uint8)
-    if not np.array_equal(code.syndrome(e_arr), model.meta["syndrome"]):
+    if not np.array_equal(model.code.syndrome(e_arr), model.meta["syndrome"]):
         raise LposdError("reference error does not match the model's syndrome")
-    target = build_error_lp(code, e_arr)
-    values = _reflect_values(sol.values, model, target, e_arr)
-    return LpSolution(
-        model=target,
-        values=values,
-        objective=sol.objective - float(e_arr.sum()),
-        status=sol.status,
-        iterations=sol.iterations,
-        solver=sol.solver,
-    )
+    return _reflect(sol, build_error_lp(model.code, e_arr), e_arr, -1)
 
 
-def _reflect_values(src_values: np.ndarray, src_model: LpModel,
-                    dst_model: LpModel, e_arr: np.ndarray) -> np.ndarray:
-    code = src_model.code
-    tan = code.tanner
-    n = code.n
-    values = np.zeros(dst_model.n_vars)
-    x = src_values[:n]
-    inside = e_arr.astype(bool)
-    values[:n] = np.where(inside, 1.0 - x, x)
+def _reflect(sol: LpSolution, target: LpModel, e_arr: np.ndarray, sign: int) -> LpSolution:
+    """``sol`` reflected through the reference error ``e_arr`` onto ``target``,
+    its objective shifted by ``sign`` times the reference weight."""
+    src = sol.model
+    tan = src.code.tanner
+    n = src.code.n
+    values = np.zeros(target.n_vars)
+    x = sol.values[:n]
+    values[:n] = np.where(e_arr.astype(bool), 1.0 - x, x)
     support_of = {i for i in range(n) if e_arr[i]}
-    for j in range(code.hx.n_rows):
+    for j in range(src.code.hx.n_rows):
         shift = tuple(q for q in tan.x_supports[j] if q in support_of)
-        for subset in dst_model.mixture_subsets(j):
+        for subset in target.mixture_subsets(j):
             src_subset = tuple(sorted(set(subset).symmetric_difference(shift)))
-            values[dst_model.mixture_col(j, subset)] = src_values[
-                src_model.mixture_col(j, src_subset)
-            ]
-    return values
+            values[target.mixture_col(j, subset)] = sol.values[src.mixture_col(j, src_subset)]
+    return LpSolution(model=target, values=values,
+                      objective=sol.objective + sign * float(e_arr.sum()),
+                      status=sol.status, iterations=sol.iterations, solver=sol.solver)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .codes import CssCode, HgpLayout, ZCycle, _bfs_cycle_path, hgp_layout
+from .codes import CssCode, ZCycle, _bfs_cycle_path, hgp_layout, hypergraph_product
 from .errors import (
     InvalidParameter,
     LposdError,
@@ -469,14 +469,6 @@ def _sample_ring(code: CssCode, ring: _Ring, rng_seed: int) -> ErrorPattern:
         what = "ring" if ring.kind == "cycle" else ring.kind
         raise SamplingExhausted(f"no reduced pick found in {_MAX_RESAMPLES} {what} samples")
     syndrome = code.syndrome(e)
-    weight = int(e.sum())
-    certificate = _build_certificate(code, ring.half, syndrome)
-    claimed = Fraction(weight - 1)
-    if certificate.objective != claimed:
-        raise LposdError(
-            f"internal error: witness objective {certificate.objective} != "
-            f"weight-1 = {claimed}"
-        )
     pattern = ErrorPattern(
         kind=ring.kind,
         error=e,
@@ -484,8 +476,8 @@ def _sample_ring(code: CssCode, ring: _Ring, rng_seed: int) -> ErrorPattern:
         link_qubits=ring.link_qubits,
         corrupted_link=corrupted,
         syndrome=syndrome,
-        certificate=certificate,
-        claimed_objective=claimed,
+        certificate=_build_certificate(code, ring.half, syndrome),
+        claimed_objective=Fraction(int(e.sum()) - 1),
         reduced_verified=_coset_walk(code, e_bits).status,
     )
     report = verify_certificate(code, pattern)
@@ -531,52 +523,54 @@ def build_overlap_pattern(code: CssCode, g, g2, rng_seed: int = 0) -> ErrorPatte
     return _sample_ring(code, ring, rng_seed)
 
 
+def _ring_links(supports: Sequence[frozenset[int]]) -> tuple[int, ...]:
+    """The links of a ring of three or more supports.
+
+    Consecutive members (cyclically) must share exactly one qubit, their
+    link; the links must be distinct; non-adjacent members must share
+    nothing.  ``links[t]`` joins members t and t+1.
+    """
+    k_count = len(supports)
+    links: list[int] = []
+    for idx in range(k_count):
+        nxt = (idx + 1) % k_count
+        shared = supports[idx] & supports[nxt]
+        if len(shared) != 1:
+            raise PreconditionViolated(
+                f"ring members {idx} and {nxt} share {len(shared)} qubits, need exactly 1")
+        links.extend(shared)
+    if len(set(links)) != k_count:
+        raise PreconditionViolated("link qubits are not distinct")
+    for idx, other in itertools.combinations(range(k_count), 2):
+        if (other - idx) % k_count not in (1, k_count - 1) and supports[idx] & supports[other]:
+            raise PreconditionViolated(
+                f"non-adjacent ring members {idx} and {other} are not disjoint")
+    return tuple(links)
+
+
 def _prepare_ring(code: CssCode, gens: list[np.ndarray]) -> _Ring:
     if len(gens) < 2:
         raise PreconditionViolated("need at least two generators")
     if len(gens) == 2:
         return _prepare_overlap(code, gens[0], gens[1])
-    k_count = len(gens)
     for idx, gv in enumerate(gens):
         _check_stabilizer(code, gv, f"generator {idx}")
 
-    links: list[int] = []
-    for idx in range(k_count):
-        nxt = (idx + 1) % k_count
-        shared = np.flatnonzero(gens[idx] & gens[nxt])
-        if shared.size != 1:
-            raise PreconditionViolated(
-                f"generators {idx} and {nxt} share {shared.size} qubits, need "
-                "exactly 1"
-            )
-        links.append(int(shared[0]))
-    if len(set(links)) != k_count:
-        raise PreconditionViolated("link qubits are not distinct")
-    for idx, other in itertools.combinations(range(k_count), 2):
-        if (other - idx) % k_count in (1, k_count - 1):
-            continue
-        if np.any(gens[idx] & gens[other]):
-            raise PreconditionViolated(
-                f"non-adjacent generators {idx} and {other} are not disjoint"
-            )
-
+    supports = tuple(_support(gv) for gv in gens)
+    links = _ring_links([frozenset(sup) for sup in supports])
     sigma = np.zeros(code.n, dtype=np.uint8)
     for gv in gens:
         sigma ^= gv
     half = _support(sigma)
     _check_flipped_checks_touch(code, links, frozenset(half), "link")
 
-    link_set = set(links)
-    interiors = tuple(
-        np.array([q for q in _support(gv) if q not in link_set], dtype=int)
-        for gv in gens
-    )
-    takes = tuple(int(gv.sum()) // 2 - 1 for gv in gens)
+    interiors = tuple(np.array([q for q in sup if q not in links], dtype=int)
+                      for sup in supports)
+    takes = tuple(len(sup) // 2 - 1 for sup in supports)
     for idx, (take, interior) in enumerate(zip(takes, interiors)):
         if take > len(interior):
             raise PreconditionViolated(f"generator {idx} interior too small for its half weight")
-    return _Ring("cycle", tuple(_support(gv) for gv in gens), tuple(links), half,
-                 interiors, takes)
+    return _Ring("cycle", supports, links, half, interiors, takes)
 
 
 def build_cycle_pattern(code: CssCode, generators: Sequence, rng_seed: int = 0) -> ErrorPattern:
@@ -626,25 +620,6 @@ def _hgp_path_edges_ok(h: BinaryMatrix, check: int, bit: int) -> bool:
     return 0 <= check < h.n_rows and 0 <= bit < h.n_cols and h.get(check, bit) == 1
 
 
-def _verify_pairwise_links(supports: Sequence[set[int]], checks: Sequence[int],
-                           qubits: Sequence[int]) -> None:
-    k_count = len(checks)
-    for idx, other in itertools.combinations(range(k_count), 2):
-        inter = supports[idx] & supports[other]
-        step = (other - idx) % k_count
-        if k_count == 2:
-            expected = set(qubits)
-        elif step in (1, k_count - 1):
-            expected = {qubits[idx] if step == 1 else qubits[other]}
-        else:
-            expected = set()
-        if inter != expected:
-            raise PreconditionViolated(
-                f"Z checks {checks[idx]} and {checks[other]} share qubits "
-                f"{sorted(inter)}, expected {sorted(expected)}"
-            )
-
-
 def hgp_cycle(h1: BinaryMatrix, h2: BinaryMatrix, paths) -> ZCycle:
     """Locate a ring of Z checks inside the product of two classical codes.
 
@@ -657,8 +632,8 @@ def hgp_cycle(h1: BinaryMatrix, h2: BinaryMatrix, paths) -> ZCycle:
     alternating closed walk (check, bit, ..., check, bit) in the first
     factor and ``bit2`` a bit index of the second; the factor cycle is
     replicated at that bit.  Returns the ring as Z check indices plus the
-    link qubits, after verifying that consecutive checks share exactly the
-    links and all other pairs share nothing.
+    link qubits, after ``verify_hgp_cycle`` has checked it on the product
+    code.
     """
     if len(paths) != 2:
         raise InvalidParameter("paths must have exactly two elements")
@@ -725,25 +700,27 @@ def hgp_cycle(h1: BinaryMatrix, h2: BinaryMatrix, paths) -> ZCycle:
             layout.qubit_bb(b1, b2p), layout.qubit_bb(b1, b1p),
         )
 
-    h2t = h2.transpose()
-    supports = []
-    for check_idx in checks:
-        b, a2_ = divmod(check_idx, h2.n_cols)
-        sup = {layout.qubit_aa(a, a2_) for a in h1.row_support(b)}
-        sup |= {layout.qubit_bb(b, c2) for c2 in h2t.row_support(a2_)}
-        supports.append(sup)
-    _verify_pairwise_links(supports, checks, qubits)
-    return ZCycle(checks=checks, qubits=qubits)
+    cycle = ZCycle(checks=checks, qubits=qubits)
+    verify_hgp_cycle(hypergraph_product(h1, h2), cycle)
+    return cycle
 
 
 def verify_hgp_cycle(code: CssCode, cycle: ZCycle) -> None:
-    """Check that a ring's pairwise support intersections are exactly its links.
+    """Check that a ring of Z checks meets the ring rule with its own links.
 
-    Raises PreconditionViolated when consecutive Z checks share anything
-    besides their designated link, or non-adjacent checks share anything.
+    Three or more checks must form a ring (consecutive checks share exactly
+    one qubit, the links are distinct, non-adjacent checks share nothing)
+    whose links are ``cycle.qubits`` in order; two checks must overlap in
+    exactly ``set(cycle.qubits)``.  Raises PreconditionViolated otherwise.
     """
-    supports = [set(code.hz.row_support(c)) for c in cycle.checks]
-    _verify_pairwise_links(supports, cycle.checks, cycle.qubits)
+    supports = [frozenset(code.hz.row_support(c)) for c in cycle.checks]
+    if len(supports) == 2:
+        links, expected = sorted(supports[0] & supports[1]), sorted(set(cycle.qubits))
+    else:
+        links, expected = list(_ring_links(supports)), list(cycle.qubits)
+    if links != expected:
+        raise PreconditionViolated(
+            f"Z checks {cycle.checks} are linked by qubits {links}, expected {expected}")
 
 
 # ---------------------------------------------------------------------------

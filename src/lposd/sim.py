@@ -266,10 +266,11 @@ class PointResult:
         self.decode_seconds += other.decode_seconds
 
     def to_record(self) -> dict:
-        record = {key: getattr(self, "code_name" if key == "code" else key)
-                  for key in _POINT_RECORD_KEYS}
-        record["stage_counts"] = dict(sorted(self.stage_counts.items()))
-        return record
+        ci_low, ci_high = wilson_interval(self.failures, self.trials)
+        own = {"code": self.code_name, "ci_low": ci_low, "ci_high": ci_high,
+               "stage_counts": dict(sorted(self.stage_counts.items()))}
+        return {key: own[key] if key in own else getattr(self, key)
+                for key in _POINT_RECORD_KEYS}
 
 
 @dataclass(frozen=True)
@@ -559,9 +560,40 @@ def _worker_entry(args) -> list[PointResult]:
     return _run_trials(*args)
 
 
+def _map_trials(tasks: Iterable[tuple], n_tasks: int, workers: int) -> Iterable[list[PointResult]]:
+    """``_run_trials`` on each of ``n_tasks`` argument tuples: on one pool of
+    up to ``workers`` processes, else lazily in this process."""
+    if workers > 1 and n_tasks > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(min(workers, n_tasks)) as pool:
+            return pool.map(_worker_entry, tasks)
+    return map(_worker_entry, tasks)
+
+
 def _chunk_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
     chunk = max(1, math.ceil(trials / workers))
     return [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+
+
+def _point_specs(decoder, p: float, trials: int) -> tuple[bool, list[DecoderSpec]]:
+    """Whether ``decoder`` names one pipeline, and the checked specs."""
+    single = isinstance(decoder, (str, DecoderSpec))
+    specs = [as_decoder(decoder)] if single else [as_decoder(d) for d in decoder]
+    if len({spec.key for spec in specs}) != len(specs):
+        raise InvalidParameter("duplicate decoder labels in one run")
+    if not 0.0 < p < 0.5:
+        raise InvalidParameter(f"physical error rate {p} outside (0, 1/2)")
+    if trials < 1:
+        raise InvalidParameter("trials must be >= 1")
+    return single, specs
+
+
+def _warn_faults(results: Iterable[PointResult], p: float) -> None:
+    for res in results:
+        if res.solver_faults:
+            logger.warning("%s: %d solver faults at p=%g counted as failures",
+                           res.decoder, res.solver_faults, p)
 
 
 def run_point(code: CssCode, decoder, p: float, trials: int, seed: int = 0, *,
@@ -572,32 +604,14 @@ def run_point(code: CssCode, decoder, p: float, trials: int, seed: int = 0, *,
     the LP and message-passing front ends across pipelines and returns one
     result per entry.  Results are independent of ``workers``.
     """
-    single = isinstance(decoder, (str, DecoderSpec))
-    specs = [as_decoder(decoder)] if single else [as_decoder(d) for d in decoder]
-    if len({spec.key for spec in specs}) != len(specs):
-        raise InvalidParameter("duplicate decoder labels in one run")
-    if not 0.0 < p < 0.5:
-        raise InvalidParameter(f"physical error rate {p} outside (0, 1/2)")
-    if trials < 1:
-        raise InvalidParameter("trials must be >= 1")
-
-    if workers > 1 and trials > 1:
-        import multiprocessing
-
-        ranges = _chunk_ranges(trials, workers)
-        args = [(code, specs, p, seed, point_index, lo, hi) for lo, hi in ranges]
-        with multiprocessing.Pool(min(workers, len(ranges))) as pool:
-            results, *partials = pool.map(_worker_entry, args)
-        for part in partials:
-            for res, other in zip(results, part):
-                res.merge(other)
-    else:
-        results = _run_trials(code, specs, p, seed, point_index, 0, trials)
-
-    for res in results:
-        if res.solver_faults:
-            logger.warning("%s: %d solver faults at p=%g counted as failures",
-                           res.decoder, res.solver_faults, p)
+    single, specs = _point_specs(decoder, p, trials)
+    tasks = [(code, specs, p, seed, point_index, lo, hi)
+             for lo, hi in _chunk_ranges(trials, workers)]
+    results, *partials = _map_trials(tasks, len(tasks), workers)
+    for part in partials:
+        for res, other in zip(results, part):
+            res.merge(other)
+    _warn_faults(results, p)
     return results[0] if single else results
 
 
@@ -621,23 +635,25 @@ def run_ensemble(s: int, decoder, p: float, n_codes: int,
     """Pool failures over an ensemble of random product codes.
 
     ``s`` scales the random family (block length grows with s^2).  Codes are
-    drawn from seeds derived from ``seed``; each code decodes its own error
-    batch.  The confidence interval is a bootstrap over codes.
+    drawn from seeds derived from ``seed`` in this process; each code decodes
+    its own error batch, as one task on a single pool when ``workers`` > 1.
+    The confidence interval is a bootstrap over codes.
     ``decoder`` may again be one spec or a sequence.
     """
-    single = isinstance(decoder, (str, DecoderSpec))
-    specs = [as_decoder(decoder)] if single else [as_decoder(d) for d in decoder]
+    single, specs = _point_specs(decoder, p, trials_per_code)
     if n_codes < 1:
         raise InvalidParameter("n_codes must be >= 1")
     factory = code_factory if code_factory is not None else sample_random_hgp
 
+    def tasks():
+        for idx in range(n_codes):
+            code_seed = int(np.random.SeedSequence(seed, spawn_key=(idx,)).generate_state(1)[0])
+            yield factory(s, code_seed), specs, p, seed, idx, 0, trials_per_code
+
     per_code: dict[str, list[int]] = {spec.key: [] for spec in specs}
-    for idx in range(n_codes):
-        code_seed = int(np.random.SeedSequence(
-            seed, spawn_key=(idx,)).generate_state(1)[0])
-        code = factory(s, code_seed)
-        for res in run_point(code, specs, p, trials_per_code, seed,
-                             point_index=idx, workers=workers):
+    for code_results in _map_trials(tasks(), n_codes, workers):
+        _warn_faults(code_results, p)
+        for res in code_results:
             per_code[res.decoder].append(res.failures)
 
     results = [EnsembleResult(spec.key, spec.name, p, tuple(per_code[spec.key]),

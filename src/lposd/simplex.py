@@ -16,6 +16,12 @@ import scipy.sparse as sp
 
 __all__ = ["SimplexResult", "solve_standard_form"]
 
+_TOL_FEAS = 1e-8  # phase-1 infeasibility and final-residual scale
+_TOL_OPT = 1e-9  # reduced-cost threshold for entering columns
+_TOL_PIVOT = 1e-10  # smallest usable pivot element
+_MAX_ITER = 50_000
+_REFACTOR_EVERY = 150  # pivots between basis refactorizations
+
 
 @dataclass
 class SimplexResult:
@@ -32,7 +38,7 @@ def _column(a: sp.csc_matrix, j: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Engine:
-    def __init__(self, c, a, b, tol_feas, tol_opt, tol_pivot, max_iter, refactor_every):
+    def __init__(self, c, a, b):
         self.m, self.n = a.shape
         flip = b < 0
         if flip.any():
@@ -44,11 +50,6 @@ class _Engine:
         self.at = sp.csr_matrix(self.a.T)
         self.b = b.astype(float)
         self.c = c.astype(float)
-        self.tol_feas = tol_feas
-        self.tol_opt = tol_opt
-        self.tol_pivot = tol_pivot
-        self.max_iter = max_iter
-        self.refactor_every = refactor_every
         self.iterations = 0
         # phase-1 start: artificial identity basis (artificial k <=> column n+k)
         self.basis = np.arange(self.n, self.n + self.m)
@@ -87,7 +88,7 @@ class _Engine:
     def run_phase(self, cost: np.ndarray, artificial_cost: float) -> str:
         """Iterate to optimality of the given cost vector; return a status."""
         while True:
-            if self.iterations >= self.max_iter:
+            if self.iterations >= _MAX_ITER:
                 return "iteration_limit"
             cb = np.full(self.m, artificial_cost)
             structural = self.basis < self.n
@@ -95,7 +96,7 @@ class _Engine:
             y = cb @ self.binv
             rc = cost - self.at.dot(y)
             rc[self.in_basis] = 0.0
-            candidates = np.flatnonzero(rc < -self.tol_opt)
+            candidates = np.flatnonzero(rc < -_TOL_OPT)
             if candidates.size == 0:
                 return "optimal"
             if self.bland:
@@ -103,7 +104,7 @@ class _Engine:
             else:
                 j = int(candidates[np.argmin(rc[candidates])])
             u = self._ftran(j)
-            pos = np.flatnonzero(u > self.tol_pivot)
+            pos = np.flatnonzero(u > _TOL_PIVOT)
             if pos.size == 0:
                 return "unbounded"
             ratios = np.maximum(self.xb[pos], 0.0) / u[pos]
@@ -113,7 +114,7 @@ class _Engine:
                 r = int(ties[np.argmin(self.basis[ties])])
             else:
                 r = int(ties[np.argmax(u[ties])])
-            if abs(u[r]) < 1e2 * self.tol_pivot and self.since_refactor > 0:
+            if abs(u[r]) < 1e2 * _TOL_PIVOT and self.since_refactor > 0:
                 self.refactor()
                 continue
             self._pivot(j, r, u, theta)
@@ -125,7 +126,7 @@ class _Engine:
                 self.degenerate_run = 0
             self.iterations += 1
             self.since_refactor += 1
-            if self.since_refactor >= self.refactor_every:
+            if self.since_refactor >= _REFACTOR_EVERY:
                 self.refactor()
 
     def _pivot(self, j: int, r: int, u: np.ndarray, theta: float) -> None:
@@ -152,7 +153,7 @@ class _Engine:
                 continue
             alpha = self.at.dot(self.binv[r])
             alpha[self.in_basis] = 0.0
-            eligible = np.flatnonzero(np.abs(alpha) > 1e2 * self.tol_pivot)
+            eligible = np.flatnonzero(np.abs(alpha) > 1e2 * _TOL_PIVOT)
             if eligible.size:
                 j = int(eligible[np.argmax(np.abs(alpha[eligible]))])
                 u = self._ftran(j)
@@ -171,17 +172,7 @@ class _Engine:
             self.refactor()
 
 
-def solve_standard_form(
-    c: np.ndarray,
-    a: sp.spmatrix,
-    b: np.ndarray,
-    *,
-    tol_feas: float = 1e-8,
-    tol_opt: float = 1e-9,
-    tol_pivot: float = 1e-10,
-    max_iter: int = 50_000,
-    refactor_every: int = 150,
-) -> SimplexResult:
+def solve_standard_form(c: np.ndarray, a: sp.spmatrix, b: np.ndarray) -> SimplexResult:
     """Minimize c.x subject to a x = b, x >= 0."""
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -191,7 +182,7 @@ def solve_standard_form(
         raise ValueError("inconsistent model dimensions")
     if m == 0:
         return SimplexResult("optimal", np.zeros(n), 0.0, 0)
-    eng = _Engine(c, a, b, tol_feas, tol_opt, tol_pivot, max_iter, refactor_every)
+    eng = _Engine(c, a, b)
 
     status = eng.run_phase(np.zeros(eng.n), artificial_cost=1.0)
     if status != "optimal":
@@ -199,7 +190,7 @@ def solve_standard_form(
         return SimplexResult(status if status == "iteration_limit" else "numerical",
                              None, float("nan"), eng.iterations, msg)
     artificial_level = eng.xb[eng.basis >= eng.n].sum()
-    if artificial_level > tol_feas * (1.0 + np.abs(b).sum()):
+    if artificial_level > _TOL_FEAS * (1.0 + np.abs(b).sum()):
         return SimplexResult("infeasible", None, float("nan"), eng.iterations,
                              f"phase-1 objective {artificial_level:.3e}")
     eng.drive_out_artificials()
@@ -216,7 +207,7 @@ def solve_standard_form(
         x[eng.basis] = eng.xb
         residual = np.abs(eng.a @ x - eng.b).max() if eng.m else 0.0
         b_scale = np.abs(eng.b).max() if eng.m else 0.0
-        if residual > 1e3 * tol_feas * (1.0 + b_scale):
+        if residual > 1e3 * _TOL_FEAS * (1.0 + b_scale):
             return SimplexResult("numerical", None, float("nan"), eng.iterations,
                                  f"final residual {residual:.3e}")
         return SimplexResult("optimal", x, float(eng.c @ x), eng.iterations)

@@ -472,6 +472,19 @@ def test_verify_hgp_cycle_detects_wrong_links(ring108):
         verify_hgp_cycle(code, ZCycle(checks=checks, qubits=rotated))
 
 
+def test_verify_hgp_cycle_rejects_a_star(bb72):
+    # Z checks 3, 6 and 12 all contain qubit 0 and meet nowhere else: each
+    # pair shares one qubit, but the three links coincide, so no ring
+    dz = bb72.hz.to_dense()
+    checks = (3, 6, 12)
+    for a, b in ((3, 6), (6, 12), (12, 3)):
+        assert np.flatnonzero(dz[a] & dz[b]).tolist() == [0]
+    with pytest.raises(PreconditionViolated):
+        verify_hgp_cycle(bb72, ZCycle(checks=checks, qubits=(0, 0, 0)))
+    with pytest.raises(PreconditionViolated, match="not distinct"):
+        build_cycle_pattern(bb72, [dz[c] for c in checks])
+
+
 # ---------------------------------------------------------------------------
 # search and serialization
 # ---------------------------------------------------------------------------

@@ -520,6 +520,12 @@ def test_run_ensemble_records_unchanged(surface3):
                                seed=4, code_factory=lambda s, seed: surface3)
         records += [res.to_record() for res in results]
     assert _digest(records) == _ENSEMBLE_DIGESTS["surface3-factory"]
-    results = run_ensemble(2, ["lp-osd0", "bp-osdcs"], p=0.05, n_codes=3,
-                           trials_per_code=10, seed=6)
-    assert _digest([res.to_record() for res in results]) == _ENSEMBLE_DIGESTS["random-hgp"]
+    # codes are sampled in the parent, so a lambda factory works on a pool too
+    pooled = run_ensemble(2, specs, p=0.08, n_codes=3, trials_per_code=20, seed=4,
+                          workers=2, code_factory=lambda s, seed: surface3)
+    assert [res.to_record() for res in pooled] == records[len(specs):]
+    for workers in (1, 2):  # one pool for the whole ensemble
+        results = run_ensemble(2, ["lp-osd0", "bp-osdcs"], p=0.05, n_codes=3,
+                               trials_per_code=10, seed=6, workers=workers)
+        assert (_digest([res.to_record() for res in results])
+                == _ENSEMBLE_DIGESTS["random-hgp"])
