@@ -66,8 +66,8 @@ from .lp import (
     round_independent,
     solve_lp,
 )
-from .osd import OsdConfig, QubitOrdering, order_qubits, osd_postprocess
-from .bp import BpConfig, BpResult, min_sum_bp
+from .osd import DEFAULT_LAM, OsdConfig, QubitOrdering, order_qubits, osd_postprocess
+from .bp import DEFAULT_CHANNEL_P, BpConfig, BpResult, min_sum_bp
 from .patterns import (
     Certificate,
     CertificateReport,

@@ -31,7 +31,10 @@ import numpy as np
 from .codes import CssCode
 from .errors import InvalidParameter
 
-__all__ = ["BpConfig", "BpResult", "min_sum_bp"]
+__all__ = ["DEFAULT_CHANNEL_P", "BpConfig", "BpResult", "min_sum_bp"]
+
+# The channel prior of a BP decode that is given no error rate.
+DEFAULT_CHANNEL_P = 0.05
 
 _CLAMP = 50.0
 _SIGN = np.array([1.0, -1.0])
@@ -39,7 +42,7 @@ _SIGN = np.array([1.0, -1.0])
 
 @dataclass
 class BpConfig:
-    channel_p: float = 0.05
+    channel_p: float = DEFAULT_CHANNEL_P
     max_iterations: int | None = None  # None means the block length
 
     def __post_init__(self):

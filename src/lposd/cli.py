@@ -30,7 +30,7 @@ from .codes import (
 from .errors import InvalidParameter, LposdError
 from .gf2 import BinaryMatrix, in_rowspace, read_matrix
 from .lp import DEFAULT_SOLVER, SOLVERS, build_syndrome_lp, dump_lp
-from .osd import OsdConfig
+from .osd import DEFAULT_LAM, OsdConfig
 from .patterns import search_patterns, write_patterns
 from .sim import (DECODER_NAMES, DecoderSpec, SimConfig, lp_osd_decode,
                   lp_round_decode, run_ensemble, run_point)
@@ -147,7 +147,7 @@ def _add_simulate(sub) -> None:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="-", help="output file, '-' for stdout")
     p.add_argument("--osd", choices=("0", "cs"))
-    p.add_argument("--lambda", dest="lam", type=int, default=60,
+    p.add_argument("--lambda", dest="lam", type=int, default=DEFAULT_LAM,
                    help="combination-sweep window")
     p.add_argument("--tie-break", choices=("distance", "random"))
     p.add_argument("--bp-max-iter", type=int)
@@ -277,7 +277,7 @@ def _add_detector_decode(sub) -> None:
     p.add_argument("--syndrome", required=True,
                    help="0/1 bit file or flipped-detector index file")
     p.add_argument("--osd", choices=("0", "cs", "round"), default="cs")
-    p.add_argument("--lambda", dest="lam", type=int, default=60)
+    p.add_argument("--lambda", dest="lam", type=int, default=DEFAULT_LAM)
     p.add_argument("--solver", choices=SOLVERS, default=DEFAULT_SOLVER,
                    help="LP backend: HiGHS (scipy, the default) or the "
                         "dependency-free embedded simplex")

@@ -424,21 +424,28 @@ def named_bb_code(key: str) -> CssCode:
 # ---------------------------------------------------------------------------
 
 
-def classical_distance(h: BinaryMatrix, cap: int | None = None,
-                       max_kernel_dim: int = 24) -> float:
+# Largest kernel dimension ``classical_distance`` enumerates, rejected draws
+# after which ``sample_random_hgp`` gives up, and the distance floor required
+# of a sampled (3,4)-biregular code at scale s.
+_MAX_KERNEL_DIM = 24
+_MAX_DRAWS = 20000
+_BIREGULAR_DISTANCE_FLOOR = {1: 2, 2: 4, 3: 6, 4: 8, 5: 8, 6: 10}
+
+
+def classical_distance(h: BinaryMatrix, cap: int | None = None) -> float:
     """Minimum weight of a nonzero kernel vector of h.
 
     Returns math.inf when the kernel is trivial (the zero code) or when the
-    minimum exceeds ``cap``.  Kernels of dimension above ``max_kernel_dim``
-    raise EnumerationTooLarge rather than enumerate.
+    minimum exceeds ``cap``.  Kernels of dimension above ``_MAX_KERNEL_DIM``
+    (24) raise EnumerationTooLarge rather than enumerate.
     """
     basis = kernel_basis(h)
     dim = len(basis)
     if dim == 0:
         return math.inf
-    if dim > max_kernel_dim:
+    if dim > _MAX_KERNEL_DIM:
         raise EnumerationTooLarge(
-            f"kernel dimension {dim} exceeds enumeration bound {max_kernel_dim}"
+            f"kernel dimension {dim} exceeds enumeration bound {_MAX_KERNEL_DIM}"
         )
     packed = [vector_to_bits(v, h.n_cols) for v in basis]
     best = h.n_cols + 1
@@ -454,10 +461,6 @@ def classical_distance(h: BinaryMatrix, cap: int | None = None,
     if cap is not None and best > cap:
         return math.inf
     return best
-
-
-# Distance floor required of a sampled (3,4)-biregular code at scale s.
-_BIREGULAR_DISTANCE_FLOOR = {1: 2, 2: 4, 3: 6, 4: 8, 5: 8, 6: 10}
 
 
 def biregular_distance_floor(s: int) -> int:
@@ -498,17 +501,17 @@ def _random_biregular(s: int, rng: np.random.Generator) -> BinaryMatrix | None:
     return BinaryMatrix.from_entries(n_checks, n_bits, sorted(edges))
 
 
-def sample_random_hgp(s: int, seed: int, max_attempts: int = 20000) -> CssCode:
+def sample_random_hgp(s: int, seed: int) -> CssCode:
     """Sample a random (3,4)-biregular classical code and take its product with itself.
 
     Accepted draws are simple, connected, and have both the code and its
     transpose code at distance >= the declared floor for s.  The result is a
     [[25 s^2, >= s^2, >= floor(s)]] CSS code.  Raises SamplingExhausted after
-    ``max_attempts`` rejected draws.
+    ``_MAX_DRAWS`` (20000) rejected draws.
     """
     floor = biregular_distance_floor(s)
     rng = np.random.default_rng(seed)
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, _MAX_DRAWS + 1):
         h = _random_biregular(s, rng)
         if h is None:
             continue
@@ -531,7 +534,7 @@ def sample_random_hgp(s: int, seed: int, max_attempts: int = 20000) -> CssCode:
         _check_declared_ldpc(code, max_row=7, max_col=4)
         return code
     raise SamplingExhausted(
-        f"no admissible (3,4)-biregular draw in {max_attempts} attempts (s={s}, seed={seed})"
+        f"no admissible (3,4)-biregular draw in {_MAX_DRAWS} attempts (s={s}, seed={seed})"
     )
 
 

@@ -37,6 +37,7 @@ from .errors import InvalidParameter, SingularSubmatrix
 from .gf2 import rank, vector_to_bits
 
 __all__ = [
+    "DEFAULT_LAM",
     "OsdConfig",
     "QubitOrdering",
     "order_qubits",
@@ -49,13 +50,15 @@ __all__ = [
 # below any meaningful signal cannot reorder genuinely tied qubits.
 _SOFT_QUANTUM = 1e-9
 
+# The combination-sweep window of every entry point that is given none.
+DEFAULT_LAM = 60
+
 
 @dataclass
 class OsdConfig:
     order: str = "osd_cs"  # "osd0" | "osd_cs"
-    lam: int = 60
+    lam: int = DEFAULT_LAM
     tie_break: str = "distance"  # "distance" | "random"
-    seed: int | None = None
 
     def __post_init__(self):
         if self.order not in ("osd0", "osd_cs"):
@@ -85,7 +88,8 @@ def order_qubits(soft, code: CssCode, s, cfg: OsdConfig,
     """Sort qubits by descending soft value and pick the committed set.
 
     Ties break by ascending distance to the nearest flipped check (with
-    unreachable qubits last) or by a seeded shuffle; the final tie-break is
+    unreachable qubits last) or by a shuffle drawn from ``rng``, which
+    defaults to ``np.random.default_rng(0)``; the final tie-break is
     ascending qubit index, so the ordering is deterministic.
     """
     soft_arr = np.asarray(soft, dtype=float)
@@ -97,7 +101,7 @@ def order_qubits(soft, code: CssCode, s, cfg: OsdConfig,
         tie_key = bfs_distance_to_flipped(code, s)
     else:
         if rng is None:
-            rng = np.random.default_rng(cfg.seed)
+            rng = np.random.default_rng(0)
         tie_key = rng.random(n)
     perm = np.lexsort((np.arange(n), tie_key, -quantized))
 
@@ -178,7 +182,7 @@ def osd0(code: CssCode, s, ordering: QubitOrdering) -> np.ndarray:
     return _scatter(code, ordering, base, ())
 
 
-def osd_cs(code: CssCode, s, ordering: QubitOrdering, lam: int = 60,
+def osd_cs(code: CssCode, s, ordering: QubitOrdering, lam: int = DEFAULT_LAM,
            weights=None) -> np.ndarray:
     """Combination-sweep correction.
 

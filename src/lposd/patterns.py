@@ -48,7 +48,8 @@ from .gf2 import (
 
 _EXHAUSTIVE_RANK_LIMIT = 20
 # A builder rejects a sampled pick that a sum of up to this many Z check rows
-# makes lighter, and gives up after this many picks.
+# makes lighter, and gives up after this many picks; ``is_reduced`` screens
+# with the same sums before it walks the coset.
 _REDUCE_BUDGET = 2
 _MAX_RESAMPLES = 200
 _POISON_TOL = 1e-9
@@ -307,8 +308,7 @@ def verify_certificate(code: CssCode, pattern: ErrorPattern) -> CertificateRepor
 
 
 def check_poison(code: CssCode, error,
-                 tau: Mapping[tuple[int, int], float],
-                 tol: float = _POISON_TOL) -> PoisonReport:
+                 tau: Mapping[tuple[int, int], float]) -> PoisonReport:
     """Check a Tanner-edge flow against the simplified dual conditions.
 
     The flow must supply a value for every edge of the X check graph,
@@ -330,7 +330,7 @@ def check_poison(code: CssCode, error,
     for q in range(code.n):
         total = sum(tau[(q, j)] for j in tan.x_checks_of_qubit[q])
         gamma = 1.0 - 2.0 * float(e[q])
-        if total > gamma + tol:
+        if total > gamma + _POISON_TOL:
             violations.append(
                 f"qubit {q}: edge values sum to {total:.12g} > {gamma:+g}"
             )
@@ -338,7 +338,7 @@ def check_poison(code: CssCode, error,
         support = tan.x_supports[j]
         for a, b in itertools.combinations(support, 2):
             pair = tau[(a, j)] + tau[(b, j)]
-            if pair < -tol:
+            if pair < -_POISON_TOL:
                 violations.append(
                     f"check {j}: edges ({a},{j}) and ({b},{j}) sum to "
                     f"{pair:.12g} < 0"
@@ -351,32 +351,29 @@ def check_poison(code: CssCode, error,
 # ---------------------------------------------------------------------------
 
 
-def is_reduced(code: CssCode, error, budget: int = 2,
-               exhaustive: bool = True) -> ReducedCheck:
+def is_reduced(code: CssCode, error) -> ReducedCheck:
     """Decide whether an error is minimum weight within its stabilizer coset.
 
-    First tries every GF(2) combination of up to ``budget`` rows of the Z
-    check matrix; finding any strictly lighter equivalent yields ``"no"``
-    with that lighter error as witness.  When nothing lighter is found,
-    ``exhaustive`` is set, and the Z matrix rank is at most 20, the full
-    coset is enumerated with a Gray-code walk and the answer is
-    definitive.  Otherwise the result is ``"unchecked"``.
+    First tries every GF(2) combination of up to ``_REDUCE_BUDGET`` (two)
+    rows of the Z check matrix; finding any strictly lighter equivalent
+    yields ``"no"`` with that lighter error as witness.  When nothing
+    lighter is found and the Z matrix rank is at most 20, the full coset is
+    enumerated with a Gray-code walk and the answer is definitive.
+    Otherwise the result is ``"unchecked"``.
     """
-    if budget < 0:
-        raise InvalidParameter("budget must be nonnegative")
     e_bits = vector_to_bits(_as_error_vector(code.n, error), code.n)
     if e_bits == 0:
         return ReducedCheck(status="yes")
-    lighter = _row_search(code, e_bits, budget)
+    lighter = _row_search(code, e_bits)
     if lighter is not None:
         return ReducedCheck(status="no", witness=bits_to_vector(lighter, code.n))
-    return _coset_walk(code, e_bits) if exhaustive else ReducedCheck(status="unchecked")
+    return _coset_walk(code, e_bits)
 
 
-def _row_search(code: CssCode, e_bits: int, budget: int) -> int | None:
-    """A strictly lighter error that adds up to ``budget`` Z check rows, or None."""
+def _row_search(code: CssCode, e_bits: int) -> int | None:
+    """A strictly lighter error that adds up to ``_REDUCE_BUDGET`` Z check rows, or None."""
     weight = e_bits.bit_count()
-    for size in range(1, budget + 1):
+    for size in range(1, _REDUCE_BUDGET + 1):
         for combo in itertools.combinations(code.hz.rows, size):
             cand = e_bits
             for row in combo:
@@ -463,7 +460,7 @@ def _sample_ring(code: CssCode, ring: _Ring, rng_seed: int) -> ErrorPattern:
             corrupted = int(rng.choice(links))
         e[corrupted] = 1
         e_bits = vector_to_bits(e, code.n)
-        if _row_search(code, e_bits, _REDUCE_BUDGET) is None:
+        if _row_search(code, e_bits) is None:
             break
     else:
         what = "ring" if ring.kind == "cycle" else ring.kind

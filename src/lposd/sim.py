@@ -5,9 +5,10 @@ Six decoder pipelines share two expensive front ends: the LP relaxation
 "bp-osd0", "bp-osdcs").  ``_decode_all`` is the one path from syndrome to
 correction: it solves each front end once and fans the result out to the
 pipelines' second stages, so joint runs cost one solve per family, not one
-per decoder.  The one-shot decoders ``lp_osd_decode``, ``lp_round_decode``
-and ``bp_osd_decode`` are wrappers over it that raise solver errors, where
-a Monte Carlo run counts them as faults.  Random streams are keyed by
+per decoder.  The one-shot decoders ``decode_syndrome``, ``lp_osd_decode``,
+``lp_round_decode`` and ``bp_osd_decode`` are wrappers over it that raise
+solver errors, where a Monte Carlo run counts them as faults; without an
+``rng`` they repeat (see ``order_qubits``).  Random streams are keyed by
 (seed, point index, trial index) plus a fixed per-decoder tag, which makes
 every decoder's outcome independent of which other decoders share the run
 and of the worker count; a decoder's generator is built only when its OSD
@@ -27,13 +28,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bp import BpConfig, min_sum_bp
+from .bp import DEFAULT_CHANNEL_P, BpConfig, min_sum_bp
 from .codes import CssCode, sample_random_hgp
 from .errors import EnumerationTooLarge, InvalidParameter, LposdError
 from .gf2 import in_rowspace
 from .lp import (DEFAULT_SOLVER, SOLVERS, build_syndrome_lp, is_integral, round_independent,
                  solve_lp)
-from .osd import OsdConfig, osd_postprocess
+from .osd import DEFAULT_LAM, OsdConfig, osd_postprocess
 
 __all__ = [
     "DECODER_NAMES",
@@ -78,14 +79,14 @@ class DecoderSpec:
     the block length.  ``label`` distinguishes two configurations of the
     same pipeline within one run (defaults to the pipeline name).  A setting
     the pipeline cannot run with raises InvalidParameter here: an unknown
-    solver, a negative lam on any pipeline, a BP iteration cap or channel
-    prior that ``BpConfig`` rejects, a BP setting on an LP pipeline, or a
-    solver other than ``DEFAULT_SOLVER`` on a BP pipeline.  A BP pipeline
-    records its solver as None.
+    solver, a lam or tie-break that ``OsdConfig`` rejects on any pipeline,
+    a BP iteration cap or channel prior that ``BpConfig`` rejects, a BP
+    setting on an LP pipeline, or a solver other than ``DEFAULT_SOLVER`` on
+    a BP pipeline.  A BP pipeline records its solver as None.
     """
 
     name: str
-    lam: int = 60
+    lam: int = DEFAULT_LAM
     tie_break: str | None = None
     solver: str = DEFAULT_SOLVER
     bp_iteration_cap: int | None = None
@@ -96,12 +97,10 @@ class DecoderSpec:
         if self.name not in DECODER_NAMES:
             raise InvalidParameter(
                 f"unknown decoder {self.name!r}; expected one of {DECODER_NAMES}")
-        if self.tie_break not in (None, "distance", "random"):
-            raise InvalidParameter(f"unknown tie_break {self.tie_break!r}")
+        # OsdConfig rejects a bad lam or tie-break
+        OsdConfig(lam=self.lam, tie_break=self.resolved_tie_break())
         if self.solver not in SOLVERS:
             raise InvalidParameter(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
-        if self.lam < 0:
-            raise InvalidParameter("lam must be >= 0")
         if self.uses_lp:
             if self.bp_iteration_cap is not None or self.bp_channel_p is not None:
                 raise InvalidParameter(f"{self.name} runs no BP; it takes no BP settings")
@@ -173,13 +172,10 @@ class SimConfig:
     trials_per_code: int = 10
 
     def __post_init__(self):
-        for p in self.ps:
-            if not 0.0 < p < 0.5:
-                raise InvalidParameter(f"physical error rate {p} outside (0, 1/2)")
-        if self.trials < 1:
-            raise InvalidParameter("trials must be >= 1")
-        if self.workers < 1:
-            raise InvalidParameter("workers must be >= 1")
+        if not self.ps:
+            raise InvalidParameter("no physical error rates given")
+        for p in self.ps:  # rejects a bad p, trials or workers as a run would
+            _point_specs(self.decoders, p, self.trials, self.workers)
         if self.n_codes < 1 or self.trials_per_code < 1:
             raise InvalidParameter("ensemble sizes must be >= 1")
 
@@ -460,8 +456,8 @@ def _decode_all(code: CssCode, specs: Sequence[DecoderSpec], s: np.ndarray,
 
 
 def _decode_one(code: CssCode, spec: DecoderSpec, s,
-                rng: np.random.Generator | None, weights=None,
-                p: float = 0.05) -> DecodeResult:
+                rng: np.random.Generator | None = None, weights=None,
+                p: float = DEFAULT_CHANNEL_P) -> DecodeResult:
     """One pipeline on one syndrome; a solver error is raised, not counted."""
     s_arr = np.asarray(s, dtype=np.uint8) & 1
     if s_arr.shape != (code.hx.n_rows,):  # before the zero-syndrome short-cut
@@ -472,12 +468,10 @@ def _decode_one(code: CssCode, spec: DecoderSpec, s,
     return result
 
 
-def decode_syndrome(code: CssCode, decoder, s, p: float = 0.05,
+def decode_syndrome(code: CssCode, decoder, s, p: float = DEFAULT_CHANNEL_P,
                     rng: np.random.Generator | None = None) -> np.ndarray:
     """One-shot decode of a syndrome with a named pipeline; a solver error
     is raised."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     return _decode_one(code, as_decoder(decoder), s, rng, p=p).correction
 
 
@@ -495,16 +489,13 @@ def lp_osd_decode(code: CssCode, s, cfg: OsdConfig | None = None, *,
     cfg = cfg or OsdConfig()
     spec = DecoderSpec("lp-osd0" if cfg.order == "osd0" else "lp-osdcs",
                        lam=cfg.lam, tie_break=cfg.tie_break, solver=solver)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     return _decode_one(code, spec, s, rng, weights)
 
 
 def lp_round_decode(code: CssCode, s, *, solver: str = DEFAULT_SOLVER,
                     weights=None) -> DecodeResult:
     """LP followed by independent per-bit rounding (no syndrome guarantee)."""
-    return _decode_one(code, DecoderSpec("lp-round", solver=solver), s, None,
-                       weights)
+    return _decode_one(code, DecoderSpec("lp-round", solver=solver), s, weights=weights)
 
 
 def bp_osd_decode(code: CssCode, s, bp_cfg: BpConfig | None = None,
@@ -521,8 +512,6 @@ def bp_osd_decode(code: CssCode, s, bp_cfg: BpConfig | None = None,
                        lam=osd_cfg.lam, tie_break=osd_cfg.tie_break,
                        bp_iteration_cap=bp_cfg.max_iterations,
                        bp_channel_p=bp_cfg.channel_p)
-    if rng is None:
-        rng = np.random.default_rng(osd_cfg.seed)
     return _decode_one(code, spec, s, rng)
 
 
@@ -576,7 +565,7 @@ def _chunk_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
 
 
-def _point_specs(decoder, p: float, trials: int) -> tuple[bool, list[DecoderSpec]]:
+def _point_specs(decoder, p: float, trials: int, workers: int) -> tuple[bool, list[DecoderSpec]]:
     """Whether ``decoder`` names one pipeline, and the checked specs."""
     single = isinstance(decoder, (str, DecoderSpec))
     specs = [as_decoder(decoder)] if single else [as_decoder(d) for d in decoder]
@@ -586,6 +575,8 @@ def _point_specs(decoder, p: float, trials: int) -> tuple[bool, list[DecoderSpec
         raise InvalidParameter(f"physical error rate {p} outside (0, 1/2)")
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
+    if workers < 1:
+        raise InvalidParameter("workers must be >= 1")
     return single, specs
 
 
@@ -604,7 +595,7 @@ def run_point(code: CssCode, decoder, p: float, trials: int, seed: int = 0, *,
     the LP and message-passing front ends across pipelines and returns one
     result per entry.  Results are independent of ``workers``.
     """
-    single, specs = _point_specs(decoder, p, trials)
+    single, specs = _point_specs(decoder, p, trials, workers)
     tasks = [(code, specs, p, seed, point_index, lo, hi)
              for lo, hi in _chunk_ranges(trials, workers)]
     results, *partials = _map_trials(tasks, len(tasks), workers)
@@ -640,7 +631,7 @@ def run_ensemble(s: int, decoder, p: float, n_codes: int,
     The confidence interval is a bootstrap over codes.
     ``decoder`` may again be one spec or a sequence.
     """
-    single, specs = _point_specs(decoder, p, trials_per_code)
+    single, specs = _point_specs(decoder, p, trials_per_code, workers)
     if n_codes < 1:
         raise InvalidParameter("n_codes must be >= 1")
     factory = code_factory if code_factory is not None else sample_random_hgp
@@ -683,7 +674,7 @@ def exhaustive_sweep(code: CssCode, decoder, max_weight: int, *,
             error[list(support)] = 1
             s = code.syndrome(error)
             outcome = _decode_all(
-                code, [spec], s, 0.05,
+                code, [spec], s, DEFAULT_CHANNEL_P,
                 lambda _: _decoder_rng(seed, weight, idx, spec.tag))[spec.key]
             n_errors += 1
             if not is_success(code, error, outcome.correction):

@@ -12,9 +12,9 @@ to fail and is kept red deliberately: both LP backends return basic
 solutions, so degenerate minimum-weight ties resolve to integral
 vertices and fractional solutions appear in only ~0.6% of trials at
 this noise level, while plain weight-3 tie failures run at ~3.3%.  The
-measured gap between the extreme pipelines is ~0.0007 against interval
-half-widths of ~0.0025; separating the intervals would need roughly
-fifty times more trials (hours of runtime).  The per-trial paired
+measured gap between the extreme pipelines is 0.00045 (9 of 20000
+trials) against interval half-widths of ~0.0025; separating the intervals
+would need roughly 120 times more trials (hours of runtime).  The per-trial paired
 comparison on the same run does confirm the ordering: the pipelines
 share error streams and LP solutions, and OSD-CS strictly improves on
 rounding in 9 trials of 20000 while never doing worse.
@@ -328,8 +328,8 @@ def test_07b_extreme_pipelines_interval_separation(ordering_results):
     Known red: see the module docstring.  Basic-solution LP backends
     resolve degenerate ties integrally, so at this code and noise level
     the fractional-solution rate (~0.6%) is far below the plain tie
-    failure rate (~3.3%) and the extreme pipelines sit ~0.0007 apart
-    against ~0.0025 interval half-widths.
+    failure rate (~3.3%) and the extreme pipelines sit 0.00045 apart (9 of
+    20000 trials) against ~0.0025 interval half-widths.
     """
     res = ordering_results
     cs, rounding = res["lp-osdcs"], res["lp-round"]

@@ -228,9 +228,9 @@ def test_bp_osd_deterministic_with_seeded_rng(surface5):
     e = (rng.random(code.n) < 0.12).astype(np.uint8)
     s = code.syndrome(e)
     cfg = BpConfig(max_iterations=4)
-    osd_cfg = OsdConfig(tie_break="random", seed=7)
-    a = bp_osd_decode(code, s, cfg, osd_cfg)
-    b = bp_osd_decode(code, s, cfg, osd_cfg)
+    osd_cfg = OsdConfig(tie_break="random")
+    a = bp_osd_decode(code, s, cfg, osd_cfg, rng=np.random.default_rng(7))
+    b = bp_osd_decode(code, s, cfg, osd_cfg, rng=np.random.default_rng(7))
     assert np.array_equal(a.correction, b.correction)
     assert a.stage == b.stage
     c = bp_osd_decode(code, s, cfg, OsdConfig(tie_break="random"),

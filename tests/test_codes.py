@@ -81,7 +81,7 @@ def test_classical_distance_cap_and_guard():
     assert classical_distance(h, cap=3) == math.inf
     wide = BinaryMatrix.from_entries(1, 30, [(0, 0)])
     with pytest.raises(EnumerationTooLarge):
-        classical_distance(wide, max_kernel_dim=10)
+        classical_distance(wide)
 
 
 @st.composite

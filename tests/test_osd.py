@@ -94,14 +94,28 @@ def test_ordering_random_ties_reproducible(surface3):
     soft = np.full(code.n, 0.25)
     s = np.zeros(code.hx.n_rows, dtype=np.uint8)
     s[1] = 1
-    a = order_qubits(soft, code, s, OsdConfig(tie_break="random", seed=5))
-    b = order_qubits(soft, code, s, OsdConfig(tie_break="random", seed=5))
+    a = order_qubits(soft, code, s, OsdConfig(tie_break="random"),
+                     rng=np.random.default_rng(5))
+    b = order_qubits(soft, code, s, OsdConfig(tie_break="random"),
+                     rng=np.random.default_rng(5))
     assert np.array_equal(a.permutation, b.permutation)
     rng1 = np.random.default_rng(9)
     rng2 = np.random.default_rng(9)
     c = order_qubits(soft, code, s, OsdConfig(tie_break="random"), rng=rng1)
     d = order_qubits(soft, code, s, OsdConfig(tie_break="random"), rng=rng2)
     assert np.array_equal(c.permutation, d.permutation)
+
+
+def test_random_ties_without_generator_draw_from_seed_zero(surface5):
+    code = surface5
+    soft = np.full(code.n, 0.25)
+    s = np.zeros(code.hx.n_rows, dtype=np.uint8)
+    cfg = OsdConfig(tie_break="random")
+    first = order_qubits(soft, code, s, cfg)
+    again = order_qubits(soft, code, s, cfg)
+    seeded = order_qubits(soft, code, s, cfg, rng=np.random.default_rng(0))
+    assert np.array_equal(first.permutation, again.permutation)
+    assert np.array_equal(first.permutation, seeded.permutation)
 
 
 def test_soft_noise_below_quantum_cannot_reorder(surface3):
@@ -249,8 +263,8 @@ def test_elimination_matches_dense_reference(surface3, bb72):
             # coarse soft values leave ties for the tie-break to settle
             soft = rng.integers(0, 4, size=code.n) / 3.0
             tie_break = "distance" if trial % 2 else "random"
-            cfg = OsdConfig(tie_break=tie_break, seed=trial)
-            ordering = order_qubits(soft, code, s, cfg)
+            ordering = order_qubits(soft, code, s, OsdConfig(tie_break=tie_break),
+                                    rng=np.random.default_rng(trial))
             got, want = eliminate_both(code, ordering, s)
             if isinstance(want, str):
                 assert got == want == "syndrome outside the check-matrix column space"

@@ -135,6 +135,8 @@ def test_sim_config_validation():
         SimConfig(code="x", decoders=dec, ps=(0.1,), trials=0)
     with pytest.raises(InvalidParameter):
         SimConfig(code="x", decoders=dec, ps=(0.1,), trials=10, workers=0)
+    with pytest.raises(InvalidParameter):
+        SimConfig(code="x", decoders=dec, ps=(), trials=10)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +318,32 @@ def test_point_rejects_bad_arguments(surface3):
         run_point(surface3, "lp-osd0", p=0.1, trials=0)
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_runs_reject_workers_below_one(surface3, workers):
+    with pytest.raises(InvalidParameter, match="workers must be >= 1"):
+        run_point(surface3, "lp-osd0", p=0.1, trials=10, workers=workers)
+    with pytest.raises(InvalidParameter, match="workers must be >= 1"):
+        run_ensemble(2, "lp-osd0", p=0.1, n_codes=2, trials_per_code=5, workers=workers,
+                     code_factory=lambda s, seed: surface3)
+
+
+def test_one_shot_decodes_repeat_without_generator(surface5, ring108):
+    """Without ``rng`` a random tie-break draws from ``default_rng(0)``, so a
+    one-shot decode gives the same correction on every call."""
+    def lp_random(code, s, **kw):
+        return lp_osd_decode(code, s, OsdConfig(tie_break="random"), **kw)
+
+    # syndromes on which the correction depends on the tie-break's draws
+    for decode, code in ((lp_random, ring108[0]), (bp_osd_decode, surface5)):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            s = code.syndrome((rng.random(code.n) < 0.1).astype(np.uint8))
+            first, again = decode(code, s), decode(code, s)
+            seeded = decode(code, s, rng=np.random.default_rng(0))
+            assert np.array_equal(first.correction, again.correction)
+            assert np.array_equal(first.correction, seeded.correction)
+
+
 def test_one_shot_decoders_check_the_syndrome_length(surface3):
     # a zero syndrome of the wrong length is rejected like a nonzero one
     m_x = surface3.hx.n_rows
@@ -483,8 +511,8 @@ def test_one_shot_decoders_unchanged(fixture, weighted, request):
         results = [
             lp_osd_decode(code, s, weights=weights),
             lp_osd_decode(code, s, OsdConfig(order="osd0"), weights=weights),
-            lp_osd_decode(code, s, OsdConfig(tie_break="random", seed=5),
-                          weights=weights),
+            lp_osd_decode(code, s, OsdConfig(tie_break="random"), weights=weights,
+                          rng=np.random.default_rng(5)),
             lp_osd_decode(code, s, OsdConfig(lam=4), weights=weights,
                           rng=np.random.default_rng(6)),
             lp_round_decode(code, s, weights=weights),
@@ -494,7 +522,8 @@ def test_one_shot_decoders_unchanged(fixture, weighted, request):
                 bp_osd_decode(code, s, BpConfig(max_iterations=4),
                               rng=np.random.default_rng(7)),
                 bp_osd_decode(code, s, BpConfig(channel_p=0.08),
-                              OsdConfig(order="osd0", tie_break="random", seed=8)),
+                              OsdConfig(order="osd0", tie_break="random"),
+                              rng=np.random.default_rng(8)),
                 bp_osd_decode(code, s, BpConfig(max_iterations=2),
                               OsdConfig(tie_break="distance")),
             ]
