@@ -30,6 +30,7 @@ import numpy as np
 
 from .codes import CssCode
 from .errors import InvalidParameter
+from .gf2 import as_bit_vector
 
 __all__ = ["DEFAULT_CHANNEL_P", "BpConfig", "BpResult", "min_sum_bp"]
 
@@ -72,9 +73,7 @@ def min_sum_bp(code: CssCode, s, cfg: BpConfig) -> BpResult:
     eq, ec = tan.x_edge_qubit, tan.x_edge_check
     n = code.n
     n_edges = eq.size
-    s_arr = np.asarray(s, dtype=np.uint8) & 1
-    if s_arr.shape != (code.hx.n_rows,):
-        raise ValueError(f"syndrome must have length {code.hx.n_rows}")
+    s_arr = as_bit_vector(s, code.hx.n_rows, "syndrome")
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else n
     prior = math.log((1.0 - cfg.channel_p) / cfg.channel_p)
 

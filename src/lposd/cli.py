@@ -32,8 +32,8 @@ from .gf2 import BinaryMatrix, in_rowspace, read_matrix
 from .lp import DEFAULT_SOLVER, SOLVERS, build_syndrome_lp, dump_lp
 from .osd import DEFAULT_LAM, OsdConfig
 from .patterns import search_patterns, write_patterns
-from .sim import (DECODER_NAMES, DecoderSpec, SimConfig, lp_osd_decode,
-                  lp_round_decode, run_ensemble, run_point)
+from .sim import (DecoderSpec, SimConfig, lp_osd_decode, lp_round_decode, run_ensemble,
+                  run_point)
 
 __all__ = ["main", "build_parser", "resolve_code", "resolve_decoders"]
 
@@ -110,8 +110,8 @@ def resolve_decoders(tokens, osd: str | None, lam: int, tie_break: str | None,
     ``lp`` and ``bp`` are shorthands completed by ``--osd``: plain ``lp``
     is LP with independent rounding, ``lp --osd cs`` is LP with the
     combination-sweep search, and so on.  Full pipeline names pass through
-    unchanged.  ``solver`` reaches the LP pipelines only, and
-    ``bp_max_iter`` the BP pipelines only.
+    unchanged, and ``DecoderSpec`` rejects any other.  ``solver`` reaches
+    the LP pipelines only, and ``bp_max_iter`` the BP pipelines only.
     """
     specs = []
     for token in tokens:
@@ -122,10 +122,6 @@ def resolve_decoders(tokens, osd: str | None, lam: int, tie_break: str | None,
                 name = f"{name}-{suffix}"
             elif name == "lp":
                 name = "lp-round"
-        if name not in DECODER_NAMES:
-            raise InvalidParameter(
-                f"unknown decoder {token!r}; expected one of {DECODER_NAMES} "
-                "or the shorthands lp/bp with --osd")
         bp = name.startswith("bp")
         specs.append(DecoderSpec(name=name, lam=lam, tie_break=tie_break,
                                  solver=DEFAULT_SOLVER if bp else solver,

@@ -24,7 +24,8 @@ from .errors import (
     InvalidParameter,
     SamplingExhausted,
 )
-from .gf2 import BinaryMatrix, kernel_basis, rank, read_matrix, vector_to_bits, write_matrix
+from .gf2 import (BinaryMatrix, as_bit_vector, kernel_basis, rank, read_matrix, vector_to_bits,
+                  write_matrix)
 
 __all__ = [
     "CssCode",
@@ -147,11 +148,7 @@ class CssCode:
 
     def syndrome(self, error) -> np.ndarray:
         """X-check syndrome of a Z-error vector: H_X·e over GF(2)."""
-        e = np.asarray(error, dtype=np.uint8)
-        if e.shape != (self.n,):
-            raise ValueError(f"expected a length-{self.n} vector, got shape {e.shape}")
-        if e.max(initial=0) > 1:
-            raise ValueError("vector entries must be 0 or 1")
+        e = as_bit_vector(error, self.n, "error")
         tan = self.tanner
         counts = np.bincount(tan.x_edge_check, weights=e[tan.x_edge_qubit],
                              minlength=self.hx.n_rows)
@@ -554,7 +551,7 @@ def bfs_distance_to_flipped(code: CssCode, s) -> np.ndarray:
     tan = code.tanner
     eq, ec = tan.x_edge_qubit, tan.x_edge_check
     dist_q = np.full(code.n, math.inf)
-    seen_c = np.asarray(s, dtype=np.uint8) != 0
+    seen_c = as_bit_vector(s, code.hx.n_rows, "syndrome").astype(bool)
     frontier, level = seen_c, 1.0
     while True:
         new_q = (np.bincount(eq[frontier[ec]], minlength=code.n) > 0) & np.isinf(dist_q)

@@ -4,6 +4,8 @@ Rows are Python integers used as bitsets (bit ``c`` of row ``r`` is the matrix
 entry ``(r, c)``), so row operations are single XORs regardless of width.
 All public functions accept and return numpy ``uint8`` vectors at the
 boundary; the packed representation is internal.
+``as_bit_vector`` checks every syndrome, error, correction and reference
+argument in the package, and ``as_weight_vector`` every per-qubit cost vector.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 
 __all__ = [
     "BinaryMatrix",
+    "as_bit_vector",
+    "as_weight_vector",
     "RowReduction",
     "rank",
     "row_reduce",
@@ -30,16 +34,36 @@ __all__ = [
 ]
 
 
+def as_bit_vector(v, length: int, name: str) -> np.ndarray:
+    """``v`` as a new uint8 vector; ValueError naming ``name`` unless ``v`` is
+    1-D with ``length`` entries, each 0 or 1.  Nothing is reduced mod 2."""
+    arr = np.asarray(v)
+    if arr.shape != (length,):
+        raise ValueError(f"{name} must have length {length}")
+    if arr.dtype == np.uint8:  # no byte is left once the 0 and 1 bytes are deleted
+        ok = not arr.tobytes().translate(None, b"\x00\x01")
+    else:
+        ok = arr.dtype == np.bool_ or ((arr == 0) | (arr == 1)).all()
+    if not ok:
+        raise ValueError(f"{name} entries must be 0 or 1")
+    return arr.astype(np.uint8)
+
+
+def as_weight_vector(weights, length: int) -> np.ndarray:
+    """Per-qubit costs as a float vector of ``length`` finite entries, or ValueError."""
+    arr = np.asarray(weights, dtype=float)
+    if arr.shape != (length,):
+        raise ValueError(f"weights must have length {length}")
+    if not np.isfinite(arr).all():
+        raise ValueError("weights must be finite")
+    return arr
+
+
 def vector_to_bits(v: Sequence[int] | np.ndarray, length: int) -> int:
     """Pack a 0/1 vector into an int bitset (bit i = entry i)."""
-    arr = np.asarray(v, dtype=np.uint8)
-    if arr.ndim != 1 or arr.shape[0] != length:
-        raise ValueError(f"expected a length-{length} vector, got shape {arr.shape}")
-    if arr.max(initial=0) > 1:
-        raise ValueError("vector entries must be 0 or 1")
     # little-endian byte packing matches bit i of the int being entry i
-    packed = np.packbits(arr, bitorder="little").tobytes()
-    return int.from_bytes(packed, "little")
+    packed = np.packbits(as_bit_vector(v, length, "vector"), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def bits_to_vector(bits: int, length: int) -> np.ndarray:

@@ -76,6 +76,7 @@ import numpy as np
 
 from .codes import CssCode
 from .errors import CheckWeightTooLarge, Infeasible, IterationLimit, LposdError
+from .gf2 import as_bit_vector, as_weight_vector
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -336,17 +337,10 @@ def _primal_lp(code: CssCode, kind: str, qubit_cost: np.ndarray, meta: dict) -> 
 def build_syndrome_lp(code: CssCode, s, weights: Sequence[float] | None = None) -> LpModel:
     """LP whose optimum lower-bounds the minimum error weight for syndrome s."""
     tpl = _template(code)
-    s_arr = np.asarray(s, dtype=np.int8) & 1
-    if s_arr.shape != (tpl.m_x,):
-        raise ValueError(f"syndrome must have length {tpl.m_x}")
-    cost = 1.0
-    if weights is not None:
-        cost = np.asarray(weights, dtype=float)
-        if cost.shape != (tpl.n,):
-            raise ValueError(f"weights must have length {tpl.n}")
-    return _primal_lp(code, "syndrome", cost, {
-        "syndrome": s_arr.astype(np.uint8), "parities": s_arr,
-    })
+    s_arr = as_bit_vector(s, tpl.m_x, "syndrome")
+    cost = 1.0 if weights is None else as_weight_vector(weights, tpl.n)
+    meta = {"syndrome": s_arr, "parities": s_arr.astype(np.int8)}
+    return _primal_lp(code, "syndrome", cost, meta)
 
 
 def build_error_lp(code: CssCode, e_prime) -> LpModel:
@@ -357,9 +351,7 @@ def build_error_lp(code: CssCode, e_prime) -> LpModel:
     strictly lighter coset representative than the reference.
     """
     tpl = _template(code)
-    e_arr = np.asarray(e_prime, dtype=np.uint8)
-    if e_arr.shape != (tpl.n,):
-        raise ValueError(f"reference error must have length {tpl.n}")
+    e_arr = as_bit_vector(e_prime, tpl.n, "reference error")
     return _primal_lp(code, "error", 1.0 - 2.0 * e_arr, {
         "e_prime": e_arr, "parities": np.zeros(tpl.m_x, dtype=np.int8),
     })
@@ -681,12 +673,16 @@ def reflect_to_syndrome_solution(sol: LpSolution, e_prime=None) -> LpSolution:
     Qubit values inside the reference error are reflected (x -> 1 - x);
     mixture values move to the subset shifted by the reference restricted to
     the check.  The objective shifts by exactly the reference weight.  The
-    map is an involution together with reflect_to_error_solution.
+    map is an involution together with reflect_to_error_solution.  An
+    ``e_prime``, when given, must be the model's own reference error.
     """
     model = sol.model
     if model.kind != "error":
         raise LposdError("expected a solution of the error-anchored LP")
-    e_arr = model.meta["e_prime"] if e_prime is None else np.asarray(e_prime, dtype=np.uint8)
+    e_arr = model.meta["e_prime"]
+    if e_prime is not None and not np.array_equal(
+            as_bit_vector(e_prime, model.code.n, "reference error"), e_arr):
+        raise LposdError("reference error does not match the model's reference")
     return _reflect(sol, build_syndrome_lp(model.code, model.code.syndrome(e_arr)), e_arr, +1)
 
 
@@ -695,7 +691,7 @@ def reflect_to_error_solution(sol: LpSolution, e_prime) -> LpSolution:
     model = sol.model
     if model.kind != "syndrome":
         raise LposdError("expected a solution of the syndrome LP")
-    e_arr = np.asarray(e_prime, dtype=np.uint8)
+    e_arr = as_bit_vector(e_prime, model.code.n, "reference error")
     if not np.array_equal(model.code.syndrome(e_arr), model.meta["syndrome"]):
         raise LposdError("reference error does not match the model's syndrome")
     return _reflect(sol, build_error_lp(model.code, e_arr), e_arr, -1)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .codes import CssCode, bfs_distance_to_flipped
 from .errors import InvalidParameter, SingularSubmatrix
-from .gf2 import rank, vector_to_bits
+from .gf2 import as_bit_vector, as_weight_vector, rank, vector_to_bits
 
 __all__ = [
     "DEFAULT_LAM",
@@ -96,6 +96,7 @@ def order_qubits(soft, code: CssCode, s, cfg: OsdConfig,
     n = code.n
     if soft_arr.shape != (n,):
         raise ValueError(f"soft vector must have length {n}")
+    s = as_bit_vector(s, code.hx.n_rows, "syndrome")
     quantized = np.round(soft_arr / _SOFT_QUANTUM)
     if cfg.tie_break == "distance":
         tie_key = bfs_distance_to_flipped(code, s)
@@ -150,7 +151,7 @@ def _eliminate(code: CssCode, ordering: QubitOrdering, s) -> tuple[np.ndarray, n
         col = next(k for k, i in enumerate(picked + [r]) if k != i)
         raise SingularSubmatrix(f"committed column {col} became dependent")
     cols = code.hx.transpose().rows
-    targets = [vector_to_bits(np.asarray(s, dtype=np.uint8) & 1, code.hx.n_rows)]
+    targets = [vector_to_bits(as_bit_vector(s, code.hx.n_rows, "syndrome"), code.hx.n_rows)]
     targets += [cols[q] for q in ordering.remainder]
     nbytes = r // 8 + 1
     tags = []
@@ -196,7 +197,7 @@ def osd_cs(code: CssCode, s, ordering: QubitOrdering, lam: int = DEFAULT_LAM,
     base, reach = _eliminate(code, ordering, s)
     n_t = ordering.remainder.size
     # cost of each committed and each remainder qubit; unit costs sum exactly
-    w_arr = np.ones(code.n) if weights is None else np.asarray(weights, dtype=float)
+    w_arr = np.ones(code.n) if weights is None else as_weight_vector(weights, code.n)
     w_com, w_rem = w_arr[ordering.committed], w_arr[ordering.remainder]
     reach_f = reach.astype(float)
     w_base = w_com * base

@@ -31,7 +31,7 @@ import numpy as np
 from .bp import DEFAULT_CHANNEL_P, BpConfig, min_sum_bp
 from .codes import CssCode, sample_random_hgp
 from .errors import EnumerationTooLarge, InvalidParameter, LposdError
-from .gf2 import in_rowspace
+from .gf2 import as_bit_vector, in_rowspace
 from .lp import (DEFAULT_SOLVER, SOLVERS, build_syndrome_lp, is_integral, round_independent,
                  solve_lp)
 from .osd import DEFAULT_LAM, OsdConfig, osd_postprocess
@@ -174,10 +174,9 @@ class SimConfig:
     def __post_init__(self):
         if not self.ps:
             raise InvalidParameter("no physical error rates given")
+        _check_ensemble_sizes(self.n_codes, self.trials_per_code)
         for p in self.ps:  # rejects a bad p, trials or workers as a run would
             _point_specs(self.decoders, p, self.trials, self.workers)
-        if self.n_codes < 1 or self.trials_per_code < 1:
-            raise InvalidParameter("ensemble sizes must be >= 1")
 
     def to_record(self) -> dict:
         return {
@@ -347,14 +346,9 @@ def sample_error(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 
 def is_success(code: CssCode, error, correction) -> bool:
     """True when the residual error acts trivially, i.e. is a Z stabilizer."""
-    e = np.asarray(error, dtype=np.uint8) & 1
-    e_hat = np.asarray(correction, dtype=np.uint8) & 1
-    if e.shape != e_hat.shape:
-        raise InvalidParameter("error and correction lengths differ")
-    residual = e ^ e_hat
-    if not residual.any():
-        return True
-    return in_rowspace(code.hz, residual)
+    e = as_bit_vector(error, code.n, "error")
+    residual = e ^ as_bit_vector(correction, code.n, "correction")
+    return not residual.any() or in_rowspace(code.hz, residual)
 
 
 def _error_rng(seed: int, point_index: int, trial: int) -> np.random.Generator:
@@ -459,9 +453,7 @@ def _decode_one(code: CssCode, spec: DecoderSpec, s,
                 rng: np.random.Generator | None = None, weights=None,
                 p: float = DEFAULT_CHANNEL_P) -> DecodeResult:
     """One pipeline on one syndrome; a solver error is raised, not counted."""
-    s_arr = np.asarray(s, dtype=np.uint8) & 1
-    if s_arr.shape != (code.hx.n_rows,):  # before the zero-syndrome short-cut
-        raise ValueError(f"syndrome must have length {code.hx.n_rows}")
+    s_arr = as_bit_vector(s, code.hx.n_rows, "syndrome")  # before the zero-syndrome short-cut
     result = _decode_all(code, [spec], s_arr, p, lambda _: rng, weights)[spec.key]
     if "error" in result.diagnostics:
         raise result.diagnostics["error"]
@@ -580,6 +572,13 @@ def _point_specs(decoder, p: float, trials: int, workers: int) -> tuple[bool, li
     return single, specs
 
 
+def _check_ensemble_sizes(n_codes: int, trials_per_code: int) -> None:
+    """The size rule of ``run_ensemble``, which ``SimConfig`` checks too."""
+    for name, size in (("n_codes", n_codes), ("trials_per_code", trials_per_code)):
+        if size < 1:
+            raise InvalidParameter(f"{name} must be >= 1")
+
+
 def _warn_faults(results: Iterable[PointResult], p: float) -> None:
     for res in results:
         if res.solver_faults:
@@ -631,9 +630,8 @@ def run_ensemble(s: int, decoder, p: float, n_codes: int,
     The confidence interval is a bootstrap over codes.
     ``decoder`` may again be one spec or a sequence.
     """
+    _check_ensemble_sizes(n_codes, trials_per_code)
     single, specs = _point_specs(decoder, p, trials_per_code, workers)
-    if n_codes < 1:
-        raise InvalidParameter("n_codes must be >= 1")
     factory = code_factory if code_factory is not None else sample_random_hgp
 
     def tasks():
@@ -667,7 +665,6 @@ def exhaustive_sweep(code: CssCode, decoder, max_weight: int, *,
     spec = as_decoder(decoder)
     rows = []
     for weight in range(max_weight + 1):
-        n_errors = 0
         n_failures = 0
         for idx, support in enumerate(itertools.combinations(range(code.n), weight)):
             error = np.zeros(code.n, dtype=np.uint8)
@@ -676,11 +673,9 @@ def exhaustive_sweep(code: CssCode, decoder, max_weight: int, *,
             outcome = _decode_all(
                 code, [spec], s, DEFAULT_CHANNEL_P,
                 lambda _: _decoder_rng(seed, weight, idx, spec.tag))[spec.key]
-            n_errors += 1
             if not is_success(code, error, outcome.correction):
                 n_failures += 1
-        rows.append(SweepRow(weight=weight, n_errors=n_errors,
-                             n_failures=n_failures))
+        rows.append(SweepRow(weight, math.comb(code.n, weight), n_failures))
     return rows
 
 

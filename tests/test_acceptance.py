@@ -336,9 +336,14 @@ def test_07b_extreme_pipelines_interval_separation(ordering_results):
     print(f"ACCEPTANCE 7b: osd-cs ci=({cs.ci_low:.5f},{cs.ci_high:.5f}) "
           f"rounding ci=({rounding.ci_low:.5f},{rounding.ci_high:.5f}) "
           f"fractional={rounding.fractional}/20000")
+    # half-widths shrink as 1/sqrt(trials): the intervals part once their
+    # sum falls below the gap
+    gap = rounding.p_l - cs.p_l
+    half_widths = (cs.ci_high - cs.ci_low + rounding.ci_high - rounding.ci_low) / 2
+    need = f"~{(half_widths / gap) ** 2:.0f}x more trials" if gap > 0 else "a better decoder"
     assert cs.ci_high < rounding.ci_low, (
-        "intervals overlap: separating a gap of "
-        f"{rounding.p_l - cs.p_l:.5f} needs ~50x more trials"
+        f"intervals overlap: separating a gap of {gap:.5f} from half-widths "
+        f"summing to {half_widths:.5f} needs {need}"
     )
 
 

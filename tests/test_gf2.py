@@ -3,15 +3,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lposd import (
+    BpConfig,
+    OsdConfig,
+    build_error_lp,
+    build_syndrome_lp,
+    decode_syndrome,
+    is_success,
+    min_sum_bp,
+    order_qubits,
+    reflect_to_error_solution,
+    reflect_to_syndrome_solution,
+    solve_lp,
+)
+from lposd.codes import bfs_distance_to_flipped
 from lposd.gf2 import (
     BinaryMatrix,
+    as_bit_vector,
     in_rowspace,
     kernel_basis,
     matrix_from_text,
     matrix_to_text,
     rank,
     row_reduce,
+    vector_to_bits,
 )
+from lposd.osd import osd0, osd_cs
 
 
 def dense_rank(a: np.ndarray) -> int:
@@ -145,3 +162,78 @@ def test_bicycle_check_matrix_rank(bb72):
     assert rank(bb72.hx) == 30
     assert rank(bb72.hz) == 30
     assert dense_rank(bb72.hx.to_dense()) == 30
+
+
+# ---------------------------------------------------------------------------
+# the bit-vector rule
+# ---------------------------------------------------------------------------
+
+
+@given(st.lists(st.integers(-2, 3), max_size=10),
+       st.sampled_from(["bool", "uint8", "int8", "int64", "float64"]))
+def test_bit_vector_rule_accepts_exactly_zero_one_entries(entries, dtype):
+    v = np.array(entries, dtype=np.int64).astype(dtype)
+    if set(v.tolist()) <= {0, 1}:
+        out = as_bit_vector(v, len(entries), "v")
+        assert out.dtype == np.uint8 and out.tolist() == v.astype(int).tolist()
+        assert not np.shares_memory(out, v)
+    else:
+        with pytest.raises(ValueError, match="^v entries must be 0 or 1$"):
+            as_bit_vector(v, len(entries), "v")
+
+
+@pytest.fixture(scope="module")
+def rule_context(surface3):
+    code = surface3
+    e = np.zeros(code.n, dtype=np.uint8)
+    e[4] = 1
+    s = code.syndrome(e)
+    return {
+        "e": e,
+        "syndrome_sol": solve_lp(build_syndrome_lp(code, s)),
+        "error_sol": solve_lp(build_error_lp(code, e)),
+        "ordering": order_qubits(np.zeros(code.n), code, s, OsdConfig()),
+    }
+
+
+# (entry point, length: "m" checks or "n" qubits, the argument's name, call)
+VECTOR_ENTRY_POINTS = [
+    ("vector_to_bits", "n", "vector", lambda code, ctx, v: vector_to_bits(v, code.n)),
+    ("CssCode.syndrome", "n", "error", lambda code, ctx, v: code.syndrome(v)),
+    ("bfs_distance_to_flipped", "m", "syndrome",
+     lambda code, ctx, v: bfs_distance_to_flipped(code, v)),
+    ("build_syndrome_lp", "m", "syndrome", lambda code, ctx, v: build_syndrome_lp(code, v)),
+    ("build_error_lp", "n", "reference error", lambda code, ctx, v: build_error_lp(code, v)),
+    ("reflect_to_syndrome_solution", "n", "reference error",
+     lambda code, ctx, v: reflect_to_syndrome_solution(ctx["error_sol"], v)),
+    ("reflect_to_error_solution", "n", "reference error",
+     lambda code, ctx, v: reflect_to_error_solution(ctx["syndrome_sol"], v)),
+    ("min_sum_bp", "m", "syndrome", lambda code, ctx, v: min_sum_bp(code, v, BpConfig())),
+    ("order_qubits", "m", "syndrome",
+     lambda code, ctx, v: order_qubits(np.zeros(code.n), code, v,
+                                       OsdConfig(tie_break="random"))),
+    ("osd0", "m", "syndrome", lambda code, ctx, v: osd0(code, v, ctx["ordering"])),
+    ("osd_cs", "m", "syndrome", lambda code, ctx, v: osd_cs(code, v, ctx["ordering"])),
+    ("decode_syndrome", "m", "syndrome",
+     lambda code, ctx, v: decode_syndrome(code, "lp-osdcs", v)),
+    ("is_success error", "n", "error", lambda code, ctx, v: is_success(code, v, ctx["e"])),
+    ("is_success correction", "n", "correction",
+     lambda code, ctx, v: is_success(code, ctx["e"], v)),
+]
+
+MALFORMED = {
+    "entry-2": lambda length: np.eye(1, length, dtype=np.uint8)[0] * 2,
+    "entry-minus-1": lambda length: [-1] + [0] * (length - 1),
+    "wrong-length": lambda length: np.zeros(length + 1, dtype=np.uint8),
+    "2-D": lambda length: np.zeros((1, length), dtype=np.uint8),
+}
+
+
+@pytest.mark.parametrize("malformed", MALFORMED)
+@pytest.mark.parametrize("entry", VECTOR_ENTRY_POINTS, ids=[e[0] for e in VECTOR_ENTRY_POINTS])
+def test_every_vector_argument_follows_one_rule(surface3, rule_context, entry, malformed):
+    _, size, name, call = entry
+    length = surface3.hx.n_rows if size == "m" else surface3.n
+    message = f"^{name} (must have length {length}|entries must be 0 or 1)$"
+    with pytest.raises(ValueError, match=message):
+        call(surface3, rule_context, MALFORMED[malformed](length))

@@ -323,6 +323,16 @@ def test_reflection_rejects_mismatched_reference(surface3):
         reflect_to_error_solution(sol, wrong)
     with pytest.raises(LposdError):
         reflect_to_syndrome_solution(sol)
+    # an error-anchored solution reflects only through its own reference
+    err_sol = solve_lp(build_error_lp(code, e))
+    own = reflect_to_syndrome_solution(err_sol)
+    assert np.array_equal(reflect_to_syndrome_solution(err_sol, e.copy()).values, own.values)
+    with pytest.raises(LposdError, match="does not match the model's reference"):
+        reflect_to_syndrome_solution(err_sol, wrong)
+    other = np.zeros(code.n, dtype=np.uint8)
+    other[1] = 1
+    with pytest.raises(LposdError, match="does not match the model's reference"):
+        reflect_to_syndrome_solution(err_sol, other)
 
 
 # ---------------------------------------------------------------------------

@@ -418,3 +418,19 @@ def test_weighted_osd_cs_ranks_candidates_by_weight(solver):
         for bits in itertools.product((0, 1), repeat=code.n)
         if np.array_equal(code.syndrome(np.array(bits, dtype=np.uint8)), s))
     assert float(weights @ res.correction) == pytest.approx(best, abs=1e-12)
+
+
+def test_weights_are_checked_before_use(surface3):
+    # a weights vector one entry too long was once read by its first n entries
+    from lposd import build_syndrome_lp
+
+    code = surface3
+    s = code.syndrome(np.eye(1, code.n, 4, dtype=np.uint8)[0])
+    ordering = order_qubits(np.zeros(code.n), code, s, OsdConfig())
+    bad = [(np.ones(code.n + 1), f"weights must have length {code.n}$"),
+           (np.r_[np.nan, np.ones(code.n - 1)], "weights must be finite$")]
+    for weights, message in bad:
+        with pytest.raises(ValueError, match=message):
+            osd_cs(code, s, ordering, weights=weights)
+        with pytest.raises(ValueError, match=message):
+            build_syndrome_lp(code, s, weights)

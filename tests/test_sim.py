@@ -79,7 +79,7 @@ def test_is_success_judged_modulo_stabilizers(surface3):
     stab = code.hz.to_dense()[0]
     assert is_success(code, e, e ^ stab)
     assert not is_success(code, e, np.zeros(code.n, dtype=np.uint8))
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(ValueError, match=f"correction must have length {code.n}"):
         is_success(code, e, np.zeros(code.n - 1, dtype=np.uint8))
 
 
@@ -316,6 +316,25 @@ def test_point_rejects_bad_arguments(surface3):
         run_point(surface3, "lp-osd0", p=0.7, trials=10)
     with pytest.raises(InvalidParameter):
         run_point(surface3, "lp-osd0", p=0.1, trials=0)
+
+
+@pytest.mark.parametrize("size", ["n_codes", "trials_per_code"])
+def test_ensemble_sizes_share_one_rule(surface3, size, capsys):
+    # SimConfig, run_ensemble and the CLI reject an empty ensemble with one message
+    from lposd.cli import main
+
+    sizes = {"n_codes": 2, "trials_per_code": 5, size: 0}
+    message = f"^{size} must be >= 1$"
+    with pytest.raises(InvalidParameter, match=message):
+        SimConfig(code="random-hgp:2", decoders=(DecoderSpec(name="bp"),), ps=(0.1,),
+                  trials=10, **sizes)
+    with pytest.raises(InvalidParameter, match=message):
+        run_ensemble(2, "bp", p=0.1, **sizes, code_factory=lambda s, seed: surface3)
+    flags = [arg for key, value in sizes.items()
+             for arg in (f"--{key.replace('_', '-')}", str(value))]
+    assert main(["simulate", "--code", "random-hgp:2", "--decoder", "bp", "--p", "0.1",
+                 "--trials", "10", "--out", "-", *flags]) == 2
+    assert capsys.readouterr().err.endswith(f"error: {size} must be >= 1\n")
 
 
 @pytest.mark.parametrize("workers", [0, -2])
