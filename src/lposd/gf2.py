@@ -40,11 +40,7 @@ def as_bit_vector(v, length: int, name: str) -> np.ndarray:
     arr = np.asarray(v)
     if arr.shape != (length,):
         raise ValueError(f"{name} must have length {length}")
-    if arr.dtype == np.uint8:  # no byte is left once the 0 and 1 bytes are deleted
-        ok = not arr.tobytes().translate(None, b"\x00\x01")
-    else:
-        ok = arr.dtype == np.bool_ or ((arr == 0) | (arr == 1)).all()
-    if not ok:
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} entries must be 0 or 1")
     return arr.astype(np.uint8)
 

@@ -594,10 +594,18 @@ def stabilizers_within(code: CssCode, support) -> list[np.ndarray]:
     stabilizers beyond its own generators exactly when every returned
     vector lies in the span of those generators.
     """
-    comp = np.flatnonzero(_as_error_vector(code.n, support) == 0)
-    restricted = BinaryMatrix.from_dense(code.hz.to_dense()[:, comp])
-    images = (code.hz.transpose().mat_vec(c) for c in kernel_basis(restricted.transpose()))
-    return [image for image in images if image.any()]
+    mask = np.zeros(code.n, dtype=bool)
+    for q in _support(_as_error_vector(code.n, support)):
+        mask[q] = True
+    comp = np.flatnonzero(~mask)
+    dense = code.hz.to_dense()
+    restricted = BinaryMatrix.from_dense(dense[:, comp])
+    out: list[np.ndarray] = []
+    for coeff in kernel_basis(restricted.transpose()):
+        image = code.hz.transpose().mat_vec(coeff)
+        if image.any():
+            out.append(image.astype(np.uint8))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 from .bp import DEFAULT_CHANNEL_P, BpConfig, min_sum_bp
 from .codes import CssCode, sample_random_hgp
 from .errors import EnumerationTooLarge, InvalidParameter, LposdError
-from .gf2 import as_bit_vector, in_rowspace
+from .gf2 import as_bit_vector, as_weight_vector, in_rowspace
 from .lp import (DEFAULT_SOLVER, SOLVERS, build_syndrome_lp, is_integral, round_independent,
                  solve_lp)
 from .osd import DEFAULT_LAM, OsdConfig, osd_postprocess
@@ -347,8 +347,11 @@ def sample_error(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 def is_success(code: CssCode, error, correction) -> bool:
     """True when the residual error acts trivially, i.e. is a Z stabilizer."""
     e = as_bit_vector(error, code.n, "error")
-    residual = e ^ as_bit_vector(correction, code.n, "correction")
-    return not residual.any() or in_rowspace(code.hz, residual)
+    e_hat = as_bit_vector(correction, code.n, "correction")
+    residual = e ^ e_hat
+    if not residual.any():
+        return True
+    return in_rowspace(code.hz, residual)
 
 
 def _error_rng(seed: int, point_index: int, trial: int) -> np.random.Generator:
@@ -453,8 +456,10 @@ def _decode_one(code: CssCode, spec: DecoderSpec, s,
                 rng: np.random.Generator | None = None, weights=None,
                 p: float = DEFAULT_CHANNEL_P) -> DecodeResult:
     """One pipeline on one syndrome; a solver error is raised, not counted."""
-    s_arr = as_bit_vector(s, code.hx.n_rows, "syndrome")  # before the zero-syndrome short-cut
-    result = _decode_all(code, [spec], s_arr, p, lambda _: rng, weights)[spec.key]
+    # both arguments are checked before the zero-syndrome short-cut
+    s_arr = as_bit_vector(s, code.hx.n_rows, "syndrome")
+    w_arr = None if weights is None else as_weight_vector(weights, code.n)
+    result = _decode_all(code, [spec], s_arr, p, lambda _: rng, w_arr)[spec.key]
     if "error" in result.diagnostics:
         raise result.diagnostics["error"]
     return result
@@ -665,6 +670,7 @@ def exhaustive_sweep(code: CssCode, decoder, max_weight: int, *,
     spec = as_decoder(decoder)
     rows = []
     for weight in range(max_weight + 1):
+        n_errors = 0
         n_failures = 0
         for idx, support in enumerate(itertools.combinations(range(code.n), weight)):
             error = np.zeros(code.n, dtype=np.uint8)
@@ -673,9 +679,11 @@ def exhaustive_sweep(code: CssCode, decoder, max_weight: int, *,
             outcome = _decode_all(
                 code, [spec], s, DEFAULT_CHANNEL_P,
                 lambda _: _decoder_rng(seed, weight, idx, spec.tag))[spec.key]
+            n_errors += 1
             if not is_success(code, error, outcome.correction):
                 n_failures += 1
-        rows.append(SweepRow(weight, math.comb(code.n, weight), n_failures))
+        rows.append(SweepRow(weight=weight, n_errors=n_errors,
+                             n_failures=n_failures))
     return rows
 
 

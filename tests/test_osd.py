@@ -421,10 +421,12 @@ def test_weighted_osd_cs_ranks_candidates_by_weight(solver):
 
 
 def test_weights_are_checked_before_use(surface3):
-    # a weights vector one entry too long was once read by its first n entries
-    from lposd import build_syndrome_lp
+    # a weights vector one entry too long was once read by its first n entries,
+    # and a one-shot decode of the zero syndrome returned before reading it
+    from lposd import build_syndrome_lp, lp_osd_decode, lp_round_decode
 
     code = surface3
+    zeros = np.zeros(code.hx.n_rows, dtype=np.uint8)
     s = code.syndrome(np.eye(1, code.n, 4, dtype=np.uint8)[0])
     ordering = order_qubits(np.zeros(code.n), code, s, OsdConfig())
     bad = [(np.ones(code.n + 1), f"weights must have length {code.n}$"),
@@ -434,3 +436,6 @@ def test_weights_are_checked_before_use(surface3):
             osd_cs(code, s, ordering, weights=weights)
         with pytest.raises(ValueError, match=message):
             build_syndrome_lp(code, s, weights)
+        for decode in (lp_osd_decode, lp_round_decode):
+            with pytest.raises(ValueError, match=message):
+                decode(code, zeros, weights=weights)
