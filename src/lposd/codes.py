@@ -111,6 +111,10 @@ class CssCode:
         self._lp_template = None
         # search_patterns' prepared rings (see patterns._prepared_rings)
         self._pattern_rings: dict = {}
+        # the reducedness screen's Z row sums (see patterns._row_sums)
+        self._row_sums = None
+        # the success test's parity columns (see sim._success_columns)
+        self._success_columns = None
 
     @property
     def n(self) -> int:
@@ -150,9 +154,9 @@ class CssCode:
         """X-check syndrome of a Z-error vector: H_X·e over GF(2)."""
         e = as_bit_vector(error, self.n, "error")
         tan = self.tanner
-        counts = np.bincount(tan.x_edge_check, weights=e[tan.x_edge_qubit],
+        counts = np.bincount(tan.x_edge_check[e[tan.x_edge_qubit].view(bool)],
                              minlength=self.hx.n_rows)
-        return (counts.astype(np.int64) & 1).astype(np.uint8)
+        return (counts & 1).astype(np.uint8)
 
     def max_check_weight(self) -> int:
         weights = [self.hx.row_weight(j) for j in range(self.hx.n_rows)]

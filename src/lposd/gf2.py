@@ -40,6 +40,10 @@ def as_bit_vector(v, length: int, name: str) -> np.ndarray:
     arr = np.asarray(v)
     if arr.shape != (length,):
         raise ValueError(f"{name} must have length {length}")
+    if arr.dtype == np.uint8:  # the decoders' own vectors: no entry is below 0
+        if length and arr.max() > 1:
+            raise ValueError(f"{name} entries must be 0 or 1")
+        return arr.copy()
     if not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} entries must be 0 or 1")
     return arr.astype(np.uint8)
@@ -93,12 +97,14 @@ class BinaryMatrix:
 
     @classmethod
     def from_dense(cls, array) -> "BinaryMatrix":
-        arr = np.asarray(array, dtype=np.uint8) % 2
+        """Rows of a 2-D 0/1 array; ValueError for any other entry (nothing
+        is reduced mod 2)."""
+        arr = np.asarray(array)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
-        n_rows, n_cols = arr.shape
-        rows = [vector_to_bits(arr[i], n_cols) for i in range(n_rows)]
-        return cls(rows, n_cols)
+        bits = as_bit_vector(arr.reshape(-1), arr.size, "matrix").reshape(arr.shape)
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        return cls((int.from_bytes(row.tobytes(), "little") for row in packed), arr.shape[1])
 
     @classmethod
     def from_entries(cls, n_rows: int, n_cols: int,

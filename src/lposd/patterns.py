@@ -371,16 +371,32 @@ def is_reduced(code: CssCode, error) -> ReducedCheck:
 
 
 def _row_search(code: CssCode, e_bits: int) -> int | None:
-    """A strictly lighter error that adds up to ``_REDUCE_BUDGET`` Z check rows, or None."""
-    weight = e_bits.bit_count()
-    for size in range(1, _REDUCE_BUDGET + 1):
-        for combo in itertools.combinations(code.hz.rows, size):
-            cand = e_bits
-            for row in combo:
-                cand ^= row
-            if cand.bit_count() < weight:
-                return cand
-    return None
+    """The first strictly lighter error that adds up to ``_REDUCE_BUDGET`` Z
+    check rows, in the order ``itertools.combinations`` visits the rows, or None."""
+    sums, weights = _row_sums(code)
+    e = np.frombuffer(e_bits.to_bytes(8 * sums.shape[1], "little"), dtype="<u8")
+    # |e ^ t| < |e| exactly when t shares more than half its ones with e
+    lighter = np.flatnonzero(2 * np.bitwise_count(sums & e).sum(axis=1) > weights)
+    if not lighter.size:
+        return None
+    return int.from_bytes((sums[lighter[0]] ^ e).tobytes(), "little")
+
+
+def _row_sums(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
+    """Every sum of 1 to ``_REDUCE_BUDGET`` Z check rows in ``_row_search``'s
+    order, as little-endian 64-bit words, and its weight; kept on the code
+    (10 KB on bb72, 0.4 MB on bb288: about m_z^2 / 2 rows of n / 64 words)."""
+    if code._row_sums is None:
+        words = max(1, -(-code.n // 64))
+        rows = np.frombuffer(b"".join(r.to_bytes(8 * words, "little") for r in code.hz.rows),
+                             dtype="<u8").reshape(-1, words)
+        sums = np.concatenate([
+            np.bitwise_xor.reduce(rows[np.array(
+                list(itertools.combinations(range(len(rows)), size)),
+                dtype=np.intp).reshape(-1, size)], axis=1)
+            for size in range(1, _REDUCE_BUDGET + 1)])
+        code._row_sums = sums, np.bitwise_count(sums).sum(axis=1)
+    return code._row_sums
 
 
 def _coset_walk(code: CssCode, e_bits: int) -> ReducedCheck:

@@ -12,7 +12,9 @@ solver errors, where a Monte Carlo run counts them as faults; without an
 (seed, point index, trial index) plus a fixed per-decoder tag, which makes
 every decoder's outcome independent of which other decoders share the run
 and of the worker count; a decoder's generator is built only when its OSD
-stage breaks ties at random.
+stage breaks ties at random.  A trial scores each distinct correction once,
+with the one success rule (``_score``) that ``is_success`` and
+``exhaustive_sweep`` also use.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from .bp import DEFAULT_CHANNEL_P, BpConfig, min_sum_bp
 from .codes import CssCode, sample_random_hgp
 from .errors import EnumerationTooLarge, InvalidParameter, LposdError
-from .gf2 import as_bit_vector, as_weight_vector, in_rowspace
+from .gf2 import BinaryMatrix, as_bit_vector, as_weight_vector, kernel_basis, vector_to_bits
 from .lp import (DEFAULT_SOLVER, SOLVERS, build_syndrome_lp, is_integral, round_independent,
                  solve_lp)
 from .osd import DEFAULT_LAM, OsdConfig, osd_postprocess
@@ -348,10 +350,30 @@ def is_success(code: CssCode, error, correction) -> bool:
     """True when the residual error acts trivially, i.e. is a Z stabilizer."""
     e = as_bit_vector(error, code.n, "error")
     e_hat = as_bit_vector(correction, code.n, "correction")
-    residual = e ^ e_hat
-    if not residual.any():
-        return True
-    return in_rowspace(code.hz, residual)
+    return not _score(code, e ^ e_hat)[0]
+
+
+def _success_columns(code: CssCode) -> tuple[tuple[int, ...], int]:
+    """Column q of [H_X; K] packed into an int, H_X's rows in the low bits,
+    with K's rows a basis of ker H_Z; and the mask of H_X's bits.  Built once
+    per code.  A residual r is a Z stabilizer exactly when K r = 0, since the
+    row space of H_Z is the orthogonal complement of its kernel."""
+    if code._success_columns is None:
+        kernel = [vector_to_bits(v, code.n) for v in kernel_basis(code.hz)]
+        stacked = BinaryMatrix(code.hx.rows + tuple(kernel), code.n)
+        code._success_columns = stacked.transpose().rows, (1 << code.hx.n_rows) - 1
+    return code._success_columns
+
+
+def _score(code: CssCode, residual: np.ndarray) -> tuple[bool, bool]:
+    """(failed, wrong syndrome) of a residual error, from one GF(2) product
+    with ``_success_columns``: K r sits above the syndrome bits H_X r, so the
+    residual fails exactly when the product exceeds their mask."""
+    columns, syndrome_bits = _success_columns(code)
+    product = 0
+    for q in np.flatnonzero(residual).tolist():
+        product ^= columns[q]
+    return product > syndrome_bits, product & syndrome_bits != 0
 
 
 def _error_rng(seed: int, point_index: int, trial: int) -> np.random.Generator:
@@ -519,12 +541,11 @@ def _run_trials(code: CssCode, specs: Sequence[DecoderSpec], p: float,
     results = [PointResult(code_name, spec.key, spec.name, p, seed, point_index)
                for spec in specs]
     for trial in range(start, stop):
-        err_rng = _error_rng(seed, point_index, trial)
-        error = sample_error(code.n, p, err_rng)
-        s = code.syndrome(error)
+        error = sample_error(code.n, p, _error_rng(seed, point_index, trial))
         outcomes = _decode_all(
-            code, specs, s, p,
+            code, specs, code.syndrome(error), p,
             lambda spec: _decoder_rng(seed, point_index, trial, spec.tag))
+        scores: dict[bytes, tuple[bool, bool]] = {}  # one product per distinct correction
         for res in results:
             outcome = outcomes[res.decoder]
             res.trials += 1
@@ -535,10 +556,12 @@ def _run_trials(code: CssCode, specs: Sequence[DecoderSpec], p: float,
                 res.fractional += 1
             if outcome.stage == "solver-fault":
                 res.solver_faults += 1
-            if not is_success(code, error, outcome.correction):
-                res.failures += 1
-                if (code.syndrome(outcome.correction) != s).any():
-                    res.wrong_syndrome += 1
+            key = outcome.correction.tobytes()
+            if key not in scores:
+                scores[key] = _score(code, error ^ outcome.correction)
+            failed, wrong_syndrome = scores[key]
+            res.failures += failed
+            res.wrong_syndrome += wrong_syndrome
     return results
 
 
@@ -600,12 +623,15 @@ def run_point(code: CssCode, decoder, p: float, trials: int, seed: int = 0, *,
     result per entry.  Results are independent of ``workers``.
     """
     single, specs = _point_specs(decoder, p, trials, workers)
-    tasks = [(code, specs, p, seed, point_index, lo, hi)
-             for lo, hi in _chunk_ranges(trials, workers)]
-    results, *partials = _map_trials(tasks, len(tasks), workers)
-    for part in partials:
-        for res, other in zip(results, part):
-            res.merge(other)
+    if workers == 1:
+        results = _run_trials(code, specs, p, seed, point_index, 0, trials)
+    else:
+        tasks = [(code, specs, p, seed, point_index, lo, hi)
+                 for lo, hi in _chunk_ranges(trials, workers)]
+        results, *partials = _map_trials(tasks, len(tasks), workers)
+        for part in partials:
+            for res, other in zip(results, part):
+                res.merge(other)
     _warn_faults(results, p)
     return results[0] if single else results
 
@@ -680,8 +706,7 @@ def exhaustive_sweep(code: CssCode, decoder, max_weight: int, *,
                 code, [spec], s, DEFAULT_CHANNEL_P,
                 lambda _: _decoder_rng(seed, weight, idx, spec.tag))[spec.key]
             n_errors += 1
-            if not is_success(code, error, outcome.correction):
-                n_failures += 1
+            n_failures += _score(code, error ^ outcome.correction)[0]
         rows.append(SweepRow(weight=weight, n_errors=n_errors,
                              n_failures=n_failures))
     return rows

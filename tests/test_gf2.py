@@ -182,6 +182,37 @@ def test_bit_vector_rule_accepts_exactly_zero_one_entries(entries, dtype):
             as_bit_vector(v, len(entries), "v")
 
 
+def rule_outcome(v, length):
+    try:
+        out = as_bit_vector(v, length, "v")
+    except ValueError as exc:
+        return "rejected", str(exc)
+    assert out.dtype == np.uint8 and not np.shares_memory(out, v)
+    return "accepted", out.tolist()
+
+
+@given(st.lists(st.sampled_from([0, 1, 2, 255]), max_size=12),
+       st.sampled_from(["uint8", "bool", "int8", "uint16", "int64", "float64"]),
+       st.integers(-1, 1))
+def test_bit_vector_fast_path_agrees_with_the_general_path(entries, dtype, length_shift):
+    # int64 never takes the uint8 fast path, so it is the general rule's answer
+    v = np.array(entries, dtype=np.int64).astype(dtype)
+    length = max(len(entries) + length_shift, 0)
+    assert rule_outcome(v, length) == rule_outcome(v.astype(np.int64), length)
+
+
+def test_from_dense_rejects_entries_other_than_zero_or_one():
+    with pytest.raises(ValueError, match="^matrix entries must be 0 or 1$"):
+        BinaryMatrix.from_dense([[2, 1, 3]])
+    for bad in ([[0, -1]], [[0.5, 1.0]], np.full((2, 2), 255, dtype=np.uint8)):
+        with pytest.raises(ValueError, match="^matrix entries must be 0 or 1$"):
+            BinaryMatrix.from_dense(bad)
+    m = BinaryMatrix.from_dense(np.array([[True, False, True]]))
+    assert m.to_dense().tolist() == [[1, 0, 1]]
+    assert BinaryMatrix.from_dense([[1.0, 0.0], [0.0, 1.0]]).rows == (0b01, 0b10)
+    assert BinaryMatrix.from_dense(np.zeros((2, 0), dtype=np.uint8)).shape == (2, 0)
+
+
 @pytest.fixture(scope="module")
 def rule_context(surface3):
     code = surface3

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness: sampling, tallies, determinism."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,9 @@ from lposd import (
     sample_error,
     wilson_interval,
 )
-from lposd.sim import read_results, write_results
+from lposd.codes import named_bb_code, sample_random_hgp
+from lposd.gf2 import in_rowspace, kernel_basis
+from lposd.sim import _score, read_results, write_results
 
 
 def point_fingerprint(res):
@@ -81,6 +84,33 @@ def test_is_success_judged_modulo_stabilizers(surface3):
     assert not is_success(code, e, np.zeros(code.n, dtype=np.uint8))
     with pytest.raises(ValueError, match=f"correction must have length {code.n}"):
         is_success(code, e, np.zeros(code.n - 1, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("name", ["surface5", "bb72", "bb144", "random-hgp", "toy22"])
+def test_success_test_matches_rowspace_and_syndrome(name, request):
+    code = {"surface5": lambda: request.getfixturevalue("surface5"),
+            "bb72": lambda: request.getfixturevalue("bb72"),
+            "bb144": lambda: named_bb_code("bb144"),
+            "random-hgp": lambda: sample_random_hgp(2, 0),
+            "toy22": lambda: request.getfixturevalue("toy22")[0]}[name]()
+    rng = np.random.default_rng(71)
+    hz = code.hz.to_dense()
+    ker_hx = np.array(kernel_basis(code.hx))  # stabilizers and logicals
+    residuals = [np.zeros(code.n, dtype=np.uint8)]
+    for _ in range(60):
+        stabilizer = (rng.integers(0, 2, len(hz)) @ hz % 2).astype(np.uint8)
+        undetected = (rng.integers(0, 2, len(ker_hx)) @ ker_hx % 2).astype(np.uint8)
+        noise = (rng.random(code.n) < 0.05).astype(np.uint8)
+        residuals += [stabilizer, undetected, noise, stabilizer ^ noise]
+    seen = set()
+    for r in residuals:
+        failed, wrong = not in_rowspace(code.hz, r), bool(code.syndrome(r).any())
+        assert _score(code, r) == (failed, wrong)
+        e = (rng.random(code.n) < 0.1).astype(np.uint8)
+        assert is_success(code, e, e ^ r) == (not failed)
+        seen.add((failed, wrong))
+    # stabilizers, logicals and detected residuals all occur
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +464,18 @@ def test_sweep_clean_below_half_distance(surface3):
     assert rows[0].n_errors == 1
     assert rows[1].n_errors == surface3.n
     assert all(row.n_failures == 0 for row in rows)
+
+
+def test_sweep_counts_failures_by_the_success_test(surface3):
+    rows = exhaustive_sweep(surface3, "lp-round", max_weight=2)
+    expected = 0
+    for support in itertools.combinations(range(surface3.n), 2):
+        e = np.zeros(surface3.n, dtype=np.uint8)
+        e[list(support)] = 1
+        correction = decode_syndrome(surface3, "lp-round", surface3.syndrome(e))
+        expected += not in_rowspace(surface3.hz, e ^ correction)
+    assert rows[2].n_errors == math.comb(surface3.n, 2)
+    assert rows[2].n_failures == expected > 0
 
 
 def test_sweep_guard_blocks_huge_enumerations(bb72):
