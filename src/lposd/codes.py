@@ -111,8 +111,8 @@ class CssCode:
         self._lp_template = None
         # search_patterns' prepared rings (see patterns._prepared_rings)
         self._pattern_rings: dict = {}
-        # the reducedness screen's Z row sums (see patterns._row_sums)
-        self._row_sums = None
+        # the reducedness screen's view of H_Z (see patterns._row_screen)
+        self._row_screen = None
         # the success test's parity columns (see sim._success_columns)
         self._success_columns = None
 

@@ -40,10 +40,6 @@ def as_bit_vector(v, length: int, name: str) -> np.ndarray:
     arr = np.asarray(v)
     if arr.shape != (length,):
         raise ValueError(f"{name} must have length {length}")
-    if arr.dtype == np.uint8:  # the decoders' own vectors: no entry is below 0
-        if length and arr.max() > 1:
-            raise ValueError(f"{name} entries must be 0 or 1")
-        return arr.copy()
     if not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} entries must be 0 or 1")
     return arr.astype(np.uint8)

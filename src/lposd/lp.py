@@ -108,7 +108,7 @@ DEFAULT_SOLVER = "scipy"
 # Every value ``solve_lp``, ``DecoderSpec`` and the CLI accept for ``solver``.
 SOLVERS = ("scipy", "embedded")
 
-# Components this close to 0 or 1 are snapped as a backend returns them (``_snap``).
+# Components this close to an integer are snapped when a solution is packaged.
 _SNAP = 1e-11
 
 # A qubit variable this close to 0 or 1 counts as integral.
@@ -438,7 +438,7 @@ def _solve_embedded(model: LpModel) -> tuple[np.ndarray, float, str, int]:
         raise IterationLimit(f"simplex hit the iteration cap after {res.iterations} pivots")
     if res.status != "optimal":
         raise LposdError(f"simplex failed: {res.status} {res.message}")
-    values = _snap(recover(res.x))
+    values = recover(res.x)
     objective = res.objective if model.sense == "min" else -res.objective
     return values, objective, "optimal", res.iterations
 
@@ -483,13 +483,6 @@ def _run_highs(core, highs) -> tuple[np.ndarray, float, int]:
     col_value = highs.getSolution().col_value
     return (np.fromiter(col_value, float, len(col_value)), highs.getObjectiveValue(),
             highs.getInfoValue("simplex_iteration_count")[1])
-
-
-def _snap(values: np.ndarray) -> np.ndarray:
-    """Set components within 1e-11 of 0 or 1 to exactly 0 or 1, in place."""
-    values[np.abs(values) < _SNAP] = 0.0
-    values[np.abs(values - 1.0) < _SNAP] = 1.0
-    return values
 
 
 class _HighsModel:
@@ -550,7 +543,7 @@ class _HighsModel:
             self._parities = parities.astype(np.int8)
         highs.clearSolver()
         values, objective, iterations = _run_highs(self._core, highs)
-        values = _snap(values[gather])
+        values = values[gather]
         ones = np.flatnonzero(values)
         if (values[ones] == 1.0).all():
             if len(memo) >= _MEMO_ENTRIES:
@@ -625,7 +618,7 @@ def _solve_scipy(model: LpModel) -> tuple[np.ndarray, float, str, int]:
                        np.where(model.free_vars, -np.inf, 0.0),
                        np.where(model.row_sense < 0, -np.inf, model.b), model.b)
     values, objective, iterations = _run_highs(core, highs)
-    return _snap(values), sign * objective, "optimal", iterations
+    return values, sign * objective, "optimal", iterations
 
 
 def solve_lp(model: LpModel, solver: str = DEFAULT_SOLVER) -> LpSolution:
@@ -640,9 +633,8 @@ def solve_lp(model: LpModel, solver: str = DEFAULT_SOLVER) -> LpSolution:
     optimal objective but may return a different vertex of a degenerate
     optimal face, so a decoder's correction can depend on the backend.
 
-    Components within 1e-11 of 0 or 1 are snapped to exactly 0 or 1 as a
-    backend returns them (a remembered optimum is exact already), which keeps
-    downstream reflections and roundings exact.
+    Near-integer components of the solution are snapped to exact integers
+    (at 1e-11), which keeps downstream reflections and roundings exact.
     Raises Infeasible or IterationLimit; other backend failures, and
     'scipy' without scipy's HiGHS extension, raise LposdError.
     """
@@ -652,6 +644,8 @@ def solve_lp(model: LpModel, solver: str = DEFAULT_SOLVER) -> LpSolution:
         values, objective, status, iterations = _solve_scipy(model)
     else:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+    values[np.abs(values) < _SNAP] = 0.0
+    values[np.abs(values - 1.0) < _SNAP] = 1.0
     return LpSolution(model=model, values=values, objective=float(objective),
                       status=status, iterations=iterations, solver=solver)
 
@@ -659,8 +653,6 @@ def solve_lp(model: LpModel, solver: str = DEFAULT_SOLVER) -> LpSolution:
 def is_integral(sol: LpSolution | np.ndarray) -> bool:
     """True when every qubit variable is within 1e-6 of 0 or 1."""
     x = sol.x() if isinstance(sol, LpSolution) else np.asarray(sol, dtype=float)
-    if np.count_nonzero(x) == np.count_nonzero(x == 1.0):  # exactly 0/1, the common case
-        return True
     return bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= _INTEGRAL_TOL))
 
 

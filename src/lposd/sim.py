@@ -623,15 +623,12 @@ def run_point(code: CssCode, decoder, p: float, trials: int, seed: int = 0, *,
     result per entry.  Results are independent of ``workers``.
     """
     single, specs = _point_specs(decoder, p, trials, workers)
-    if workers == 1:
-        results = _run_trials(code, specs, p, seed, point_index, 0, trials)
-    else:
-        tasks = [(code, specs, p, seed, point_index, lo, hi)
-                 for lo, hi in _chunk_ranges(trials, workers)]
-        results, *partials = _map_trials(tasks, len(tasks), workers)
-        for part in partials:
-            for res, other in zip(results, part):
-                res.merge(other)
+    tasks = [(code, specs, p, seed, point_index, lo, hi)
+             for lo, hi in _chunk_ranges(trials, workers)]
+    results, *partials = _map_trials(tasks, len(tasks), workers)
+    for part in partials:
+        for res, other in zip(results, part):
+            res.merge(other)
     _warn_faults(results, p)
     return results[0] if single else results
 

@@ -1,9 +1,9 @@
-"""``patterns._row_search`` as it stood before its table rewrite.
+"""``patterns._row_search`` as it stood before its vectorised rewrite.
 
-Oracle for ``lposd.patterns._row_search``: the production screen compares
-the error with a per-code table of Z row sums and must return the same
-first strictly lighter combination, in the same order, as this loop over
-single rows and row pairs.  Kept verbatim; do not tune it.
+Oracle for ``lposd.patterns._row_search``: the production screen tries only the
+Z rows that meet the error and their pairs, and must return the same first
+strictly lighter combination, in the same order, as this loop over single
+rows and row pairs.  Kept verbatim; do not tune it.
 """
 
 import itertools

@@ -35,9 +35,8 @@ from lposd import (
     write_patterns,
 )
 from lposd.codes import named_bb_code, rotated_surface_code, sample_random_hgp
-from lposd.patterns import _REDUCE_BUDGET, _row_search, pattern_to_record, record_to_pattern
+from lposd.patterns import _row_search, pattern_to_record, record_to_pattern
 from reference_certificate import reference_verify_certificate
-from reference_row_search import _REDUCE_BUDGET as REFERENCE_BUDGET
 from reference_row_search import reference_row_search
 
 
@@ -687,20 +686,24 @@ def test_sampling_gives_up_when_every_pick_is_lighter(ring108):
 def test_row_search_matches_the_frozen_loop(name, toy22, bb72):
     code = {"bb72": lambda: bb72, "toy22": lambda: toy22[0],
             "random-hgp": lambda: sample_random_hgp(2, 0)}[name]()
-    assert _REDUCE_BUDGET == REFERENCE_BUDGET
     rng = np.random.default_rng(61)
     rows = code.hz.rows
-    picks = [0]
-    for _ in range(300):
-        # a random sparse pick, and one near a sum of one or two Z rows
-        e = int.from_bytes(np.packbits(rng.random(code.n) < rng.uniform(0.02, 0.2),
-                                       bitorder="little").tobytes(), "little")
+    def near_a_row_sum():
         t = rows[rng.integers(len(rows))]
         if rng.random() < 0.5:
             t ^= rows[rng.integers(len(rows))]
         t &= ~(1 << int(rng.integers(code.n)))  # drops a qubit if t holds it
-        picks += [e, t ^ (1 << int(rng.integers(code.n)))]
+        return t ^ (1 << int(rng.integers(code.n)))
+
+    picks = [0]
+    for _ in range(300):
+        # a random sparse pick, one near a sum of one or two Z rows, and the
+        # union of two such, which a second row pair may make lighter too
+        e = int.from_bytes(np.packbits(rng.random(code.n) < rng.uniform(0.02, 0.2),
+                                       bitorder="little").tobytes(), "little")
+        picks += [e, near_a_row_sum(), near_a_row_sum() | near_a_row_sum()]
     found = [_row_search(code, e) for e in picks]
     assert found == [reference_row_search(code, e) for e in picks]
-    lighter = [f for f in found if f is not None]
+    lighter = [(e, f) for e, f in zip(picks, found) if f is not None]
     assert lighter and len(lighter) < len(found)  # both outcomes are exercised
+    assert any(e ^ f not in rows for e, f in lighter)  # and so is a row pair
