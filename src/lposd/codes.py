@@ -152,7 +152,11 @@ class CssCode:
 
     def syndrome(self, error) -> np.ndarray:
         """X-check syndrome of a Z-error vector: H_X·e over GF(2)."""
-        e = as_bit_vector(error, self.n, "error")
+        return self._syndrome(as_bit_vector(error, self.n, "error"))
+
+    def _syndrome(self, e: np.ndarray) -> np.ndarray:
+        """``syndrome`` of an error the caller built as a uint8 0/1 vector of
+        length n; nothing is checked."""
         tan = self.tanner
         counts = np.bincount(tan.x_edge_check[e[tan.x_edge_qubit].view(bool)],
                              minlength=self.hx.n_rows)

@@ -338,7 +338,13 @@ def build_syndrome_lp(code: CssCode, s, weights: Sequence[float] | None = None) 
     """LP whose optimum lower-bounds the minimum error weight for syndrome s."""
     tpl = _template(code)
     s_arr = as_bit_vector(s, tpl.m_x, "syndrome")
-    cost = 1.0 if weights is None else as_weight_vector(weights, tpl.n)
+    return _syndrome_lp(code, s_arr, None if weights is None else as_weight_vector(weights, tpl.n))
+
+
+def _syndrome_lp(code: CssCode, s_arr: np.ndarray, weights: np.ndarray | None) -> LpModel:
+    """``build_syndrome_lp`` of a checked uint8 syndrome and checked weights
+    (or None), which the model keeps without copying."""
+    cost = 1.0 if weights is None else weights
     meta = {"syndrome": s_arr, "parities": s_arr.astype(np.int8)}
     return _primal_lp(code, "syndrome", cost, meta)
 
@@ -521,7 +527,7 @@ class _HighsModel:
         cost = model.c[: self._qubits.size]
         highs = self._highs
         memo = self._memo
-        if not np.array_equal(cost, self._cost):
+        if (cost != self._cost).any():
             highs.changeColsCost(self._qubits.size, self._qubits, cost)
             self._cost = cost.copy()
             memo.clear()
@@ -653,7 +659,7 @@ def solve_lp(model: LpModel, solver: str = DEFAULT_SOLVER) -> LpSolution:
 def is_integral(sol: LpSolution | np.ndarray) -> bool:
     """True when every qubit variable is within 1e-6 of 0 or 1."""
     x = sol.x() if isinstance(sol, LpSolution) else np.asarray(sol, dtype=float)
-    return bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= _INTEGRAL_TOL))
+    return bool((np.minimum(np.abs(x), np.abs(x - 1.0)) <= _INTEGRAL_TOL).all())
 
 
 def round_independent(x) -> np.ndarray:

@@ -378,39 +378,41 @@ def _row_search(code: CssCode, e_bits: int) -> int | None:
     lighter when gain_a = 2 o_a - w_a > 0, and rows a < b together when
     gain_a + gain_b + 2 c_ab - 4 x_ab > 0, where c_ab counts the qubits the
     two rows share and x_ab those of them in e; both are zero unless the rows
-    share a qubit.  A call builds an m_z x m_z integer table (16 MB at peak
-    and 3.5 ms on a random HGP code with n = 2500 and m_z = 1200) and keeps
-    nothing on the code but ``_row_screen``.
+    share a qubit.  A pair is tried only when no single row is lighter, so
+    every gain is at most zero and only rows that share a qubit can be
+    lighter together: a call costs the edges of H_Z plus the pairs of Z rows
+    that meet, and keeps nothing on the code but ``_row_screen``.
     """
     screen = _row_screen(code)
     e = bits_to_vector(e_bits, code.n).view(bool)
-    m = screen.weights.size
-    gain = 2 * np.bincount(screen.edge_check[e[screen.edge_qubit]], minlength=m) - screen.weights
+    gain = (2 * np.bincount(screen.edge_check[e[screen.edge_qubit]], minlength=screen.weights.size)
+            - screen.weights)
     rows = code.hz.rows
     single = np.flatnonzero(gain > 0)
     if single.size:
         return e_bits ^ rows[single[0]]
-    total = gain[:, None] + gain
-    inside = np.bincount(screen.entry_pair[e[screen.entry_qubit]], minlength=screen.pairs.size)
-    total.flat[screen.pairs] += 2 * screen.shared - 4 * inside
-    lighter = np.flatnonzero(np.triu(total > 0, 1))  # row-major: a < b in combinations order
+    inside = np.bincount(screen.entry_pair[e[screen.entry_qubit]], minlength=screen.pair_a.size)
+    total = gain[screen.pair_a] + gain[screen.pair_b] + 2 * screen.shared - 4 * inside
+    lighter = np.flatnonzero(total > 0)
     if not lighter.size:
         return None
-    a, b = divmod(int(lighter[0]), m)
-    return e_bits ^ rows[a] ^ rows[b]
+    i = lighter[0]
+    return e_bits ^ rows[screen.pair_a[i]] ^ rows[screen.pair_b[i]]
 
 
 @dataclass(frozen=True)
 class _RowScreen:
     """H_Z as edge arrays with its row weights, and every pair of Z rows
-    a < b that shares a qubit: ``pairs`` holds a * m_z + b, ``shared`` the
-    number of shared qubits, and entry i says that pair ``entry_pair[i]``
-    shares qubit ``entry_qubit[i]``."""
+    a < b that shares a qubit, in ``itertools.combinations`` order: pair i
+    is rows ``pair_a[i]`` and ``pair_b[i]``, sharing ``shared[i]`` qubits,
+    and entry k says that pair ``entry_pair[k]`` shares qubit
+    ``entry_qubit[k]``."""
 
     edge_check: np.ndarray
     edge_qubit: np.ndarray
     weights: np.ndarray
-    pairs: np.ndarray
+    pair_a: np.ndarray
+    pair_b: np.ndarray
     shared: np.ndarray
     entry_pair: np.ndarray
     entry_qubit: np.ndarray
@@ -425,12 +427,13 @@ def _row_screen(code: CssCode) -> _RowScreen:
         entries = [(a * m + b, q) for q, checks in enumerate(tan.z_checks_of_qubit)
                    for a, b in itertools.combinations(checks, 2)]
         keys, qubits = np.array(entries, dtype=np.int64).reshape(-1, 2).T
-        pairs, entry_pair = np.unique(keys, return_inverse=True)
+        pairs, entry_pair = np.unique(keys, return_inverse=True)  # sorted: a, then b
+        pair_a, pair_b = np.divmod(pairs, m)
         code._row_screen = _RowScreen(
             edge_check=np.repeat(np.arange(m), weights),
             edge_qubit=np.fromiter(itertools.chain.from_iterable(tan.z_supports),
                                    dtype=np.int64, count=int(weights.sum())),
-            weights=weights, pairs=pairs,
+            weights=weights, pair_a=pair_a, pair_b=pair_b,
             shared=np.bincount(entry_pair, minlength=pairs.size),
             entry_pair=entry_pair, entry_qubit=qubits)
     return code._row_screen

@@ -34,8 +34,7 @@ from .bp import DEFAULT_CHANNEL_P, BpConfig, min_sum_bp
 from .codes import CssCode, sample_random_hgp
 from .errors import EnumerationTooLarge, InvalidParameter, LposdError
 from .gf2 import BinaryMatrix, as_bit_vector, as_weight_vector, kernel_basis, vector_to_bits
-from .lp import (DEFAULT_SOLVER, SOLVERS, build_syndrome_lp, is_integral, round_independent,
-                 solve_lp)
+from .lp import DEFAULT_SOLVER, SOLVERS, _syndrome_lp, is_integral, round_independent, solve_lp
 from .osd import DEFAULT_LAM, OsdConfig, osd_postprocess
 
 __all__ = [
@@ -343,7 +342,7 @@ def sample_error(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Independent bit flips, each with probability p."""
     if not 0.0 < p < 1.0:
         raise InvalidParameter(f"error probability {p} outside (0, 1)")
-    return (rng.random(n) < p).astype(np.uint8)
+    return (rng.random(n) < p).view(np.uint8)
 
 
 def is_success(code: CssCode, error, correction) -> bool:
@@ -371,7 +370,7 @@ def _score(code: CssCode, residual: np.ndarray) -> tuple[bool, bool]:
     residual fails exactly when the product exceeds their mask."""
     columns, syndrome_bits = _success_columns(code)
     product = 0
-    for q in np.flatnonzero(residual).tolist():
+    for q in residual.nonzero()[0].tolist():
         product ^= columns[q]
     return product > syndrome_bits, product & syndrome_bits != 0
 
@@ -414,7 +413,9 @@ def _decode_all(code: CssCode, specs: Sequence[DecoderSpec], s: np.ndarray,
     a BP stall, or OSD.  ``rng_for(spec)`` builds a pipeline's generator;
     it is called only when an OSD stage with the random tie-break runs.
     ``weights`` are per-qubit costs for the LP objective and the
-    combination sweep.  A front end's wall time is charged to every
+    combination sweep.  ``s`` is a uint8 0/1 syndrome and ``weights`` a
+    float vector of length n or None, which the callers have built or
+    checked; nothing here checks them again.  A front end's wall time is charged to every
     pipeline that consumed it, so per-decoder times match what a standalone
     run would measure.
     """
@@ -446,15 +447,15 @@ def _decode_all(code: CssCode, specs: Sequence[DecoderSpec], s: np.ndarray,
                 front = (res.hard, res.soft, "bp-converged" if res.converged else None,
                          {"bp_converged": res.converged, "bp_iterations": res.iterations})
             else:
-                model = build_syndrome_lp(code, s, weights)
+                model = _syndrome_lp(code, s, weights)
                 try:
                     sol = solve_lp(model, solver=spec.solver)
                 except LposdError as exc:
                     front = (zeros, None, "solver-fault",
                              {"fractional": False, "lp_iterations": 0, "error": exc})
                 else:
-                    integral = is_integral(sol)
                     x = sol.x()
+                    integral = is_integral(x)
                     front = (round_independent(x), x, "integral-lp" if integral else None,
                              {"objective": sol.objective, "lp_iterations": sol.iterations,
                               "solver": sol.solver, "fractional": not integral})
@@ -543,7 +544,7 @@ def _run_trials(code: CssCode, specs: Sequence[DecoderSpec], p: float,
     for trial in range(start, stop):
         error = sample_error(code.n, p, _error_rng(seed, point_index, trial))
         outcomes = _decode_all(
-            code, specs, code.syndrome(error), p,
+            code, specs, code._syndrome(error), p,
             lambda spec: _decoder_rng(seed, point_index, trial, spec.tag))
         scores: dict[bytes, tuple[bool, bool]] = {}  # one product per distinct correction
         for res in results:
@@ -581,7 +582,7 @@ def _map_trials(tasks: Iterable[tuple], n_tasks: int, workers: int) -> Iterable[
 
 
 def _chunk_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
-    chunk = max(1, math.ceil(trials / workers))
+    chunk = max(1, -(-trials // workers))
     return [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
 
 
