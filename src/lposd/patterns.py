@@ -355,8 +355,9 @@ def is_reduced(code: CssCode, error) -> ReducedCheck:
 
     First tries every single row and every sum of two rows of the Z check
     matrix; finding any strictly lighter equivalent yields ``"no"`` with
-    that lighter error as witness.  When nothing lighter is found and the Z matrix rank is at most 20, the full coset is
-    enumerated with a Gray-code walk and the answer is definitive.
+    that lighter error as witness.  When nothing lighter is found and the Z
+    matrix rank is at most 20, the full coset is enumerated with a Gray-code
+    walk and the answer is definitive.
     Otherwise the result is ``"unchecked"``.
     """
     e_bits = vector_to_bits(_as_error_vector(code.n, error), code.n)

@@ -415,9 +415,9 @@ def _decode_all(code: CssCode, specs: Sequence[DecoderSpec], s: np.ndarray,
     ``weights`` are per-qubit costs for the LP objective and the
     combination sweep.  ``s`` is a uint8 0/1 syndrome and ``weights`` a
     float vector of length n or None, which the callers have built or
-    checked; nothing here checks them again.  A front end's wall time is charged to every
-    pipeline that consumed it, so per-decoder times match what a standalone
-    run would measure.
+    checked; nothing here checks them again.  A front end's wall time is
+    charged to every pipeline that consumed it, so per-decoder times match
+    what a standalone run would measure.
     """
     out: dict[str, DecodeResult] = {}
     zeros = np.zeros(code.n, dtype=np.uint8)
