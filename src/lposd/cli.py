@@ -249,7 +249,8 @@ def _read_floats(path) -> list[float]:
 
 
 def _read_syndrome(path, n_checks: int) -> np.ndarray:
-    """Whitespace-separated 0/1 bits (length n_checks) or flipped indices."""
+    """Exactly n_checks tokens, each 0 or 1, are bits; any other token list
+    names flipped detectors, and a detector named twice flips back."""
     with open(path, encoding="ascii") as fh:
         tokens = [int(tok) for tok in fh.read().split()]
     s = np.zeros(n_checks, dtype=np.uint8)
@@ -271,7 +272,9 @@ def _add_detector_decode(sub) -> None:
     p.add_argument("--probs", required=True,
                    help="per-column error probability file, one real per entry")
     p.add_argument("--syndrome", required=True,
-                   help="0/1 bit file or flipped-detector index file")
+                   help="a file of exactly one 0/1 token per detector is read as "
+                        "bits; any other file lists flipped detectors, and a "
+                        "detector listed twice flips back")
     p.add_argument("--osd", choices=("0", "cs", "round"), default="cs")
     p.add_argument("--lambda", dest="lam", type=int, default=DEFAULT_LAM)
     p.add_argument("--solver", choices=SOLVERS, default=DEFAULT_SOLVER,

@@ -16,6 +16,8 @@ carrying the error, its syndrome, the witness, and a reducedness report.
 A builder validates its ring once, without a seed, then samples from it;
 ``search_patterns`` keeps a code's validated rings on the code, and
 ``verify_certificate`` checks a witness in exact integer arithmetic.
+Every error, stabilizer and support argument is a 0/1 vector of length n,
+checked by ``gf2.as_bit_vector`` under its own name.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from .errors import (
 )
 from .gf2 import (
     BinaryMatrix,
+    as_bit_vector,
     bits_to_vector,
     in_rowspace,
     kernel_basis,
-    rank,
     row_reduce,
     vector_to_bits,
 )
@@ -129,30 +131,6 @@ class ErrorPattern:
     @property
     def weight(self) -> int:
         return int(self.error.sum())
-
-
-# ---------------------------------------------------------------------------
-# input normalization
-# ---------------------------------------------------------------------------
-
-
-def _as_error_vector(n: int, obj) -> np.ndarray:
-    """Coerce a support iterable or a 0/1 vector to a length-n uint8 vector.
-
-    A sequence of length exactly n whose entries are all 0/1 is taken as a
-    vector; anything else is treated as a set of qubit indices.
-    """
-    arr = np.asarray(list(obj) if not isinstance(obj, np.ndarray) else obj)
-    if arr.ndim != 1:
-        raise InvalidParameter("error/stabilizer input must be one-dimensional")
-    if arr.size == n and arr.size > 0 and np.isin(arr, (0, 1)).all():
-        return arr.astype(np.uint8)
-    out = np.zeros(n, dtype=np.uint8)
-    for idx in arr.astype(int):
-        if not 0 <= idx < n:
-            raise InvalidParameter(f"qubit index {idx} out of range for n={n}")
-        out[idx] = 1
-    return out
 
 
 def _support(v: np.ndarray) -> tuple[int, ...]:
@@ -310,15 +288,16 @@ def check_poison(code: CssCode, error,
                  tau: Mapping[tuple[int, int], float]) -> PoisonReport:
     """Check a Tanner-edge flow against the simplified dual conditions.
 
-    The flow must supply a value for every edge of the X check graph,
-    keyed (qubit, check).  Feasibility requires, per qubit, that its edge
-    values sum to at most +1 when the qubit is clean and -1 when it is in
-    the error, and, per check, that every pair of incident edge values has
-    a nonnegative sum.  A feasible flow with positive total check revenue
-    exhibits the corrupted qubits as sources that clean qubits cannot
-    absorb, which is what dooms the relaxation on the constructed patterns.
+    ``error`` is a 0/1 vector of length n.  The flow must supply a value
+    for every edge of the X check graph, keyed (qubit, check).  Feasibility
+    requires, per qubit, that its edge values sum to at most +1 when the
+    qubit is clean and -1 when it is in the error, and, per check, that
+    every pair of incident edge values has a nonnegative sum.  A feasible
+    flow with positive total check revenue exhibits the corrupted qubits as
+    sources that clean qubits cannot absorb, which is what dooms the
+    relaxation on the constructed patterns.
     """
-    e = _as_error_vector(code.n, error)
+    e = as_bit_vector(error, code.n, "error")
     tan = code.tanner
     missing = [edge for edge in tan.x_edges if edge not in tau]
     if missing:
@@ -351,7 +330,8 @@ def check_poison(code: CssCode, error,
 
 
 def is_reduced(code: CssCode, error) -> ReducedCheck:
-    """Decide whether an error is minimum weight within its stabilizer coset.
+    """Decide whether an error, a 0/1 vector of length n, is minimum weight
+    within its stabilizer coset.
 
     First tries every single row and every sum of two rows of the Z check
     matrix; finding any strictly lighter equivalent yields ``"no"`` with
@@ -360,7 +340,7 @@ def is_reduced(code: CssCode, error) -> ReducedCheck:
     walk and the answer is definitive.
     Otherwise the result is ``"unchecked"``.
     """
-    e_bits = vector_to_bits(_as_error_vector(code.n, error), code.n)
+    e_bits = vector_to_bits(as_bit_vector(error, code.n, "error"), code.n)
     if e_bits == 0:
         return ReducedCheck(status="yes")
     lighter = _row_search(code, e_bits)
@@ -522,7 +502,7 @@ def _sample_ring(code: CssCode, ring: _Ring, rng_seed: int) -> ErrorPattern:
     else:
         what = "ring" if ring.kind == "cycle" else ring.kind
         raise SamplingExhausted(f"no reduced pick found in {_MAX_RESAMPLES} {what} samples")
-    syndrome = code.syndrome(e)
+    syndrome = code._syndrome(e)
     pattern = ErrorPattern(
         kind=ring.kind,
         error=e,
@@ -565,15 +545,17 @@ def _prepare_overlap(code: CssCode, ga: np.ndarray, gb: np.ndarray) -> _Ring:
 def build_overlap_pattern(code: CssCode, g, g2, rng_seed: int = 0) -> ErrorPattern:
     """Build an undecodable error from two stabilizers sharing >= 2 qubits.
 
-    The error takes half of each private region (rounding down in the
-    first, up in the second) plus exactly one shared qubit.  Requires both
-    supports even, both in the Z stabilizer group, an overlap of at least
-    two qubits, and that every X check meeting the overlap also meets the
-    symmetric difference.  Sampled picks that a Z check row or a sum of two
-    rows makes lighter are rejected and resampled; ``_MAX_RESAMPLES``
-    rejections raise SamplingExhausted.
+    ``g`` and ``g2`` are 0/1 vectors of length n.  The error takes half of
+    each private region (rounding down in the first, up in the second) plus
+    exactly one shared qubit.  Requires both supports even, both in the Z
+    stabilizer group, an overlap of at least two qubits, and that every X
+    check meeting the overlap also meets the symmetric difference.  Sampled
+    picks that a Z check row or a sum of two rows makes lighter are
+    rejected and resampled; ``_MAX_RESAMPLES`` rejections raise
+    SamplingExhausted.
     """
-    ring = _prepare_overlap(code, _as_error_vector(code.n, g), _as_error_vector(code.n, g2))
+    ring = _prepare_overlap(code, as_bit_vector(g, code.n, "first stabilizer"),
+                            as_bit_vector(g2, code.n, "second stabilizer"))
     return _sample_ring(code, ring, rng_seed)
 
 
@@ -628,7 +610,8 @@ def _prepare_ring(code: CssCode, gens: list[np.ndarray]) -> _Ring:
 
 
 def build_cycle_pattern(code: CssCode, generators: Sequence, rng_seed: int = 0) -> ErrorPattern:
-    """Build an undecodable error from a ring of stabilizers.
+    """Build an undecodable error from a ring of stabilizers, each a 0/1
+    vector of length n.
 
     Consecutive generators (cyclically) must share exactly one qubit, the
     link; non-adjacent generators must be disjoint; every support must be
@@ -638,23 +621,21 @@ def build_cycle_pattern(code: CssCode, generators: Sequence, rng_seed: int = 0) 
     dispatch to the overlap construction, since their shared qubits then
     play the role of two links.
     """
-    ring = _prepare_ring(code, [_as_error_vector(code.n, g) for g in generators])
+    ring = _prepare_ring(code, [as_bit_vector(g, code.n, f"generator {idx}")
+                                for idx, g in enumerate(generators)])
     return _sample_ring(code, ring, rng_seed)
 
 
 def stabilizers_within(code: CssCode, support) -> list[np.ndarray]:
     """Basis of the Z stabilizers supported entirely inside a qubit set.
 
-    Computes the row combinations of the Z check matrix that vanish on the
-    complement of ``support`` and returns their images as stabilizer
-    vectors (zero rows excluded).  A pattern's support union hides no
-    stabilizers beyond its own generators exactly when every returned
-    vector lies in the span of those generators.
+    ``support`` is a 0/1 vector of length n marking the set.  Computes the
+    row combinations of the Z check matrix that vanish on its complement
+    and returns their images as stabilizer vectors (zero rows excluded).  A
+    pattern's support union hides no stabilizers beyond its own generators
+    exactly when every returned vector lies in the span of those generators.
     """
-    mask = np.zeros(code.n, dtype=bool)
-    for q in _support(_as_error_vector(code.n, support)):
-        mask[q] = True
-    comp = np.flatnonzero(~mask)
+    comp = np.flatnonzero(as_bit_vector(support, code.n, "support") == 0)
     dense = code.hz.to_dense()
     restricted = BinaryMatrix.from_dense(dense[:, comp])
     out: list[np.ndarray] = []
@@ -833,7 +814,7 @@ def _prepared_rings(code: CssCode, max_cycle_len: int, cap: int) -> list[tuple[i
         rings = []
         for idx, cycle in enumerate(_cycles_through_edges(code, max_cycle_len, cap)):
             try:
-                gens = _compose_even([_as_error_vector(code.n, code.hz.row_support(c))
+                gens = _compose_even([bits_to_vector(code.hz.rows[c], code.n)
                                       for c in cycle.checks])
                 rings.append((idx, _prepare_ring(code, gens)))
             except PreconditionViolated:
@@ -898,11 +879,19 @@ def pattern_to_record(pattern: ErrorPattern, code_ref: str = "") -> dict:
 
 
 def record_to_pattern(record: dict, code: CssCode) -> ErrorPattern:
-    """Rebuild a pattern from its serialized record, given the code."""
-    error = np.zeros(code.n, dtype=np.uint8)
-    error[record["error_support"]] = 1
-    syndrome = np.zeros(code.hx.n_rows, dtype=np.uint8)
-    syndrome[record["syndrome_support"]] = 1
+    """Rebuild a pattern from its serialized record, given the code.
+
+    ``error_support`` and ``syndrome_support`` list distinct indices below n
+    and m_x; their counts go through ``as_bit_vector`` under the field's
+    name, so an index out of range fails its length check (a negative one
+    counts past the end) and a repeated index its 0/1 check.
+    """
+    vectors = []
+    for field, size in (("error_support", code.n), ("syndrome_support", code.hx.n_rows)):
+        idx = np.asarray(record[field], dtype=np.int64)
+        counts = np.bincount(np.where(idx < 0, size, idx), minlength=size)
+        vectors.append(as_bit_vector(counts, size, field))
+    error, syndrome = vectors
     cert_rec = record["certificate"]
     certificate = Certificate(
         x={int(i): Fraction(v) for i, v in cert_rec["x"]},

@@ -699,7 +699,7 @@ def exhaustive_sweep(code: CssCode, decoder, max_weight: int, *,
         for idx, support in enumerate(itertools.combinations(range(code.n), weight)):
             error = np.zeros(code.n, dtype=np.uint8)
             error[list(support)] = 1
-            s = code.syndrome(error)
+            s = code._syndrome(error)
             outcome = _decode_all(
                 code, [spec], s, DEFAULT_CHANNEL_P,
                 lambda _: _decoder_rng(seed, weight, idx, spec.tag))[spec.key]

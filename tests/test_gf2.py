@@ -6,15 +6,20 @@ from hypothesis import strategies as st
 from lposd import (
     BpConfig,
     OsdConfig,
+    build_cycle_pattern,
     build_error_lp,
+    build_overlap_pattern,
     build_syndrome_lp,
+    check_poison,
     decode_syndrome,
+    is_reduced,
     is_success,
     min_sum_bp,
     order_qubits,
     reflect_to_error_solution,
     reflect_to_syndrome_solution,
     solve_lp,
+    stabilizers_within,
 )
 from lposd.codes import bfs_distance_to_flipped
 from lposd.gf2 import (
@@ -249,6 +254,15 @@ VECTOR_ENTRY_POINTS = [
     ("is_success error", "n", "error", lambda code, ctx, v: is_success(code, v, ctx["e"])),
     ("is_success correction", "n", "correction",
      lambda code, ctx, v: is_success(code, ctx["e"], v)),
+    ("is_reduced", "n", "error", lambda code, ctx, v: is_reduced(code, v)),
+    ("check_poison", "n", "error", lambda code, ctx, v: check_poison(code, v, {})),
+    ("build_overlap_pattern first", "n", "first stabilizer",
+     lambda code, ctx, v: build_overlap_pattern(code, v, ctx["e"])),
+    ("build_overlap_pattern second", "n", "second stabilizer",
+     lambda code, ctx, v: build_overlap_pattern(code, ctx["e"], v)),
+    ("build_cycle_pattern", "n", "generator 0",
+     lambda code, ctx, v: build_cycle_pattern(code, [v, ctx["e"], ctx["e"]])),
+    ("stabilizers_within", "n", "support", lambda code, ctx, v: stabilizers_within(code, v)),
 ]
 
 MALFORMED = {

@@ -588,6 +588,19 @@ def test_record_preserves_exact_fractions(ring_pattern):
     assert all(isinstance(v, Fraction) for v in rebuilt.certificate.x.values())
 
 
+@pytest.mark.parametrize("bad", ["negative", "repeated", "too-large"])
+@pytest.mark.parametrize("field", ["error_support", "syndrome_support"])
+def test_record_rejects_bad_support_indices(ring_pattern, field, bad):
+    code, pattern = ring_pattern
+    record = pattern_to_record(pattern, code_ref="ring108")
+    size = code.n if field == "error_support" else code.hx.n_rows
+    extra = {"negative": -1, "repeated": record[field][0], "too-large": size}[bad]
+    record[field] = record[field] + [extra]
+    message = f"^{field} (must have length {size}|entries must be 0 or 1)$"
+    with pytest.raises(ValueError, match=message):
+        record_to_pattern(record, code)
+
+
 # ---------------------------------------------------------------------------
 # stabilizers inside a support
 # ---------------------------------------------------------------------------
@@ -596,7 +609,7 @@ def test_record_preserves_exact_fractions(ring_pattern):
 def test_stabilizers_within_pattern_support(toy_pattern):
     code, pattern = toy_pattern
     union = sorted(set().union(*pattern.generators))
-    inside = stabilizers_within(code, union)
+    inside = stabilizers_within(code, np.isin(np.arange(code.n), union).astype(np.uint8))
     gen_span = span_rows(
         [np.isin(np.arange(code.n), list(g)).astype(np.uint8)
          for g in pattern.generators],
@@ -612,7 +625,7 @@ def test_stabilizers_within_pattern_support(toy_pattern):
 
 def test_stabilizers_within_full_support_recovers_everything(toy_pattern):
     code, pattern = toy_pattern
-    everything = stabilizers_within(code, range(code.n))
+    everything = stabilizers_within(code, np.ones(code.n, dtype=np.uint8))
     assert len(everything) == rank(code.hz)
     gen_span = span_rows(
         [np.isin(np.arange(code.n), list(g)).astype(np.uint8)
