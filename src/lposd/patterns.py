@@ -881,14 +881,16 @@ def pattern_to_record(pattern: ErrorPattern, code_ref: str = "") -> dict:
 def record_to_pattern(record: dict, code: CssCode) -> ErrorPattern:
     """Rebuild a pattern from its serialized record, given the code.
 
-    ``error_support`` and ``syndrome_support`` list distinct indices below n
-    and m_x; their counts go through ``as_bit_vector`` under the field's
-    name, so an index out of range fails its length check (a negative one
-    counts past the end) and a repeated index its 0/1 check.
+    ``error_support`` and ``syndrome_support`` list distinct integer indices
+    below n and m_x; their counts go through ``as_bit_vector`` under the
+    field's name, so an index out of range fails its length check (a
+    negative one counts past the end) and a repeated index its 0/1 check.
     """
     vectors = []
     for field, size in (("error_support", code.n), ("syndrome_support", code.hx.n_rows)):
         idx = np.asarray(record[field], dtype=np.int64)
+        if not np.array_equal(idx, record[field]):
+            raise ValueError(f"{field} must list integer indices")
         counts = np.bincount(np.where(idx < 0, size, idx), minlength=size)
         vectors.append(as_bit_vector(counts, size, field))
     error, syndrome = vectors

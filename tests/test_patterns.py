@@ -588,15 +588,17 @@ def test_record_preserves_exact_fractions(ring_pattern):
     assert all(isinstance(v, Fraction) for v in rebuilt.certificate.x.values())
 
 
-@pytest.mark.parametrize("bad", ["negative", "repeated", "too-large"])
+@pytest.mark.parametrize("bad", ["negative", "repeated", "too-large", "fractional"])
 @pytest.mark.parametrize("field", ["error_support", "syndrome_support"])
 def test_record_rejects_bad_support_indices(ring_pattern, field, bad):
     code, pattern = ring_pattern
     record = pattern_to_record(pattern, code_ref="ring108")
     size = code.n if field == "error_support" else code.hx.n_rows
-    extra = {"negative": -1, "repeated": record[field][0], "too-large": size}[bad]
+    extra = {"negative": -1, "repeated": record[field][0], "too-large": size,
+             "fractional": 0.5}[bad]
     record[field] = record[field] + [extra]
-    message = f"^{field} (must have length {size}|entries must be 0 or 1)$"
+    message = (f"^{field} (must have length {size}|entries must be 0 or 1"
+               "|must list integer indices)$")
     with pytest.raises(ValueError, match=message):
         record_to_pattern(record, code)
 
