@@ -45,17 +45,6 @@ slower despite fewer pivots: 5.0-6.3 against 3.3-3.8 ms per bb72 solve
 models and models with mixture costs get a one-off HiGHS model of their
 own.  If the extension cannot be loaded, 'scipy' solves raise LposdError.
 
-Since a cold solve depends only on the model, the persistent model
-remembers its 0/1 optima by syndrome, so a Monte Carlo run at low error
-rates, where the same light syndromes come back again and again, skips
-most solves.  A memo entry keeps the positions of the ones, the objective
-and the pivot count of the solve that found them; a hit returns exactly
-what that solve returned, pivot count included.  Optima with any
-fractional or near-integral component are not stored.  The memo holds the
-results for one vector of qubit costs: a solve with other costs clears it.
-It keeps at most ``_MEMO_ENTRIES`` entries, dropping the least recently
-used, and is not pickled with the code.
-
 The two backends agree on every optimal objective, but on a degenerate
 optimal face they may return different vertices, so switching backends can
 change which correction a decoder returns.
@@ -113,10 +102,6 @@ _SNAP = 1e-11
 
 # A qubit variable this close to 0 or 1 counts as integral.
 _INTEGRAL_TOL = 1e-6
-
-# Most 0/1 optima the persistent HiGHS model remembers per code (about 0.8 MB
-# on bb72).
-_MEMO_ENTRIES = 2048
 
 
 def parity_subsets(support: Sequence[int], parity: int) -> list[tuple[int, ...]]:
@@ -499,14 +484,9 @@ class _HighsModel:
     qubit costs (both primal builders leave mixture columns at cost zero),
     re-runs from scratch and gathers the model's columns.  Only the blocks
     of checks whose parity differs from the previous solve have their
-    bounds changed, and the costs are sent only when they change.
-
-    Every run is cold, so its result depends on the parities and the qubit
-    costs alone and can be remembered exactly.  The memo maps packed
-    parities to the 0/1 optima found under the current costs (the int32
-    positions of the ones, the objective and the pivot count); other optima
-    are solved every time.  New costs clear it, and it keeps at most
-    ``_MEMO_ENTRIES`` entries, least recently used first out.
+    bounds changed, and the costs are sent only when they change.  Every
+    run is cold, so its result depends on the parities and the qubit costs
+    alone.
     """
 
     def __init__(self, core, tpl: _LpTemplate):
@@ -518,7 +498,6 @@ class _HighsModel:
         self._mix_check = np.repeat(np.arange(tpl.m_x), 2 * tpl.widths)
         self._parities = np.full(tpl.m_x, -1, dtype=np.int8)  # none set yet
         self._cost = np.zeros(tpl.n)  # the qubit costs HiGHS holds
-        self._memo: dict[bytes, tuple[bytes, float, int]] = {}
         self._highs = _new_highs(core, np.zeros(n_cols), tpl, np.zeros(n_cols),
                                  tpl.rhs, tpl.rhs)
 
@@ -526,19 +505,9 @@ class _HighsModel:
         parities = model.meta["parities"]
         cost = model.c[: self._qubits.size]
         highs = self._highs
-        memo = self._memo
         if (cost != self._cost).any():
             highs.changeColsCost(self._qubits.size, self._qubits, cost)
             self._cost = cost.copy()
-            memo.clear()
-        key = np.packbits(parities).tobytes()
-        hit = memo.pop(key, None)
-        if hit is not None:
-            memo[key] = hit  # now the most recently used
-            ones, objective, iterations = hit
-            values = np.zeros(self._tpl.n_vars)
-            values[np.frombuffer(ones, dtype=np.int32)] = 1.0
-            return values, objective, "optimal", iterations
         gather = self._tpl.columns(parities)
         changed = (parities != self._parities)[self._mix_check]
         if changed.any():
@@ -549,13 +518,7 @@ class _HighsModel:
             self._parities = parities.astype(np.int8)
         highs.clearSolver()
         values, objective, iterations = _run_highs(self._core, highs)
-        values = values[gather]
-        ones = np.flatnonzero(values)
-        if (values[ones] == 1.0).all():
-            if len(memo) >= _MEMO_ENTRIES:
-                del memo[next(iter(memo))]
-            memo[key] = (ones.astype(np.int32).tobytes(), objective, iterations)
-        return values, objective, "optimal", iterations
+        return values[gather], objective, "optimal", iterations
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -632,8 +595,7 @@ def solve_lp(model: LpModel, solver: str = DEFAULT_SOLVER) -> LpSolution:
 
     'scipy', the default, runs HiGHS: syndrome and error models on the
     code's persistent model, cold-started on every call so the result does
-    not depend on earlier solves (0/1 optima are remembered by syndrome and
-    returned as solved), and dual models or models with mixture
+    not depend on earlier solves, and dual models or models with mixture
     costs on a one-off model (see the module docstring).  'embedded' is the
     dependency-free simplex, kept as a cross-check; it reaches the same
     optimal objective but may return a different vertex of a degenerate

@@ -881,19 +881,31 @@ def pattern_to_record(pattern: ErrorPattern, code_ref: str = "") -> dict:
 def record_to_pattern(record: dict, code: CssCode) -> ErrorPattern:
     """Rebuild a pattern from its serialized record, given the code.
 
-    ``error_support`` and ``syndrome_support`` list distinct integer indices
-    below n and m_x; their counts go through ``as_bit_vector`` under the
-    field's name, so an index out of range fails its length check (a
-    negative one counts past the end) and a repeated index its 0/1 check.
+    ``error_support``, ``link_qubits`` and each of ``generators`` list
+    distinct integer indices below n, ``syndrome_support`` below m_x (their
+    counts go through ``as_bit_vector``, a negative index past the end);
+    ``corrupted_link`` must be a link qubit in the error.  A bad field, or
+    an unknown ``kind`` or ``reduced_verified``, raises ValueError naming it.
     """
+    fields = [("error_support", record["error_support"], code.n),
+              ("syndrome_support", record["syndrome_support"], code.hx.n_rows),
+              ("link_qubits", record["link_qubits"], code.n)]
+    fields += [("generators", g, code.n) for g in record["generators"]]
     vectors = []
-    for field, size in (("error_support", code.n), ("syndrome_support", code.hx.n_rows)):
-        idx = np.asarray(record[field], dtype=np.int64)
-        if not np.array_equal(idx, record[field]):
+    for field, indices, size in fields:
+        idx = np.asarray(indices, dtype=np.int64)
+        if not np.array_equal(idx, indices):
             raise ValueError(f"{field} must list integer indices")
         counts = np.bincount(np.where(idx < 0, size, idx), minlength=size)
         vectors.append(as_bit_vector(counts, size, field))
-    error, syndrome = vectors
+    error, syndrome = vectors[:2]
+    link = record["corrupted_link"]
+    if link not in record["link_qubits"] or not error[int(link)]:
+        raise ValueError("corrupted_link must be one of link_qubits and lie in error_support")
+    for field, known in (("kind", ("overlap", "cycle")),
+                         ("reduced_verified", ("yes", "no", "unchecked"))):
+        if record[field] not in known:
+            raise ValueError(f"{field} must be one of {known}")
     cert_rec = record["certificate"]
     certificate = Certificate(
         x={int(i): Fraction(v) for i, v in cert_rec["x"]},

@@ -12,9 +12,10 @@ solver errors, where a Monte Carlo run counts them as faults; without an
 (seed, point index, trial index) plus a fixed per-decoder tag, which makes
 every decoder's outcome independent of which other decoders share the run
 and of the worker count; a decoder's generator is built only when its OSD
-stage breaks ties at random.  A trial scores each distinct correction once,
-with the one success rule (``_score``) that ``is_success`` and
-``exhaustive_sweep`` also use.
+stage breaks ties at random.  A repeated unweighted syndrome skips the LP
+solve when its outcome was integral (``_lp_front``).  A trial scores each
+distinct correction once, with the one success rule (``_score``) that
+``is_success`` and ``exhaustive_sweep`` also use.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import logging
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -67,6 +69,10 @@ _DECODER_TAG = {name: idx for idx, name in enumerate(DECODER_NAMES)}
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _SWEEP_GUARD = 10_000_000
 _BOOTSTRAP_RESAMPLES = 1000
+
+# Most entries of each per-code, per-solver LP memo (a full one holds 1.0 MB on bb72).
+_MEMO_ENTRIES = 2048
+_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # code -> solver -> memo
 
 
 @dataclass(frozen=True)
@@ -402,6 +408,36 @@ class DecodeResult:
     seconds: float = 0.0
 
 
+def _lp_front(code: CssCode, s: np.ndarray, solver: str, weights: np.ndarray | None) -> tuple:
+    """The LP front end of ``_decode_all``: (correction, soft output, settled
+    stage or None, diagnostics).  A cold solve depends only on the syndrome
+    and the costs, so the code's memo for ``solver`` keeps each integral
+    unweighted outcome by syndrome bytes, up to ``_MEMO_ENTRIES`` most
+    recently used; a hit returns a copy with the solve's objective and pivots.
+    """
+    # a weighted decode gets a throwaway memo: it neither reads nor fills the code's
+    memo = {} if weights is not None else _MEMOS.setdefault(code, {}).setdefault(solver, {})
+    key = s.tobytes()
+    if key in memo:
+        memo[key] = hit = memo.pop(key)  # now the most recently used
+        return np.frombuffer(hit[0], dtype=np.uint8).copy(), None, "integral-lp", hit[1]
+    try:
+        sol = solve_lp(_syndrome_lp(code, s, weights), solver=solver)
+    except LposdError as exc:
+        return (np.zeros(code.n, dtype=np.uint8), None, "solver-fault",
+                {"fractional": False, "lp_iterations": 0, "error": exc})
+    x = sol.x()
+    integral = is_integral(x)
+    correction = round_independent(x)
+    diag = {"objective": sol.objective, "lp_iterations": sol.iterations,
+            "solver": sol.solver, "fractional": not integral}
+    if integral:
+        if len(memo) >= _MEMO_ENTRIES:
+            del memo[next(iter(memo))]
+        memo[key] = correction.tobytes(), diag
+    return correction, x, "integral-lp" if integral else None, diag
+
+
 def _decode_all(code: CssCode, specs: Sequence[DecoderSpec], s: np.ndarray,
                 p: float, rng_for: Callable[[DecoderSpec], np.random.Generator],
                 weights=None) -> dict[str, DecodeResult]:
@@ -415,13 +451,14 @@ def _decode_all(code: CssCode, specs: Sequence[DecoderSpec], s: np.ndarray,
     ``weights`` are per-qubit costs for the LP objective and the
     combination sweep.  ``s`` is a uint8 0/1 syndrome and ``weights`` a
     float vector of length n or None, which the callers have built or
-    checked; nothing here checks them again.  A front end's wall time is
-    charged to every pipeline that consumed it, so per-decoder times match
-    what a standalone run would measure.
+    checked; nothing here checks them again.  The LP front end answers a
+    repeated unweighted syndrome from the code's memo (``_lp_front``).  A
+    front end's wall time is charged to every pipeline that consumed it, so
+    per-decoder times match what a standalone run would measure.
     """
     out: dict[str, DecodeResult] = {}
-    zeros = np.zeros(code.n, dtype=np.uint8)
     if not s.any():
+        zeros = np.zeros(code.n, dtype=np.uint8)
         for spec in specs:
             if spec.uses_lp:
                 out[spec.key] = DecodeResult(zeros, "integral-lp", {
@@ -441,24 +478,13 @@ def _decode_all(code: CssCode, specs: Sequence[DecoderSpec], s: np.ndarray,
             key = (channel_p, spec.bp_iteration_cap)
         if key not in fronts:
             start = time.perf_counter()
-            if not spec.uses_lp:
+            if spec.uses_lp:
+                front = _lp_front(code, s, spec.solver, weights)
+            else:
                 res = min_sum_bp(code, s, BpConfig(channel_p=channel_p,
                                                    max_iterations=spec.bp_iteration_cap))
                 front = (res.hard, res.soft, "bp-converged" if res.converged else None,
                          {"bp_converged": res.converged, "bp_iterations": res.iterations})
-            else:
-                model = _syndrome_lp(code, s, weights)
-                try:
-                    sol = solve_lp(model, solver=spec.solver)
-                except LposdError as exc:
-                    front = (zeros, None, "solver-fault",
-                             {"fractional": False, "lp_iterations": 0, "error": exc})
-                else:
-                    x = sol.x()
-                    integral = is_integral(x)
-                    front = (round_independent(x), x, "integral-lp" if integral else None,
-                             {"objective": sol.objective, "lp_iterations": sol.iterations,
-                              "solver": sol.solver, "fractional": not integral})
             fronts[key] = front, time.perf_counter() - start
         (correction, soft, stage, diag), front_secs = fronts[key]
         start = time.perf_counter()

@@ -465,104 +465,144 @@ def test_persistent_model_is_order_independent(bb72):
         assert np.array_equal(a, b)
 
 
-def memo_of(code):
-    return code._lp_template._highs._memo
+def memo_of(code, solver="scipy"):
+    """The decode path's memo of integral LP outcomes for one code and solver."""
+    import lposd.sim as sim_mod
+
+    return sim_mod._MEMOS[code][solver]
 
 
-def is_zero_one(sol):
-    return bool(np.all((sol.values == 0.0) | (sol.values == 1.0)))
+@pytest.fixture
+def counted_solves(monkeypatch):
+    """Every ``solve_lp`` call the decode path makes, appended to a list."""
+    import lposd.sim as sim_mod
+
+    calls = []
+    real_solve = sim_mod.solve_lp
+    monkeypatch.setattr(sim_mod, "solve_lp",
+                        lambda model, **kw: calls.append(model) or real_solve(model, **kw))
+    return calls
 
 
-def same_solution(a, b):
-    return (np.array_equal(a.values, b.values) and a.objective == b.objective
-            and a.iterations == b.iterations)
+def same_outcome(a, b):
+    return (np.array_equal(a.correction, b.correction) and a.stage == b.stage
+            and a.diagnostics == b.diagnostics)
 
 
-def test_memo_hits_match_cold_solves(persistent_codes, monkeypatch):
+def test_memo_hits_match_cold_solves(persistent_codes, counted_solves):
     import pickle
 
+    from lposd import lp_round_decode
+
+    for shared in persistent_codes:
+        blob = pickle.dumps(shared)
+        code = pickle.loads(blob)  # starts with an empty memo
+        syndromes = random_syndromes(code, 6, 0.05, 43)
+        weights = np.random.default_rng(47).uniform(0.5, 2.0, code.n)
+        stored = set()
+        # weighted decodes in the middle always solve and leave the memo alone
+        for w in (None, weights, None):
+            for s in syndromes + syndromes[::-1]:
+                before = len(counted_solves)
+                res = lp_round_decode(code, s, solver="scipy", weights=w)
+                solved = s.any() and not (w is None and s.tobytes() in stored)
+                assert len(counted_solves) - before == solved
+                if solved and w is None and not res.diagnostics["fractional"]:
+                    stored.add(s.tobytes())
+                cold = lp_round_decode(pickle.loads(blob), s, solver="scipy", weights=w)
+                assert same_outcome(res, cold)
+            assert stored and set(memo_of(code)) == stored
+
+
+def test_fractional_optima_are_not_remembered(toy22, counted_solves):
+    import pickle
+
+    from lposd import lp_round_decode
+
+    shared, h1, h2 = toy22
+    code = pickle.loads(pickle.dumps(shared))
+    lay = hgp_layout(h1, h2)
+    dense_hz = code.hz.to_dense()
+    pattern = build_overlap_pattern(code, dense_hz[lay.z_check(0, 1)],
+                                    dense_hz[lay.z_check(1, 1)])
+    first = lp_round_decode(code, pattern.syndrome, solver="scipy")
+    assert first.diagnostics["fractional"] and first.stage == "rounded-lp"
+    assert pattern.syndrome.tobytes() not in memo_of(code)
+    again = lp_round_decode(code, pattern.syndrome, solver="scipy")
+    assert len(counted_solves) == 2
+    assert same_outcome(first, again)
+
+
+def test_error_lp_and_weighted_decodes_leave_the_memo_exact(surface5, counted_solves):
+    import pickle
+
+    from lposd import lp_round_decode
+
+    blob = pickle.dumps(surface5)
+    code = pickle.loads(blob)
+    e = np.zeros(code.n, dtype=np.uint8)
+    e[[4, 17]] = 1
+    s = code.syndrome(e)
+    other = code.syndrome(np.eye(code.n, dtype=np.uint8)[9])
+    first = lp_round_decode(code, s, solver="scipy")
+    assert first.stage == "integral-lp"
+    assert list(memo_of(code)) == [s.tobytes()]
+    # both put other costs on the code's persistent HiGHS model
+    anchored = solve_lp(build_error_lp(code, e), solver="scipy")
+    lp_round_decode(code, s, solver="scipy", weights=np.linspace(0.5, 2.0, code.n))
+    assert list(memo_of(code)) == [s.tobytes()]
+    before = len(counted_solves)
+    again = lp_round_decode(code, s, solver="scipy")
+    assert len(counted_solves) == before  # answered by the memo
+    miss = lp_round_decode(code, other, solver="scipy")
+    assert len(counted_solves) == before + 1
+    fresh = pickle.loads(blob)
+    assert same_outcome(again, lp_round_decode(fresh, s, solver="scipy"))
+    assert same_outcome(miss, lp_round_decode(fresh, other, solver="scipy"))
+    cold = solve_lp(build_error_lp(pickle.loads(blob), e), solver="scipy")
+    assert np.array_equal(anchored.values, cold.values)
+    assert (anchored.objective, anchored.iterations) == (cold.objective, cold.iterations)
+
+
+def test_memo_is_bounded_and_least_recently_used_goes_first(monkeypatch):
+    import lposd.sim as sim_mod
+    from lposd import lp_round_decode
+
+    monkeypatch.setattr(sim_mod, "_MEMO_ENTRIES", 3)
+    code = rotated_surface_code(5)
+    unique = {}
+    for q in range(code.n):
+        s = code.syndrome(np.eye(code.n, dtype=np.uint8)[q])
+        unique.setdefault(s.tobytes(), s)
+    syndromes = list(unique.items())
+    keys = []
+    for key, s in syndromes[:8]:
+        assert lp_round_decode(code, s, solver="scipy").stage == "integral-lp"
+        keys = (keys + [key])[-3:]
+        assert list(memo_of(code)) == keys
+    # a hit makes its entry the most recently used, so the next one drops another
+    hit = lp_round_decode(code, syndromes[5][1], solver="scipy")
+    lp_round_decode(code, syndromes[8][1], solver="scipy")
+    assert list(memo_of(code)) == [keys[2], keys[0], syndromes[8][0]]
+    # a hit hands out its own array: changing it leaves the memo as it was
+    hit.correction[:] = 1
+    again = lp_round_decode(code, syndromes[5][1], solver="scipy")
+    assert again.correction.sum() == 1
+
+
+def test_solve_lp_runs_its_backend_on_every_call(surface5, monkeypatch):
     import lposd.lp as lp_mod
 
     runs = []
     real_run = lp_mod._run_highs
     monkeypatch.setattr(lp_mod, "_run_highs",
                         lambda core, highs: runs.append(1) or real_run(core, highs))
-    for shared in persistent_codes:
-        blob = pickle.dumps(shared)
-        code = pickle.loads(blob)  # starts with an empty memo
-        syndromes = random_syndromes(code, 6, 0.05, 43)
-        weights = np.random.default_rng(47).uniform(0.5, 2.0, code.n)
-        # weighted solves in the middle clear the unweighted entries
-        for w in (None, weights, None):
-            stored = set()
-            for s in syndromes + syndromes[::-1]:
-                key = np.packbits(s).tobytes()
-                before = len(runs)
-                sol = solve_lp(build_syndrome_lp(code, s, w), solver="scipy")
-                assert len(runs) - before == (0 if key in stored else 1)
-                if is_zero_one(sol):
-                    stored.add(key)
-                fresh = pickle.loads(blob)
-                assert fresh._lp_template._highs is None
-                cold = solve_lp(build_syndrome_lp(fresh, s, w), solver="scipy")
-                assert same_solution(sol, cold)
-            assert stored and set(memo_of(code)) == stored
-
-
-def test_fractional_optima_are_not_remembered(toy22):
-    code, h1, h2 = toy22
-    lay = hgp_layout(h1, h2)
-    dense_hz = code.hz.to_dense()
-    pattern = build_overlap_pattern(code, dense_hz[lay.z_check(0, 1)],
-                                    dense_hz[lay.z_check(1, 1)])
-    first = solve_lp(build_syndrome_lp(code, pattern.syndrome), solver="scipy")
-    assert not is_integral(first)
-    assert np.packbits(pattern.syndrome).tobytes() not in memo_of(code)
-    again = solve_lp(build_syndrome_lp(code, pattern.syndrome), solver="scipy")
-    assert same_solution(first, again)
-
-
-def test_error_lp_clears_the_memo(surface5):
-    import pickle
-
-    code = pickle.loads(pickle.dumps(surface5))
-    e = np.zeros(code.n, dtype=np.uint8)
-    e[[4, 17]] = 1
-    s = code.syndrome(e)
-    first = solve_lp(build_syndrome_lp(code, s), solver="scipy")
-    assert is_zero_one(first)
-    assert list(memo_of(code)) == [np.packbits(s).tobytes()]
-    anchored = solve_lp(build_error_lp(code, e), solver="scipy")
-    assert np.packbits(s).tobytes() not in memo_of(code)
-    again = solve_lp(build_syndrome_lp(code, s), solver="scipy")
-    assert same_solution(first, again)
-    assert list(memo_of(code)) == [np.packbits(s).tobytes()]
-    fresh = pickle.loads(pickle.dumps(surface5))
-    assert same_solution(anchored, solve_lp(build_error_lp(fresh, e), solver="scipy"))
-
-
-def test_memo_is_bounded_and_least_recently_used_goes_first(monkeypatch):
-    import lposd.lp as lp_mod
-    from lposd import rotated_surface_code
-
-    monkeypatch.setattr(lp_mod, "_MEMO_ENTRIES", 3)
-    code = rotated_surface_code(5)
-    unique = {}
-    for q in range(code.n):
-        e = np.zeros(code.n, dtype=np.uint8)
-        e[q] = 1
-        s = code.syndrome(e)
-        unique.setdefault(np.packbits(s).tobytes(), s)
-    syndromes = list(unique.items())
-    keys = []
-    for key, s in syndromes[:8]:
-        assert is_zero_one(solve_lp(build_syndrome_lp(code, s), solver="scipy"))
-        keys = (keys + [key])[-3:]
-        assert list(memo_of(code)) == keys
-    # a hit makes its entry the most recently used, so the next one drops another
-    solve_lp(build_syndrome_lp(code, syndromes[5][1]), solver="scipy")
-    solve_lp(build_syndrome_lp(code, syndromes[8][1]), solver="scipy")
-    assert list(memo_of(code)) == [keys[2], keys[0], syndromes[8][0]]
+    model = build_syndrome_lp(surface5, surface5.syndrome(np.eye(surface5.n, dtype=np.uint8)[7]))
+    first = solve_lp(model, solver="scipy")
+    second = solve_lp(model, solver="scipy")
+    assert len(runs) == 2
+    assert is_integral(first) and np.array_equal(first.values, second.values)
+    assert (first.objective, first.iterations) == (second.objective, second.iterations)
 
 
 def test_blocked_highs_extension_is_a_solver_error(monkeypatch):

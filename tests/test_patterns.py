@@ -603,6 +603,47 @@ def test_record_rejects_bad_support_indices(ring_pattern, field, bad):
         record_to_pattern(record, code)
 
 
+@pytest.mark.parametrize("bad", ["negative", "repeated", "too-large", "fractional"])
+@pytest.mark.parametrize("field", ["generators", "link_qubits"])
+def test_record_rejects_bad_link_and_generator_indices(ring_pattern, field, bad):
+    code, pattern = ring_pattern
+    record = pattern_to_record(pattern, code_ref="ring108")
+    indices = record[field][0] if field == "generators" else record[field]
+    indices.append({"negative": -1, "repeated": indices[0], "too-large": code.n,
+                    "fractional": 0.5}[bad])
+    message = (f"^{field} (must have length {code.n}|entries must be 0 or 1"
+               "|must list integer indices)$")
+    with pytest.raises(ValueError, match=message):
+        record_to_pattern(record, code)
+
+
+@pytest.mark.parametrize("bad", ["not-a-link", "outside-the-error"])
+def test_record_rejects_a_corrupted_link_off_the_ring_or_the_error(ring_pattern, bad):
+    code, pattern = ring_pattern
+    record = pattern_to_record(pattern, code_ref="ring108")
+    if bad == "not-a-link":
+        record["corrupted_link"] = next(q for q in record["error_support"]
+                                        if q not in record["link_qubits"])
+    else:
+        record["error_support"].remove(record["corrupted_link"])
+    with pytest.raises(ValueError, match="^corrupted_link must be one of link_qubits"):
+        record_to_pattern(record, code)
+
+
+@pytest.fixture(scope="module")
+def bb72_record(bb72):
+    return pattern_to_record(search_patterns(bb72, limit=1, rng_seed=3)[0], code_ref="bb72")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("generators", [[-5, 999]]), ("link_qubits", [-1]), ("corrupted_link", 500),
+    ("kind", "bogus"), ("reduced_verified", "maybe")])
+def test_record_rejects_each_bad_field_on_bb72(bb72, bb72_record, field, value):
+    assert record_to_pattern(bb72_record, bb72).kind in ("overlap", "cycle")
+    with pytest.raises(ValueError, match=f"^{field} "):
+        record_to_pattern({**bb72_record, field: value}, bb72)
+
+
 # ---------------------------------------------------------------------------
 # stabilizers inside a support
 # ---------------------------------------------------------------------------

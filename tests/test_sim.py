@@ -227,17 +227,18 @@ def test_workers_merge_an_uneven_split(surface3, name):
 def test_workers_with_a_persistent_solver_model(surface3):
     import pickle
 
-    from lposd import build_syndrome_lp, solve_lp
+    import lposd.sim as sim_mod
+    from lposd import lp_round_decode
 
     s = np.zeros(surface3.hx.n_rows, dtype=np.uint8)
     s[0] = 1
-    solve_lp(build_syndrome_lp(surface3, s), solver="scipy")
+    lp_round_decode(surface3, s, solver="scipy")
     assert surface3._lp_template._highs is not None
-    assert surface3._lp_template._highs._memo  # the 0/1 optimum is remembered
+    assert sim_mod._MEMOS[surface3]["scipy"]  # the integral outcome is remembered
     clone = pickle.loads(pickle.dumps(surface3))
-    assert clone._lp_template._highs is None
-    solve_lp(build_syndrome_lp(clone, s), solver="scipy")
-    assert len(clone._lp_template._highs._memo) == 1  # no entry came with the pickle
+    assert clone._lp_template._highs is None and clone not in sim_mod._MEMOS
+    lp_round_decode(clone, s, solver="scipy")
+    assert len(sim_mod._MEMOS[clone]["scipy"]) == 1  # no entry came with the pickle
     spec = DecoderSpec("lp-osdcs", solver="scipy")
     serial = run_point(surface3, spec, p=0.1, trials=60, seed=9)
     parallel = run_point(surface3, spec, p=0.1, trials=60, seed=9, workers=2)
@@ -245,9 +246,12 @@ def test_workers_with_a_persistent_solver_model(surface3):
 
 
 def test_solver_errors_are_counted_not_raised(surface3, monkeypatch):
+    import pickle
+
     import lposd.sim as sim_mod
     from lposd import LposdError
 
+    code = pickle.loads(pickle.dumps(surface3))  # a memo filled elsewhere would answer first
     real_solve = sim_mod.solve_lp
     calls = []
 
@@ -258,7 +262,7 @@ def test_solver_errors_are_counted_not_raised(surface3, monkeypatch):
         return real_solve(model, **kwargs)
 
     monkeypatch.setattr(sim_mod, "solve_lp", flaky_solve)
-    res = run_point(surface3, "lp-osdcs", p=0.1, trials=40, seed=3)
+    res = run_point(code, "lp-osdcs", p=0.1, trials=40, seed=3)
     assert len(calls) >= 2
     assert res.trials == 40
     assert res.solver_faults == 1
@@ -266,8 +270,12 @@ def test_solver_errors_are_counted_not_raised(surface3, monkeypatch):
 
 
 def test_one_shot_decoders_raise_solver_errors(surface3, monkeypatch):
+    import pickle
+
     import lposd.sim as sim_mod
     from lposd import LposdError, lp_round_decode
+
+    code = pickle.loads(pickle.dumps(surface3))  # a memo filled elsewhere would answer first
 
     def failing_solve(model, **kwargs):
         raise LposdError("numerical")
@@ -278,7 +286,31 @@ def test_one_shot_decoders_raise_solver_errors(surface3, monkeypatch):
     for decode in (lp_osd_decode, lp_round_decode,
                    lambda code, s: decode_syndrome(code, "lp-osd0", s)):
         with pytest.raises(LposdError, match="numerical"):
-            decode(surface3, s)
+            decode(code, s)
+    assert not sim_mod._MEMOS[code]["scipy"]  # a fault is never remembered
+
+
+@pytest.mark.parametrize("solver", ["scipy", "embedded"])
+def test_warm_code_solves_only_fractional_outcomes_again(solver, monkeypatch):
+    import pickle
+
+    import lposd.sim as sim_mod
+    from lposd import rotated_surface_code
+
+    calls = []
+    real_solve = sim_mod.solve_lp
+    monkeypatch.setattr(sim_mod, "solve_lp",
+                        lambda model, **kw: calls.append(1) or real_solve(model, **kw))
+    code = rotated_surface_code(5)
+    blob = pickle.dumps(code)
+    spec = DecoderSpec("lp-osdcs", solver=solver)
+    first = run_point(code, spec, p=0.12, trials=150, seed=2)
+    assert first.fractional > 0
+    del calls[:]
+    warm = run_point(code, spec, p=0.12, trials=150, seed=2)
+    assert len(calls) == warm.fractional == first.fractional
+    fresh = run_point(pickle.loads(blob), spec, p=0.12, trials=150, seed=2)
+    assert point_fingerprint(warm) == point_fingerprint(fresh) == point_fingerprint(first)
 
 
 def test_decoder_rngs_built_only_for_random_tie_breaks(surface3, monkeypatch):
