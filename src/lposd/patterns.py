@@ -882,10 +882,9 @@ def record_to_pattern(record: dict, code: CssCode) -> ErrorPattern:
     """Rebuild a pattern from its serialized record, given the code.
 
     ``error_support``, ``link_qubits`` and each of ``generators`` list
-    distinct integer indices below n, ``syndrome_support`` below m_x (their
-    counts go through ``as_bit_vector``, a negative index past the end);
-    ``corrupted_link`` must be a link qubit in the error.  A bad field, or
-    an unknown ``kind`` or ``reduced_verified``, raises ValueError naming it.
+    distinct integer indices below n, ``syndrome_support`` below m_x, and
+    ``corrupted_link`` is a link qubit in the error; a bad field, or an
+    unknown ``kind`` or ``reduced_verified``, raises ValueError naming it.
     """
     fields = [("error_support", record["error_support"], code.n),
               ("syndrome_support", record["syndrome_support"], code.hx.n_rows),

@@ -70,9 +70,10 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 _SWEEP_GUARD = 10_000_000
 _BOOTSTRAP_RESAMPLES = 1000
 
-# Most entries of each per-code, per-solver LP memo (a full one holds 1.0 MB on bb72).
+# Each code's LP memos by solver, kept here and not on the code so that none is
+# pickled with it; at most _MEMO_ENTRIES entries each (a full one: 1.0 MB on bb72).
 _MEMO_ENTRIES = 2048
-_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # code -> solver -> memo
+_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
