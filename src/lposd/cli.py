@@ -148,8 +148,9 @@ def _add_simulate(sub) -> None:
     p.add_argument("--tie-break", choices=("distance", "random"))
     p.add_argument("--bp-max-iter", type=int)
     p.add_argument("--solver", choices=SOLVERS, default=DEFAULT_SOLVER,
-                   help="LP backend: HiGHS (scipy, the default) or the "
-                        "dependency-free embedded simplex")
+                   help="LP backend: adaptive cuts on HiGHS (cuts, the "
+                        "default), HiGHS on the explicit model (scipy) or "
+                        "the dependency-free embedded simplex")
     p.add_argument("--n-codes", type=int, default=1,
                    help="random-hgp only: ensemble size")
     p.add_argument("--trials-per-code", type=int, default=10,
@@ -278,8 +279,9 @@ def _add_detector_decode(sub) -> None:
     p.add_argument("--osd", choices=("0", "cs", "round"), default="cs")
     p.add_argument("--lambda", dest="lam", type=int, default=DEFAULT_LAM)
     p.add_argument("--solver", choices=SOLVERS, default=DEFAULT_SOLVER,
-                   help="LP backend: HiGHS (scipy, the default) or the "
-                        "dependency-free embedded simplex")
+                   help="LP backend: adaptive cuts on HiGHS (cuts, the "
+                        "default), HiGHS on the explicit model (scipy) or "
+                        "the dependency-free embedded simplex")
     p.add_argument("--dump-lp", help="also write the LP model to this path")
     p.set_defaults(func=_cmd_detector_decode)
 

@@ -90,7 +90,9 @@ class DecoderSpec:
     solver, a lam or tie-break that ``OsdConfig`` rejects on any pipeline,
     a BP iteration cap or channel prior that ``BpConfig`` rejects, a BP
     setting on an LP pipeline, or a solver other than ``DEFAULT_SOLVER`` on
-    a BP pipeline.  A BP pipeline records its solver as None.
+    a BP pipeline.  A BP pipeline records its solver as None.  ``solver``
+    defaults to adaptive LP decoding ('cuts'); 'scipy' pins the explicit
+    HiGHS model and its vertices, and 'embedded' the dependency-free simplex.
     """
 
     name: str

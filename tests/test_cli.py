@@ -210,17 +210,24 @@ def test_simulate_single_code_requires_trials(capsys):
     assert "--trials" in capsys.readouterr().err
 
 
-# sha256 of the JSONL lines of two simulate runs without their timings,
-# recorded while run_point and run_ensemble assembled their results from a
-# separate per-point tally
+_SINGLE_CODE = ["--code", "surface:3", "--decoder", "lp,bp", "--osd", "cs",
+                "--p", "0.05,0.1", "--trials", "20", "--seed", "1"]
+_ENSEMBLE = ["--code", "random-hgp:2", "--decoder", "lp-osd0,bp", "--p", "0.05",
+             "--n-codes", "3", "--trials-per-code", "5", "--seed", "2"]
+
+
+# sha256 of the JSONL lines of two simulate runs without their timings; the
+# 'scipy' runs were recorded while run_point and run_ensemble assembled their
+# results from a separate per-point tally, the runs on the default solver
+# when adaptive LP decoding became it
 @pytest.mark.parametrize("argv, digest", [
-    (["--code", "surface:3", "--decoder", "lp,bp", "--osd", "cs",
-      "--p", "0.05,0.1", "--trials", "20", "--seed", "1"],
+    (_SINGLE_CODE + ["--solver", "scipy"],
      "f9ad55db814e78b5334e2972c19757ba950bc4f100aa4e6cb4923989187a87ad"),
-    (["--code", "random-hgp:2", "--decoder", "lp-osd0,bp", "--p", "0.05",
-      "--n-codes", "3", "--trials-per-code", "5", "--seed", "2"],
+    (_ENSEMBLE + ["--solver", "scipy"],
      "fe0155f4aff92a0139ef1b9efd09c1985d644f3cb9bfbf4a744f2a59949fb9a5"),
-], ids=["single-code", "ensemble"])
+    (_SINGLE_CODE, "a79dfc735dcc88e71e62dbc9b4a24f316a87e529be06524b1d959dcfa1499f4a"),
+    (_ENSEMBLE, "83f73eb61fa233043726b8d189983a7d6d580fdbd97ad3ab3e8b45e08db87e03"),
+], ids=["single-code", "ensemble", "single-code-cuts", "ensemble-cuts"])
 def test_simulate_records_unchanged(argv, digest, capsys):
     import hashlib
 
@@ -467,10 +474,12 @@ def test_every_entry_point_defaults_to_the_same_solver():
                        lp_round_decode, solve_lp)
     from lposd.cli import build_parser
 
-    assert DEFAULT_SOLVER == "scipy"
+    assert DEFAULT_SOLVER == "cuts"
     assert DecoderSpec("lp-osdcs").solver == DEFAULT_SOLVER
-    for func in (solve_lp, lp_osd_decode, lp_round_decode):
+    for func in (lp_osd_decode, lp_round_decode):
         assert inspect.signature(func).parameters["solver"].default == DEFAULT_SOLVER
+    # a bare solve_lp returns every column, which only 'scipy' and 'embedded' do
+    assert inspect.signature(solve_lp).parameters["solver"].default == "scipy"
     parser = build_parser()
     sim = parser.parse_args(["simulate", "--code", "surface:3", "--decoder", "lp",
                              "--p", "0.1"])

@@ -9,6 +9,7 @@ from lposd import (
     BinaryMatrix,
     CheckWeightTooLarge,
     CssCode,
+    DecoderSpec,
     Infeasible,
     LposdError,
     LpSolution,
@@ -176,7 +177,7 @@ def test_weighted_objective_steers_solution():
     assert heavy_first.objective == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("solver", ["embedded", "scipy"])
+@pytest.mark.parametrize("solver", ["embedded", "scipy", "cuts"])
 def test_conflicting_unit_checks_are_infeasible(solver):
     hx = BinaryMatrix.from_entries(2, 1, [(0, 0), (1, 0)])
     code = CssCode(hx, BinaryMatrix([], 1), name="conflict")
@@ -494,7 +495,7 @@ def test_memo_hits_match_cold_solves(persistent_codes, counted_solves):
 
     from lposd import lp_round_decode
 
-    for shared in persistent_codes:
+    for shared, solver in itertools.product(persistent_codes, ("scipy", "cuts")):
         blob = pickle.dumps(shared)
         code = pickle.loads(blob)  # starts with an empty memo
         syndromes = random_syndromes(code, 6, 0.05, 43)
@@ -504,14 +505,14 @@ def test_memo_hits_match_cold_solves(persistent_codes, counted_solves):
         for w in (None, weights, None):
             for s in syndromes + syndromes[::-1]:
                 before = len(counted_solves)
-                res = lp_round_decode(code, s, solver="scipy", weights=w)
+                res = lp_round_decode(code, s, solver=solver, weights=w)
                 solved = s.any() and not (w is None and s.tobytes() in stored)
                 assert len(counted_solves) - before == solved
                 if solved and w is None and not res.diagnostics["fractional"]:
                     stored.add(s.tobytes())
-                cold = lp_round_decode(pickle.loads(blob), s, solver="scipy", weights=w)
+                cold = lp_round_decode(pickle.loads(blob), s, solver=solver, weights=w)
                 assert same_outcome(res, cold)
-            assert stored and set(memo_of(code)) == stored
+            assert stored and set(memo_of(code, solver)) == stored
 
 
 def test_fractional_optima_are_not_remembered(toy22, counted_solves):
@@ -622,6 +623,203 @@ def test_blocked_highs_extension_is_a_solver_error(monkeypatch):
     nonzero = res.trials - res.stage_counts["integral-lp"]
     assert res.solver_faults == res.stage_counts["solver-fault"] == nonzero > 0
     assert code._lp_template._highs is None
+
+
+# ---------------------------------------------------------------------------
+# adaptive LP decoding behind solver="cuts"
+# ---------------------------------------------------------------------------
+
+
+def violated_forbidden_sets(code, s, x):
+    """Every forbidden-set inequality of the syndrome polytope that x
+    violates by more than 1e-9, enumerated subset by subset."""
+    out = []
+    for j, support in enumerate(code.tanner.x_supports):
+        for subset in parity_subsets(support, 1 - int(s[j])):
+            inside = sum(x[q] for q in subset)
+            outside = sum(x[q] for q in support if q not in subset)
+            if inside - outside > len(subset) - 1 + 1e-9:
+                out.append((j, subset))
+    return out
+
+
+@pytest.fixture(scope="module")
+def cuts_codes(surface5, bb72):
+    return [surface5, rotated_surface_code(7), bb72, named_bb_code("bb144"),
+            sample_random_hgp(2, 0), with_zero_x_row(surface5, 3)]
+
+
+def cuts_models(code, count, seed):
+    """Syndrome models of random errors, unweighted and weighted, each
+    followed by the model anchored at its error."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for k in range(count):
+        e = (rng.random(code.n) < 0.06).astype(np.uint8)
+        weights = None if k % 2 else rng.uniform(0.2, 3.0, code.n)
+        models.append(build_syndrome_lp(code, code.syndrome(e), weights))
+        models.append(build_error_lp(code, e))
+    return models
+
+
+def reference_cuts(code, x, s):
+    """The most violated forbidden-set inequality of each check x violates,
+    check by check: (check, subset) pairs."""
+    out = []
+    for j, support in enumerate(code.tanner.x_supports):
+        if not support:
+            continue
+        subset = {q for q in support if x[q] > 0.5}
+        if len(subset) % 2 == s[j]:  # move the first qubit nearest 1/2 across
+            subset ^= {min(support, key=lambda q: abs(2 * x[q] - 1))}
+        slack = sum(1 - x[q] if q in subset else x[q] for q in support)
+        if slack < 1 - 1e-6:
+            out.append((j, tuple(sorted(subset))))
+    return out
+
+
+@pytest.mark.parametrize("make", [lambda: rotated_surface_code(5),
+                                  lambda: named_bb_code("bb72"),
+                                  lambda: with_zero_x_row(rotated_surface_code(3), 1)])
+def test_cut_separation_matches_a_check_by_check_loop(make):
+    import lposd.lp as lp_mod
+
+    code = make()
+    model = lp_mod._cuts_model(code)
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        # quarters, so every sum is exact and ties for the member nearest
+        # 1/2 are common
+        x = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], code.n, p=[0.3, 0.1, 0.2, 0.1, 0.3])
+        s = rng.integers(0, 2, code.hx.n_rows).astype(np.int8)
+        expected = reference_cuts(code, x, s)
+        cuts = model._cuts(x, s[model._checks])
+        if not expected:
+            assert cuts is None
+            continue
+        rows, lower, upper, nnz, starts, index, value = cuts
+        assert rows == len(expected) and nnz == index.size == value.size
+        assert (lower == -np.inf).all()
+        ends = np.append(starts[1:], nnz)
+        for (j, subset), lo, hi, bound in zip(expected, starts, ends, upper):
+            assert index[lo:hi].tolist() == list(code.tanner.x_supports[j])
+            assert [q for q, v in zip(index[lo:hi], value[lo:hi]) if v == 1.0] == list(subset)
+            assert bound == len(subset) - 1
+
+
+def test_cuts_objectives_match_the_explicit_lp(cuts_codes):
+    for code in cuts_codes:
+        for model in cuts_models(code, 6, 53):
+            explicit = solve_lp(model, solver="scipy")
+            cuts = solve_lp(model, solver="cuts")
+            assert cuts.solver == "cuts" and cuts.values.shape == (code.n,)
+            assert abs(cuts.objective - explicit.objective) <= 1e-9
+            x = cuts.x()
+            assert ((x >= 0.0) & (x <= 1.0)).all()
+            assert cuts.objective == pytest.approx(float(model.c[: code.n] @ x), abs=1e-9)
+            parities = model.meta["parities"]
+            if max(map(len, code.tanner.x_supports)) <= 8:
+                assert violated_forbidden_sets(code, parities, x) == []
+
+
+def test_cuts_honours_negative_costs(surface5):
+    rng = np.random.default_rng(59)
+    for _ in range(5):
+        s = surface5.syndrome((rng.random(surface5.n) < 0.1).astype(np.uint8))
+        model = build_syndrome_lp(surface5, s, rng.uniform(-1.0, 2.0, surface5.n))
+        cuts = solve_lp(model, solver="cuts")
+        assert cuts.x().max() <= 1.0  # the box, not a row, bounds each qubit
+        assert abs(cuts.objective - solve_lp(model, solver="scipy").objective) <= 1e-9
+
+
+def test_cuts_is_order_independent_and_survives_pickling(cuts_codes):
+    import pickle
+
+    for code in cuts_codes[:4]:
+        blob = pickle.dumps(code)
+        models = cuts_models(code, 8, 61)
+        forward = [solve_lp(m, solver="cuts") for m in models]
+        backward = [solve_lp(m, solver="cuts") for m in reversed(models)][::-1]
+        fresh = pickle.loads(blob)
+        assert fresh._lp_template is None or fresh._lp_template._cuts is None
+        cold = [solve_lp(m, solver="cuts") for m in cuts_models(fresh, 8, 61)]
+        for a, b, c in zip(forward, backward, cold):
+            for other in (b, c):
+                assert np.array_equal(a.values, other.values)
+                assert (a.objective, a.iterations) == (other.objective, other.iterations)
+
+
+@pytest.mark.parametrize("solver", ["embedded", "scipy", "cuts"])
+def test_a_flipped_check_without_qubits_is_infeasible(surface5, solver):
+    padded = with_zero_x_row(surface5, 3)
+    e = np.zeros(surface5.n, dtype=np.uint8)
+    e[[4, 17]] = 1
+    s = padded.syndrome(e)
+    assert solve_lp(build_syndrome_lp(padded, s), solver=solver).objective \
+        == pytest.approx(2.0, abs=1e-9)
+    s[3] = 1
+    with pytest.raises(Infeasible):
+        solve_lp(build_syndrome_lp(padded, s), solver=solver)
+
+
+def test_cuts_solutions_carry_qubit_values_only(surface5):
+    e = np.zeros(surface5.n, dtype=np.uint8)
+    e[[4, 17]] = 1
+    sol = solve_lp(build_syndrome_lp(surface5, surface5.syndrome(e)), solver="cuts")
+    assert sol.values.shape == (surface5.n,) and is_integral(sol)
+    subset = sol.model.mixture_subsets(0)[0]
+    with pytest.raises(LposdError, match="qubit values only"):
+        sol.mixture_value(0, subset)
+    with pytest.raises(LposdError, match="qubit values only"):
+        reflect_to_error_solution(sol, e)
+    anchored = solve_lp(build_error_lp(surface5, e), solver="cuts")
+    with pytest.raises(LposdError, match="qubit values only"):
+        reflect_to_syndrome_solution(anchored)
+
+
+def test_cuts_rejects_dual_and_mixture_cost_models(surface5):
+    e = np.zeros(surface5.n, dtype=np.uint8)
+    e[[4, 17]] = 1
+    with pytest.raises(LposdError, match="mixture costs"):
+        solve_lp(build_dual_lp(surface5, e), solver="cuts")
+    mixed = build_syndrome_lp(surface5, surface5.syndrome(e))
+    mixed.c[surface5.n + 2] = 0.5
+    with pytest.raises(LposdError, match="mixture costs"):
+        solve_lp(mixed, solver="cuts")
+
+
+def test_cuts_round_cap_raises_iteration_limit(monkeypatch):
+    import lposd.lp as lp_mod
+    from lposd import IterationLimit, lp_osd_decode, run_point
+
+    code = rotated_surface_code(5)  # a code no other test has warmed
+    e = np.zeros(code.n, dtype=np.uint8)
+    e[[4, 17]] = 1
+    model = build_syndrome_lp(code, code.syndrome(e))
+    assert 0 < solve_lp(model, solver="cuts").iterations
+    monkeypatch.setattr(lp_mod, "_CUT_ROUNDS_PER_QUBIT", 0)
+    with pytest.raises(IterationLimit, match="after 0 rounds"):
+        solve_lp(model, solver="cuts")
+    with pytest.raises(IterationLimit):
+        lp_osd_decode(code, model.meta["syndrome"], solver="cuts")
+    res = run_point(code, "lp-osdcs", p=0.1, trials=30, seed=3)
+    nonzero = res.trials - res.stage_counts.get("integral-lp", 0)
+    assert res.solver_faults == res.stage_counts["solver-fault"] == nonzero > 0
+
+
+def test_cuts_non_optimal_round_is_a_solver_fault(monkeypatch):
+    import lposd.lp as lp_mod
+    import lposd.sim as sim_mod
+    from lposd import lp_round_decode, run_point
+
+    code = rotated_surface_code(5)
+    s = code.syndrome(np.eye(code.n, dtype=np.uint8)[7])
+    lp_mod._cuts_model(code)._highs.setOptionValue("time_limit", 0.0)
+    with pytest.raises(LposdError, match="Time limit"):
+        lp_round_decode(code, s, solver="cuts")
+    res = run_point(code, DecoderSpec("lp-round", solver="cuts"), p=0.1, trials=30, seed=3)
+    assert res.solver_faults == res.stage_counts["solver-fault"] > 0
+    assert not sim_mod._MEMOS[code]["cuts"]  # a fault is never remembered
 
 
 # ---------------------------------------------------------------------------
@@ -864,8 +1062,9 @@ def test_lean_import_keeps_scipy_optimize_out():
         e[[3, 11]] = 1
         s = code.syndrome(e)
         res = lp_osd_decode(code, s)
-        assert res.diagnostics["solver"] == "scipy", res.diagnostics
-        assert code._lp_template._highs is not None
+        assert res.diagnostics["solver"] == "cuts", res.diagnostics
+        assert code._lp_template._cuts is not None
+        assert code._lp_template._highs is None  # the explicit model is never built
         assert_absent("scipy.sparse", "scipy.optimize", "scipy.special")
         bp_osd_decode(code, s)
         assert_absent("scipy.sparse")

@@ -140,16 +140,17 @@ def test_decoder_spec_validation_and_defaults():
     assert labeled.key == "osd0-random"
     assert labeled.tag == DecoderSpec(name="lp-osd0").tag
     # settings a pipeline cannot run with fail when the spec is made
-    for bad in (dict(name="lp-osdcs", solver="cuts"), dict(name="bp", solver="nonsense"),
+    for bad in (dict(name="lp-osdcs", solver="simplex"), dict(name="bp", solver="nonsense"),
                 dict(name="lp-osdcs", lam=-1), dict(name="bp-osd0", lam=-1),
                 dict(name="lp-round", lam=-1), dict(name="bp", lam=-1),
-                dict(name="bp", solver="embedded"), dict(name="bp-osdcs", solver="embedded"),
+                dict(name="bp", solver="embedded"), dict(name="bp-osdcs", solver="scipy"),
                 dict(name="bp", bp_iteration_cap=0), dict(name="bp-osdcs", bp_iteration_cap=0),
                 dict(name="bp", bp_channel_p=0.7), dict(name="bp-osd0", bp_channel_p=0.0),
                 dict(name="lp-round", bp_iteration_cap=5), dict(name="lp-osdcs", bp_channel_p=0.1)):
         with pytest.raises(InvalidParameter):
             DecoderSpec(**bad)
     for ok in (dict(name="lp-round", lam=0), dict(name="lp-round", solver="embedded"),
+               dict(name="lp-osdcs", solver="scipy"), dict(name="lp-osd0", solver="cuts"),
                dict(name="bp", bp_iteration_cap=1, bp_channel_p=0.49)):
         DecoderSpec(**ok)
     # a BP pipeline runs no LP, so its record names no solver
@@ -232,17 +233,21 @@ def test_workers_with_a_persistent_solver_model(surface3):
 
     s = np.zeros(surface3.hx.n_rows, dtype=np.uint8)
     s[0] = 1
-    lp_round_decode(surface3, s, solver="scipy")
-    assert surface3._lp_template._highs is not None
-    assert sim_mod._MEMOS[surface3]["scipy"]  # the integral outcome is remembered
+    # each HiGHS-backed solver keeps its own persistent model on the template
+    for solver, handle in (("scipy", "_highs"), ("cuts", "_cuts")):
+        lp_round_decode(surface3, s, solver=solver)
+        assert getattr(surface3._lp_template, handle) is not None
+        assert sim_mod._MEMOS[surface3][solver]  # the integral outcome is remembered
     clone = pickle.loads(pickle.dumps(surface3))
-    assert clone._lp_template._highs is None and clone not in sim_mod._MEMOS
-    lp_round_decode(clone, s, solver="scipy")
-    assert len(sim_mod._MEMOS[clone]["scipy"]) == 1  # no entry came with the pickle
-    spec = DecoderSpec("lp-osdcs", solver="scipy")
-    serial = run_point(surface3, spec, p=0.1, trials=60, seed=9)
-    parallel = run_point(surface3, spec, p=0.1, trials=60, seed=9, workers=2)
-    assert point_fingerprint(serial) == point_fingerprint(parallel)
+    assert clone._lp_template._highs is None and clone._lp_template._cuts is None
+    assert clone not in sim_mod._MEMOS
+    for solver in ("scipy", "cuts"):
+        lp_round_decode(clone, s, solver=solver)
+        assert len(sim_mod._MEMOS[clone][solver]) == 1  # no entry came with the pickle
+        spec = DecoderSpec("lp-osdcs", solver=solver)
+        serial = run_point(surface3, spec, p=0.1, trials=60, seed=9)
+        parallel = run_point(surface3, spec, p=0.1, trials=60, seed=9, workers=2)
+        assert point_fingerprint(serial) == point_fingerprint(parallel)
 
 
 def test_solver_errors_are_counted_not_raised(surface3, monkeypatch):
@@ -287,10 +292,10 @@ def test_one_shot_decoders_raise_solver_errors(surface3, monkeypatch):
                    lambda code, s: decode_syndrome(code, "lp-osd0", s)):
         with pytest.raises(LposdError, match="numerical"):
             decode(code, s)
-    assert not sim_mod._MEMOS[code]["scipy"]  # a fault is never remembered
+    assert not sim_mod._MEMOS[code][DEFAULT_SOLVER]  # a fault is never remembered
 
 
-@pytest.mark.parametrize("solver", ["scipy", "embedded"])
+@pytest.mark.parametrize("solver", ["scipy", "embedded", "cuts"])
 def test_warm_code_solves_only_fractional_outcomes_again(solver, monkeypatch):
     import pickle
 
@@ -558,38 +563,56 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-# sha256 of run_point records and one-shot (correction, stage) pairs,
-# recorded while lp_osd_decode, lp_round_decode and bp_osd_decode each
-# carried their own copy of the stage logic
+# sha256 of run_point records and one-shot (correction, stage) pairs.  The
+# 'scipy' entries were recorded while lp_osd_decode, lp_round_decode and
+# bp_osd_decode each carried their own copy of the stage logic; the 'cuts'
+# entries when adaptive LP decoding became the default solver.
 _EQUIVALENCE_DIGESTS = {
-    "surface5": {
+    ("surface5", "scipy"): {
         "records": "958e8457a624b1b3813f8d6247fce3c1bb4b3b502e4868b7f7f67f353ca06680",
         "unweighted": "aed8b64147cd29515d2dc2398d27150e5e746a59db70440875832bf9183db7d5",
         "weighted": "0a70251ea92240050744735dae6d138128e5ad8e4addf01769e3bd2ebc53c075",
     },
-    "bb72": {
+    ("bb72", "scipy"): {
         "records": "fe263e1009459fb3a8a7da27231e96ded88b5101569575e9444e217141630662",
         "unweighted": "59334ec6bc261cdeb611e9aab604363f6f25cc4452e4792d61aff898db80cac9",
         "weighted": "6a2aa3e7ecb8fa3d088e8e098a20aaece561f948b384ccdf0bbdbe9f5b209c36",
     },
+    ("surface5", "cuts"): {
+        "records": "c08c3b51fb17935da02211db66db542e0a8f5fd1f34cc485c26ee98508551fb1",
+        "unweighted": "ff62eac398b11a580d193a87f0b8f87034f7d40231631449501305ea5c066217",
+        "weighted": "fd0324c32fdea34662f1e0afbbe5a0f8ec21982d30c524d279c01ab788bc2469",
+    },
+    ("bb72", "cuts"): {
+        "records": "486d17038ad74f39a612e14be22f5b3e54aafb3ae967eb6b676c6630d7931011",
+        "unweighted": "91c7e3334a649bfdf0c7dd575f5e6b8799b435fb3d01dc1bd3e4d0670cfc6e47",
+        "weighted": "a2871b421793f4489f4794a2e100855c1d41cd7971515dbf799ce2b4f7328090",
+    },
 }
 
 
-@pytest.mark.parametrize("fixture", ["surface5", "bb72"])
-def test_run_point_records_unchanged(fixture, request):
+# a bare fixture id names the 'scipy' case
+_FIXTURE_SOLVERS = pytest.mark.parametrize("fixture, solver", [
+    ("surface5", "scipy"), ("bb72", "scipy"), ("surface5", "cuts"), ("bb72", "cuts"),
+], ids=["surface5", "bb72", "surface5-cuts", "bb72-cuts"])
+
+
+@_FIXTURE_SOLVERS
+def test_run_point_records_unchanged(fixture, solver, request):
     code = request.getfixturevalue(fixture)
-    specs = list(DECODER_NAMES) + [
-        DecoderSpec("lp-osd0", tie_break="random", label="lp-osd0-random"),
+    specs = [DecoderSpec(name, solver=solver) if name.startswith("lp") else name
+             for name in DECODER_NAMES] + [
+        DecoderSpec("lp-osd0", tie_break="random", solver=solver, label="lp-osd0-random"),
         DecoderSpec("bp-osdcs", tie_break="random", label="bp-osdcs-random"),
     ]
     results = run_point(code, specs, p=0.05, trials=200, seed=11)
     records = [point_fingerprint(res) for res in results]
-    assert _digest(records) == _EQUIVALENCE_DIGESTS[fixture]["records"]
+    assert _digest(records) == _EQUIVALENCE_DIGESTS[fixture, solver]["records"]
 
 
-@pytest.mark.parametrize("fixture", ["surface5", "bb72"])
+@_FIXTURE_SOLVERS
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-def test_one_shot_decoders_unchanged(fixture, weighted, request):
+def test_one_shot_decoders_unchanged(fixture, weighted, solver, request):
     from lposd import BpConfig, bp_osd_decode, lp_round_decode
 
     code = request.getfixturevalue(fixture)
@@ -602,13 +625,13 @@ def test_one_shot_decoders_unchanged(fixture, weighted, request):
     rows = []
     for s in syndromes:
         results = [
-            lp_osd_decode(code, s, weights=weights),
-            lp_osd_decode(code, s, OsdConfig(order="osd0"), weights=weights),
-            lp_osd_decode(code, s, OsdConfig(tie_break="random"), weights=weights,
-                          rng=np.random.default_rng(5)),
-            lp_osd_decode(code, s, OsdConfig(lam=4), weights=weights,
+            lp_osd_decode(code, s, solver=solver, weights=weights),
+            lp_osd_decode(code, s, OsdConfig(order="osd0"), solver=solver, weights=weights),
+            lp_osd_decode(code, s, OsdConfig(tie_break="random"), solver=solver,
+                          weights=weights, rng=np.random.default_rng(5)),
+            lp_osd_decode(code, s, OsdConfig(lam=4), solver=solver, weights=weights,
                           rng=np.random.default_rng(6)),
-            lp_round_decode(code, s, weights=weights),
+            lp_round_decode(code, s, solver=solver, weights=weights),
         ]
         if not weighted:  # bp_osd_decode takes no weights
             results += [
@@ -622,11 +645,12 @@ def test_one_shot_decoders_unchanged(fixture, weighted, request):
             ]
         rows.append([(res.correction.tolist(), res.stage) for res in results])
     kind = "weighted" if weighted else "unweighted"
-    assert _digest(rows) == _EQUIVALENCE_DIGESTS[fixture][kind]
+    assert _digest(rows) == _EQUIVALENCE_DIGESTS[fixture, solver][kind]
 
 
-# sha256 of run_ensemble records, recorded while run_point and
-# run_ensemble assembled their results from a separate per-point tally
+# sha256 of run_ensemble records, recorded on the 'scipy' solver while
+# run_point and run_ensemble assembled their results from a separate
+# per-point tally
 _ENSEMBLE_DIGESTS = {
     "surface3-factory": "5f18fb337f21b29024a1a729bd7d684edc013dff6f3b49f00e0236fa3233a48d",
     "random-hgp": "04e2ef6182416a6b2ff5fcf7322a0cd26e53ddff0246432723e12ff1b9cf0c23",
@@ -634,8 +658,8 @@ _ENSEMBLE_DIGESTS = {
 
 
 def test_run_ensemble_records_unchanged(surface3):
-    specs = ["lp-round", "lp-osdcs", "bp-osd0",
-             DecoderSpec("bp-osdcs", tie_break="random", label="bp-osdcs-random")]
+    specs = [DecoderSpec("lp-round", solver="scipy"), DecoderSpec("lp-osdcs", solver="scipy"),
+             "bp-osd0", DecoderSpec("bp-osdcs", tie_break="random", label="bp-osdcs-random")]
     records = []
     for n_codes in (1, 3):  # Wilson interval, then the bootstrap over codes
         results = run_ensemble(2, specs, p=0.08, n_codes=n_codes, trials_per_code=20,
@@ -647,7 +671,8 @@ def test_run_ensemble_records_unchanged(surface3):
                           workers=2, code_factory=lambda s, seed: surface3)
     assert [res.to_record() for res in pooled] == records[len(specs):]
     for workers in (1, 2):  # one pool for the whole ensemble
-        results = run_ensemble(2, ["lp-osd0", "bp-osdcs"], p=0.05, n_codes=3,
-                               trials_per_code=10, seed=6, workers=workers)
+        results = run_ensemble(2, [DecoderSpec("lp-osd0", solver="scipy"), "bp-osdcs"],
+                               p=0.05, n_codes=3, trials_per_code=10, seed=6,
+                               workers=workers)
         assert (_digest([res.to_record() for res in results])
                 == _ENSEMBLE_DIGESTS["random-hgp"])
