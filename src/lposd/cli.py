@@ -29,7 +29,7 @@ from .codes import (
 )
 from .errors import InvalidParameter, LposdError
 from .gf2 import BinaryMatrix, in_rowspace, read_matrix
-from .lp import DEFAULT_SOLVER, SOLVERS, build_syndrome_lp, dump_lp
+from .lp import DEFAULT_SOLVER, MAX_CHECK_WEIGHT, SOLVERS, build_syndrome_lp, dump_lp
 from .osd import DEFAULT_LAM, OsdConfig
 from .patterns import search_patterns, write_patterns
 from .sim import (DecoderSpec, SimConfig, lp_osd_decode, lp_round_decode, run_ensemble,
@@ -281,7 +281,8 @@ def _add_detector_decode(sub) -> None:
     p.add_argument("--solver", choices=SOLVERS, default=DEFAULT_SOLVER,
                    help="LP backend: adaptive cuts on HiGHS (cuts, the "
                         "default), HiGHS on the explicit model (scipy) or "
-                        "the dependency-free embedded simplex")
+                        "the dependency-free embedded simplex; scipy and "
+                        f"embedded cap checks at weight {MAX_CHECK_WEIGHT}")
     p.add_argument("--dump-lp", help="also write the LP model to this path")
     p.set_defaults(func=_cmd_detector_decode)
 

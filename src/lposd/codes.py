@@ -107,7 +107,7 @@ class CssCode:
         self.metadata = dict(metadata or {})
         self._tanner: TannerGraph | None = None
         self._params: CodeParameters | None = None
-        # the LP decoder's per-code model cache (see lp._LpTemplate)
+        # the explicit LP model's per-code matrix (see lp._LpTemplate)
         self._lp_template = None
         # search_patterns' prepared rings (see patterns._prepared_rings)
         self._pattern_rings: dict = {}

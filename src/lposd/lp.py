@@ -14,9 +14,11 @@ Three model builders:
   whose feasible points price qubits and Tanner edges; its matrix is the
   error model's, transposed, with the edge columns negated.
 
-Auxiliary mixture variables are expanded explicitly (one variable per
-even- or odd-parity subset of each check's support), so check weight is
-capped; wider checks raise CheckWeightTooLarge.
+The explicit model expands its mixture variables (one per even- or odd-
+parity subset of each check's support), so it caps check weight at
+``MAX_CHECK_WEIGHT``: the builders, and decodes on 'scipy' or 'embedded',
+raise CheckWeightTooLarge above it.  A 'cuts' decode never builds it and
+takes checks of any weight.
 
 Three solver backends.  'cuts', ``DEFAULT_SOLVER`` and so the default of
 every decoder, simulation and CLI command, is adaptive LP decoding on HiGHS
@@ -36,28 +38,30 @@ dual transposes the error model's slice.  Only that slice, the dual's
 standard form and the embedded simplex import ``scipy.sparse``.
 
 HiGHS runs from scipy's bundled extension, loaded by file path so that a
-decode never imports ``scipy.optimize``; every HiGHS model is built by
-one function, with output and presolve off.  Syndrome and error models
-without mixture costs share one persistent model per code, which holds
-the template's matrix as it stands.  A solve fixes the wrong-parity
-columns at zero, sets the qubit costs, clears the solver and runs it
-cold, then gathers the model's columns.  Cold starts make the returned
-vertex a function of the model alone, so results do not depend on the
-order of solves.  Warm-starting from the previous basis was also measured
-slower despite fewer pivots: 5.0-6.3 against 3.3-3.8 ms per bb72 solve
-(149 against 280 pivots), 16-20 against 6.3-6.8 ms on bb144.  Dual
-models and models with mixture costs get a one-off HiGHS model of their
-own.  If the extension cannot be loaded, 'scipy' and 'cuts' solves raise
-LposdError.
+decode never imports ``scipy.optimize``; every HiGHS model is built by one
+function, with output and presolve off.  A code's persistent models, one
+per HiGHS solver, live in ``_MODELS``, weakly keyed by the code like the
+decode memo, so none is pickled with it or outlives it.  Each solves
+syndrome and error models without mixture costs from the check parities
+and qubit costs alone, which is all the decode path (``_solve_syndrome``)
+hands over.  The 'scipy' model holds the template's matrix as it stands.  A
+solve fixes the wrong-parity columns at zero, sets the qubit costs, clears
+the solver and runs it cold, then gathers the model's columns.  Cold starts
+make the returned vertex a function of the model alone, so results do not
+depend on the order of solves.  Warm-starting from the previous basis was
+also measured slower despite fewer pivots: 5.0-6.3 against 3.3-3.8 ms per
+bb72 solve (149 against 280 pivots), 16-20 against 6.3-6.8 ms on bb144.
+Dual models and models with mixture costs get a one-off HiGHS model of
+their own.  If the extension cannot be loaded, 'scipy' and 'cuts' solves
+raise LposdError.
 
-'cuts' (Taghavi & Siegel, IEEE Trans. IT 54(12), 2008) keeps one more
-HiGHS model per code, with the n qubit columns in [0, 1] and no rows, and
-adds Feldman-Wainwright-Karger forbidden-set inequalities as cuts, round by
-round, only where the current point violates them (``_CutsModel``).  Its
-optimum is the explicit model's, reached in a few pivots instead of about
-one per equality row (7 against 292 per bb72 solve at p=0.03).  Its
-solutions carry qubit values only; it takes syndrome and error models
-without mixture costs.
+'cuts' (Taghavi & Siegel, IEEE Trans. IT 54(12), 2008) has the n qubit
+columns in [0, 1] and no rows, and adds Feldman-Wainwright-Karger
+forbidden-set inequalities as cuts, round by round, only where the
+current point violates them (``_CutsModel``).  Its optimum is the
+explicit model's, reached in a few pivots instead of about one per
+equality row (7 against 292 per bb72 solve at p=0.03).  Its solutions
+carry qubit values only.
 
 The backends agree on every optimal objective, but on a degenerate optimal
 face they may return different vertices, so switching backends can change
@@ -72,6 +76,7 @@ import importlib.util
 import itertools
 import os
 import sys
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -201,14 +206,6 @@ class _LpTemplate:
         self._shift = np.asarray(self.w_offset, dtype=np.int64) - self.n
         self._qubits = np.arange(self.n)
         self._mix = np.arange(self.n, self.n_vars)
-        self._highs: _HighsModel | None = None
-        self._cuts: _CutsModel | None = None
-
-    def __getstate__(self):
-        # A HiGHS handle does not pickle; each process builds its own.
-        state = self.__dict__.copy()
-        state["_highs"] = state["_cuts"] = None
-        return state
 
     def columns(self, parities: np.ndarray) -> np.ndarray:
         """Columns of the matrix that a model with these check parities keeps, in model order."""
@@ -349,15 +346,9 @@ def build_syndrome_lp(code: CssCode, s, weights: Sequence[float] | None = None) 
     """LP whose optimum lower-bounds the minimum error weight for syndrome s."""
     tpl = _template(code)
     s_arr = as_bit_vector(s, tpl.m_x, "syndrome")
-    return _syndrome_lp(code, s_arr, None if weights is None else as_weight_vector(weights, tpl.n))
-
-
-def _syndrome_lp(code: CssCode, s_arr: np.ndarray, weights: np.ndarray | None) -> LpModel:
-    """``build_syndrome_lp`` of a checked uint8 syndrome and checked weights
-    (or None), which the model keeps without copying."""
-    cost = 1.0 if weights is None else weights
-    meta = {"syndrome": s_arr, "parities": s_arr.astype(np.int8)}
-    return _primal_lp(code, "syndrome", cost, meta)
+    cost = 1.0 if weights is None else as_weight_vector(weights, tpl.n)
+    return _primal_lp(code, "syndrome", cost,
+                      {"syndrome": s_arr, "parities": s_arr.astype(np.int8)})
 
 
 def build_error_lp(code: CssCode, e_prime) -> LpModel:
@@ -444,7 +435,7 @@ def _to_standard_form(model: LpModel):
     return c_std, a_std, model.b, lambda x: x[:n] - x[n : 2 * n]
 
 
-def _solve_embedded(model: LpModel) -> tuple[np.ndarray, float, str, int]:
+def _solve_embedded(model: LpModel) -> tuple[np.ndarray, float, int]:
     from .simplex import solve_standard_form
 
     c_std, a_std, b_std, recover = _to_standard_form(model)
@@ -457,7 +448,7 @@ def _solve_embedded(model: LpModel) -> tuple[np.ndarray, float, str, int]:
         raise LposdError(f"simplex failed: {res.status} {res.message}")
     values = recover(res.x)
     objective = res.objective if model.sense == "min" else -res.objective
-    return values, objective, "optimal", res.iterations
+    return values, objective, res.iterations
 
 
 def _new_highs(core, cost, col_lower, col_upper, a=None, row_lower=None, row_upper=None):
@@ -531,9 +522,7 @@ class _HighsModel:
         self._highs = _new_highs(core, np.zeros(n_cols), np.zeros(n_cols),
                                  np.full(n_cols, np.inf), tpl, tpl.rhs, tpl.rhs)
 
-    def solve(self, model: LpModel) -> tuple[np.ndarray, float, str, int]:
-        parities = model.meta["parities"]
-        cost = model.c[: self._qubits.size]
+    def solve(self, parities: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, float, int]:
         highs = self._highs
         if (cost != self._cost).any():
             highs.changeColsCost(self._qubits.size, self._qubits, cost)
@@ -548,7 +537,7 @@ class _HighsModel:
             self._parities = parities.astype(np.int8)
         highs.clearSolver()
         values, objective, iterations = _run_highs(self._core, highs)
-        return values[gather], objective, "optimal", iterations
+        return values[gather], objective, iterations
 
 
 class _CutsModel:
@@ -606,8 +595,7 @@ class _CutsModel:
         return (degree.size, self._no_lower[: degree.size], upper, member.size, starts,
                 self._edge_qubit[edges], np.where(member, 1.0, -1.0))
 
-    def solve(self, model: LpModel) -> tuple[np.ndarray, float, str, int]:
-        cost = model.c[: self._qubits.size]
+    def solve(self, parities: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, float, int]:
         highs = self._highs
         rows = highs.getNumRow()
         if rows:
@@ -616,9 +604,9 @@ class _CutsModel:
             highs.changeColsCost(self._qubits.size, self._qubits, cost)
             self._cost = cost.copy()
         highs.clearSolver()
-        if model.meta["parities"][self._empty].any():
+        if parities[self._empty].any():
             raise Infeasible("a check without qubits is flipped")
-        parities = model.meta["parities"][self._checks]
+        parities = parities[self._checks]
         values = (cost < 0).astype(float)
         objective = float(cost[cost < 0].sum())
         iterations = rounds = 0
@@ -629,7 +617,7 @@ class _CutsModel:
             values, objective, pivots = _run_highs(self._core, highs)
             iterations += pivots
             rounds += 1
-        return values, objective, "optimal", iterations
+        return values, objective, iterations
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -680,39 +668,40 @@ def _highs_core():
         raise LposdError(f"scipy's HiGHS bindings cannot be loaded: {exc}") from None
 
 
-def _highs_model(code: CssCode) -> _HighsModel:
-    """The code's persistent HiGHS model, built on first use."""
-    tpl = _template(code)
-    if tpl._highs is None:
-        tpl._highs = _HighsModel(_highs_core(), tpl)
-    return tpl._highs
+# Each code's persistent HiGHS models by solver, kept here and not on the
+# code so that none is pickled with it; no model refers to its code.
+_MODELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _cuts_model(code: CssCode) -> _CutsModel:
-    """The code's persistent adaptive-LP model, built on first use."""
-    tpl = _template(code)
-    if tpl._cuts is None:
-        tpl._cuts = _CutsModel(_highs_core(), code)
-    return tpl._cuts
+def _persistent_model(code: CssCode, solver: str) -> _HighsModel | _CutsModel:
+    """The code's persistent model for 'scipy' or 'cuts', built on first use."""
+    models = _MODELS.setdefault(code, {})
+    if solver not in models:
+        core = _highs_core()
+        models[solver] = (_CutsModel(core, code) if solver == "cuts"
+                          else _HighsModel(core, _template(code)))
+    return models[solver]
 
 
-def _solve_cuts(model: LpModel) -> tuple[np.ndarray, float, str, int]:
-    if model.kind == "dual" or model.c[model.code.n:].any():
-        raise LposdError("'cuts' solves syndrome and error models without mixture costs")
-    return _cuts_model(model.code).solve(model)
+def _snap(values: np.ndarray) -> np.ndarray:
+    """Snap components within 1e-11 of 0 or 1 to exact integers, in place."""
+    values[np.abs(values) < _SNAP] = 0.0
+    values[np.abs(values - 1.0) < _SNAP] = 1.0
+    return values
 
 
-def _solve_scipy(model: LpModel) -> tuple[np.ndarray, float, str, int]:
-    if model.kind != "dual" and not model.c[model.code.n:].any():
-        return _highs_model(model.code).solve(model)
-    # dual models and mixture costs: a one-off HiGHS model of this LP alone
-    core = _highs_core()
-    sign = 1.0 if model.sense == "min" else -1.0
-    highs = _new_highs(core, sign * model.c, np.where(model.free_vars, -np.inf, 0.0),
-                       np.full(model.n_vars, np.inf), model.a,
-                       np.where(model.row_sense < 0, -np.inf, model.b), model.b)
-    values, objective, iterations = _run_highs(core, highs)
-    return values, sign * objective, "optimal", iterations
+def _solve_syndrome(code: CssCode, s: np.ndarray, cost: np.ndarray,
+                    solver: str) -> tuple[np.ndarray, float, int]:
+    """The decode path's LP: qubit values, objective and simplex iterations
+    of the syndrome LP for a checked uint8 syndrome and a length-n cost
+    vector, snapped as ``solve_lp`` snaps them.  'scipy' and 'cuts' hand
+    both to the code's persistent model; only 'embedded' builds a model."""
+    if solver == "embedded":
+        model = _primal_lp(code, "syndrome", cost, {"syndrome": s, "parities": s})
+        values, objective, iterations = _solve_embedded(model)
+    else:
+        values, objective, iterations = _persistent_model(code, solver).solve(s, cost)
+    return _snap(values[: code.n]), float(objective), iterations
 
 
 def solve_lp(model: LpModel, solver: str = "scipy") -> LpSolution:
@@ -728,25 +717,34 @@ def solve_lp(model: LpModel, solver: str = "scipy") -> LpSolution:
     LposdError.  'embedded' is the dependency-free simplex, kept as a
     cross-check.  All three reach the same optimal objective but may
     return different vertices of a degenerate optimal face, so a decoder's
-    correction can depend on the backend.
+    correction can depend on the backend.  The decoders hand a syndrome
+    and costs to the same persistent models without building a model
+    (``_solve_syndrome``), so a 'cuts' decode meets no check-weight cap.
 
     Near-integer components of the solution are snapped to exact integers
     (at 1e-11), which keeps downstream reflections and roundings exact.
     Raises Infeasible or IterationLimit; other backend failures, and
-    'scipy' without scipy's HiGHS extension, raise LposdError.
+    'scipy' or 'cuts' without scipy's HiGHS extension, raise LposdError.
     """
     if solver == "embedded":
-        values, objective, status, iterations = _solve_embedded(model)
-    elif solver == "scipy":
-        values, objective, status, iterations = _solve_scipy(model)
-    elif solver == "cuts":
-        values, objective, status, iterations = _solve_cuts(model)
-    else:
+        values, objective, iterations = _solve_embedded(model)
+    elif solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    values[np.abs(values) < _SNAP] = 0.0
-    values[np.abs(values - 1.0) < _SNAP] = 1.0
-    return LpSolution(model=model, values=values, objective=float(objective),
-                      status=status, iterations=iterations, solver=solver)
+    elif model.kind != "dual" and not model.c[model.code.n:].any():
+        values, objective, iterations = _persistent_model(model.code, solver).solve(
+            model.meta["parities"], model.c[: model.code.n])
+    elif solver == "cuts":
+        raise LposdError("'cuts' solves syndrome and error models without mixture costs")
+    else:  # dual models and mixture costs: a one-off HiGHS model of this LP alone
+        core = _highs_core()
+        sign = 1.0 if model.sense == "min" else -1.0
+        highs = _new_highs(core, sign * model.c, np.where(model.free_vars, -np.inf, 0.0),
+                           np.full(model.n_vars, np.inf), model.a,
+                           np.where(model.row_sense < 0, -np.inf, model.b), model.b)
+        values, objective, iterations = _run_highs(core, highs)
+        objective *= sign
+    return LpSolution(model=model, values=_snap(values), objective=float(objective),
+                      status="optimal", iterations=iterations, solver=solver)
 
 
 def is_integral(sol: LpSolution | np.ndarray) -> bool:

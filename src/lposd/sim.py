@@ -36,7 +36,7 @@ from .bp import DEFAULT_CHANNEL_P, BpConfig, min_sum_bp
 from .codes import CssCode, sample_random_hgp
 from .errors import EnumerationTooLarge, InvalidParameter, LposdError
 from .gf2 import BinaryMatrix, as_bit_vector, as_weight_vector, kernel_basis, vector_to_bits
-from .lp import DEFAULT_SOLVER, SOLVERS, _syndrome_lp, is_integral, round_independent, solve_lp
+from .lp import DEFAULT_SOLVER, SOLVERS, _solve_syndrome, is_integral, round_independent
 from .osd import DEFAULT_LAM, OsdConfig, osd_postprocess
 
 __all__ = [
@@ -425,15 +425,15 @@ def _lp_front(code: CssCode, s: np.ndarray, solver: str, weights: np.ndarray | N
         memo[key] = hit = memo.pop(key)  # now the most recently used
         return np.frombuffer(hit[0], dtype=np.uint8).copy(), None, "integral-lp", hit[1]
     try:
-        sol = solve_lp(_syndrome_lp(code, s, weights), solver=solver)
+        x, objective, iterations = _solve_syndrome(
+            code, s, np.ones(code.n) if weights is None else weights, solver)
     except LposdError as exc:
         return (np.zeros(code.n, dtype=np.uint8), None, "solver-fault",
                 {"fractional": False, "lp_iterations": 0, "error": exc})
-    x = sol.x()
     integral = is_integral(x)
     correction = round_independent(x)
-    diag = {"objective": sol.objective, "lp_iterations": sol.iterations,
-            "solver": sol.solver, "fractional": not integral}
+    diag = {"objective": objective, "lp_iterations": iterations,
+            "solver": solver, "fractional": not integral}
     if integral:
         if len(memo) >= _MEMO_ENTRIES:
             del memo[next(iter(memo))]

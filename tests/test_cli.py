@@ -377,6 +377,44 @@ def test_detector_decode_infeasible_syndrome_exits_2(tmp_path, capsys):
                 assert captured.out == ""
 
 
+@pytest.fixture()
+def wide_detector_files(tmp_path):
+    """A detector matrix whose row 0 has weight 20, above the explicit model's cap."""
+    from lposd.gf2 import BinaryMatrix
+
+    matrix = BinaryMatrix.from_entries(
+        3, 22, [(0, q) for q in range(20)] + [(1, 19), (1, 20), (2, 20), (2, 21)])
+    matrix_path = tmp_path / "wide.txt"
+    write_matrix(matrix, matrix_path)
+    probs_path = tmp_path / "wide_probs.txt"
+    probs_path.write_text(" ".join(["0.05"] * 22) + "\n")
+    syndrome_path = tmp_path / "wide_syndrome.txt"
+    syndrome_path.write_text("1 1 0\n")
+    return matrix_path, probs_path, syndrome_path
+
+
+@pytest.mark.parametrize("mode", ["cs", "0", "round"])
+def test_detector_decode_takes_a_row_above_the_cap(wide_detector_files, mode, capsys):
+    matrix_path, probs_path, syndrome_path = wide_detector_files
+    rc = main(["detector-decode", "--matrix", str(matrix_path), "--probs", str(probs_path),
+               "--syndrome", str(syndrome_path), "--osd", mode])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "syndrome matched" in captured.err
+    assert captured.out.split() == ["19"]  # the one weight-1 explanation
+
+
+def test_detector_decode_dump_of_a_row_above_the_cap_exits_2(wide_detector_files,
+                                                            tmp_path, capsys):
+    matrix_path, probs_path, syndrome_path = wide_detector_files
+    rc = main(["detector-decode", "--matrix", str(matrix_path), "--probs", str(probs_path),
+               "--syndrome", str(syndrome_path), "--dump-lp", str(tmp_path / "wide.lp")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "weight 20 > 12" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("field, text", [
     ("probs", "0.05 x\n"),
     ("syndrome", "a\n"),

@@ -119,6 +119,70 @@ def test_check_weight_cap_enforced():
         build_dual_lp(code, np.zeros(13, dtype=np.uint8))
 
 
+def wide_tree_code():
+    """A weight-13 check and two weight-2 checks in a tree: the LP is exact."""
+    rows = [range(13), (12, 13), (13, 14)]
+    hx = BinaryMatrix.from_entries(3, 15, [(j, q) for j, row in enumerate(rows) for q in row])
+    return CssCode(hx, BinaryMatrix([], 15), name="wide-tree")
+
+
+def test_default_decodes_take_checks_above_the_cap():
+    from lposd import lp_osd_decode, lp_round_decode, run_point
+
+    code = wide_tree_code()
+    for bits in itertools.product((0, 1), repeat=3):
+        s = np.array(bits, dtype=np.uint8)
+        for decode in (lp_osd_decode, lp_round_decode):
+            res = decode(code, s)
+            assert np.array_equal(code.syndrome(res.correction), s), (decode, bits)
+            assert res.correction.sum() == brute_force_min_weight(code, s, 3), (decode, bits)
+    res = run_point(code, "lp-osdcs", p=0.1, trials=60, seed=4)
+    # an integral optimum is a minimum-weight correction of its syndrome
+    assert res.stage_counts == {"integral-lp": 60}
+    assert res.solver_faults == res.wrong_syndrome == 0
+    assert code._lp_template is None
+
+
+@pytest.mark.parametrize("solver", ["scipy", "embedded"])
+def test_explicit_solvers_keep_the_check_weight_cap(solver):
+    from lposd import lp_osd_decode, lp_round_decode, run_point
+
+    code = wide_tree_code()
+    s = np.array([1, 0, 0], dtype=np.uint8)
+    for decode in (lp_osd_decode, lp_round_decode):
+        with pytest.raises(CheckWeightTooLarge, match="weight 13 > 12"):
+            decode(code, s, solver=solver)
+    res = run_point(code, DecoderSpec("lp-osdcs", solver=solver), p=0.1, trials=30, seed=4)
+    nonzero = res.trials - res.stage_counts.get("integral-lp", 0)
+    assert res.solver_faults == res.stage_counts["solver-fault"] == nonzero > 0
+
+
+def test_persistent_models_are_neither_pickled_nor_kept_alive():
+    import gc
+    import pickle
+    import weakref
+
+    import lposd.lp as lp_mod
+    from lposd import lp_round_decode
+
+    gc.collect()
+    entries = len(lp_mod._MODELS)
+    code = rotated_surface_code(3)
+    s = code.syndrome(np.eye(code.n, dtype=np.uint8)[4])
+    for solver in ("scipy", "cuts"):
+        lp_round_decode(code, s, solver=solver)
+    assert set(lp_mod._MODELS[code]) == {"scipy", "cuts"}
+    blob = pickle.dumps(code)
+    for name in (b"_highspy", b"_HighsModel", b"_CutsModel"):
+        assert name not in blob  # no HiGHS handle or model travels with the code
+    assert pickle.loads(blob) not in lp_mod._MODELS
+    ref = weakref.ref(code)
+    del code
+    gc.collect()
+    assert ref() is None  # no model refers back to its code
+    assert len(lp_mod._MODELS) == entries
+
+
 # ---------------------------------------------------------------------------
 # solving the syndrome formulation
 # ---------------------------------------------------------------------------
@@ -475,13 +539,13 @@ def memo_of(code, solver="scipy"):
 
 @pytest.fixture
 def counted_solves(monkeypatch):
-    """Every ``solve_lp`` call the decode path makes, appended to a list."""
+    """The syndrome of every LP solve the decode path makes, appended to a list."""
     import lposd.sim as sim_mod
 
     calls = []
-    real_solve = sim_mod.solve_lp
-    monkeypatch.setattr(sim_mod, "solve_lp",
-                        lambda model, **kw: calls.append(model) or real_solve(model, **kw))
+    real_solve = sim_mod._solve_syndrome
+    monkeypatch.setattr(sim_mod, "_solve_syndrome",
+                        lambda code, s, *args: calls.append(s) or real_solve(code, s, *args))
     return calls
 
 
@@ -609,6 +673,7 @@ def test_solve_lp_runs_its_backend_on_every_call(surface5, monkeypatch):
 def test_blocked_highs_extension_is_a_solver_error(monkeypatch):
     import sys
 
+    import lposd.lp as lp_mod
     from lposd import rotated_surface_code, run_point
 
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
@@ -622,7 +687,7 @@ def test_blocked_highs_extension_is_a_solver_error(monkeypatch):
     assert set(res.stage_counts) == {"integral-lp", "solver-fault"}
     nonzero = res.trials - res.stage_counts["integral-lp"]
     assert res.solver_faults == res.stage_counts["solver-fault"] == nonzero > 0
-    assert code._lp_template._highs is None
+    assert not lp_mod._MODELS.get(code)  # no persistent model was built
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +750,7 @@ def test_cut_separation_matches_a_check_by_check_loop(make):
     import lposd.lp as lp_mod
 
     code = make()
-    model = lp_mod._cuts_model(code)
+    model = lp_mod._persistent_model(code, "cuts")
     rng = np.random.default_rng(67)
     for _ in range(40):
         # quarters, so every sum is exact and ties for the member nearest
@@ -735,13 +800,15 @@ def test_cuts_honours_negative_costs(surface5):
 def test_cuts_is_order_independent_and_survives_pickling(cuts_codes):
     import pickle
 
+    import lposd.lp as lp_mod
+
     for code in cuts_codes[:4]:
         blob = pickle.dumps(code)
         models = cuts_models(code, 8, 61)
         forward = [solve_lp(m, solver="cuts") for m in models]
         backward = [solve_lp(m, solver="cuts") for m in reversed(models)][::-1]
         fresh = pickle.loads(blob)
-        assert fresh._lp_template is None or fresh._lp_template._cuts is None
+        assert fresh not in lp_mod._MODELS  # no model came with the pickle
         cold = [solve_lp(m, solver="cuts") for m in cuts_models(fresh, 8, 61)]
         for a, b, c in zip(forward, backward, cold):
             for other in (b, c):
@@ -814,7 +881,7 @@ def test_cuts_non_optimal_round_is_a_solver_fault(monkeypatch):
 
     code = rotated_surface_code(5)
     s = code.syndrome(np.eye(code.n, dtype=np.uint8)[7])
-    lp_mod._cuts_model(code)._highs.setOptionValue("time_limit", 0.0)
+    lp_mod._persistent_model(code, "cuts")._highs.setOptionValue("time_limit", 0.0)
     with pytest.raises(LposdError, match="Time limit"):
         lp_round_decode(code, s, solver="cuts")
     res = run_point(code, DecoderSpec("lp-round", solver="cuts"), p=0.1, trials=30, seed=3)
@@ -1063,8 +1130,8 @@ def test_lean_import_keeps_scipy_optimize_out():
         s = code.syndrome(e)
         res = lp_osd_decode(code, s)
         assert res.diagnostics["solver"] == "cuts", res.diagnostics
-        assert code._lp_template._cuts is not None
-        assert code._lp_template._highs is None  # the explicit model is never built
+        assert list(lposd.lp._MODELS[code]) == ["cuts"]
+        assert code._lp_template is None  # the explicit model is never built
         assert_absent("scipy.sparse", "scipy.optimize", "scipy.special")
         bp_osd_decode(code, s)
         assert_absent("scipy.sparse")

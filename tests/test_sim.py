@@ -228,18 +228,19 @@ def test_workers_merge_an_uneven_split(surface3, name):
 def test_workers_with_a_persistent_solver_model(surface3):
     import pickle
 
+    import lposd.lp as lp_mod
     import lposd.sim as sim_mod
     from lposd import lp_round_decode
 
     s = np.zeros(surface3.hx.n_rows, dtype=np.uint8)
     s[0] = 1
-    # each HiGHS-backed solver keeps its own persistent model on the template
-    for solver, handle in (("scipy", "_highs"), ("cuts", "_cuts")):
+    # each HiGHS-backed solver keeps its own persistent model in lp._MODELS
+    for solver in ("scipy", "cuts"):
         lp_round_decode(surface3, s, solver=solver)
-        assert getattr(surface3._lp_template, handle) is not None
+        assert solver in lp_mod._MODELS[surface3]
         assert sim_mod._MEMOS[surface3][solver]  # the integral outcome is remembered
     clone = pickle.loads(pickle.dumps(surface3))
-    assert clone._lp_template._highs is None and clone._lp_template._cuts is None
+    assert clone not in lp_mod._MODELS
     assert clone not in sim_mod._MEMOS
     for solver in ("scipy", "cuts"):
         lp_round_decode(clone, s, solver=solver)
@@ -257,16 +258,16 @@ def test_solver_errors_are_counted_not_raised(surface3, monkeypatch):
     from lposd import LposdError
 
     code = pickle.loads(pickle.dumps(surface3))  # a memo filled elsewhere would answer first
-    real_solve = sim_mod.solve_lp
+    real_solve = sim_mod._solve_syndrome
     calls = []
 
-    def flaky_solve(model, **kwargs):
+    def flaky_solve(*args):
         calls.append(1)
         if len(calls) == 2:
             raise LposdError("numerical")
-        return real_solve(model, **kwargs)
+        return real_solve(*args)
 
-    monkeypatch.setattr(sim_mod, "solve_lp", flaky_solve)
+    monkeypatch.setattr(sim_mod, "_solve_syndrome", flaky_solve)
     res = run_point(code, "lp-osdcs", p=0.1, trials=40, seed=3)
     assert len(calls) >= 2
     assert res.trials == 40
@@ -282,10 +283,10 @@ def test_one_shot_decoders_raise_solver_errors(surface3, monkeypatch):
 
     code = pickle.loads(pickle.dumps(surface3))  # a memo filled elsewhere would answer first
 
-    def failing_solve(model, **kwargs):
+    def failing_solve(*args):
         raise LposdError("numerical")
 
-    monkeypatch.setattr(sim_mod, "solve_lp", failing_solve)
+    monkeypatch.setattr(sim_mod, "_solve_syndrome", failing_solve)
     s = np.zeros(surface3.hx.n_rows, dtype=np.uint8)
     s[0] = 1
     for decode in (lp_osd_decode, lp_round_decode,
@@ -303,9 +304,9 @@ def test_warm_code_solves_only_fractional_outcomes_again(solver, monkeypatch):
     from lposd import rotated_surface_code
 
     calls = []
-    real_solve = sim_mod.solve_lp
-    monkeypatch.setattr(sim_mod, "solve_lp",
-                        lambda model, **kw: calls.append(1) or real_solve(model, **kw))
+    real_solve = sim_mod._solve_syndrome
+    monkeypatch.setattr(sim_mod, "_solve_syndrome",
+                        lambda *args: calls.append(1) or real_solve(*args))
     code = rotated_surface_code(5)
     blob = pickle.dumps(code)
     spec = DecoderSpec("lp-osdcs", solver=solver)
