@@ -123,23 +123,10 @@ class CssCode:
     @property
     def tanner(self) -> TannerGraph:
         if self._tanner is None:
-            n = self.n
-            x_sup = tuple(self.hx.row_support(j) for j in range(self.hx.n_rows))
-            z_sup = tuple(self.hz.row_support(k) for k in range(self.hz.n_rows))
-            x_of_q: list[list[int]] = [[] for _ in range(n)]
-            z_of_q: list[list[int]] = [[] for _ in range(n)]
-            for j, sup in enumerate(x_sup):
-                for q in sup:
-                    x_of_q[q].append(j)
-            for k, sup in enumerate(z_sup):
-                for q in sup:
-                    z_of_q[q].append(k)
-            self._tanner = TannerGraph(
-                x_supports=x_sup,
-                z_supports=z_sup,
-                x_checks_of_qubit=tuple(tuple(v) for v in x_of_q),
-                z_checks_of_qubit=tuple(tuple(v) for v in z_of_q),
-            )
+            # supports of the rows of hx and hz, then of their cached transposes
+            self._tanner = TannerGraph(*(
+                tuple(map(mat.row_support, range(mat.n_rows)))
+                for mat in (self.hx, self.hz, self.hx.transpose(), self.hz.transpose())))
         return self._tanner
 
     def parameters(self) -> CodeParameters:
@@ -286,50 +273,42 @@ def hgp_layout(h1: BinaryMatrix, h2: BinaryMatrix) -> HgpLayout:
     return HgpLayout(n1=h1.n_cols, r1=h1.n_rows, n2=h2.n_cols, r2=h2.n_rows)
 
 
+def _spread(bits: int, stride: int) -> int:
+    """``bits`` with bit i moved to bit i * stride (stride >= 1)."""
+    return int(("0" * (stride - 1)).join(f"{bits:b}"), 2)
+
+
 def hypergraph_product(h1: BinaryMatrix, h2: BinaryMatrix,
                        name: str = "") -> CssCode:
-    """Hypergraph product of two classical parity-check matrices."""
+    """Hypergraph product of two classical parity-check matrices.
+
+    H_X = [I (x) H2 | H1^T (x) I] and H_Z = [H1 (x) I | I (x) H2^T] in
+    ``HgpLayout``'s order, built on packed rows: X check (a, b') is row b'
+    of h2 at qubit (a, 0), ORed with column a of h1 spread to stride r2 at
+    qubit (0, b') of the second sector; Z check (b, a') likewise.
+    """
     lay = hgp_layout(h1, h2)
-    x_entries: list[tuple[int, int]] = []
-    z_entries: list[tuple[int, int]] = []
-    h1_sup = [h1.row_support(b) for b in range(lay.r1)]
-    h2_sup = [h2.row_support(b2) for b2 in range(lay.r2)]
-    h1t_sup = [h1.transpose().row_support(a) for a in range(lay.n1)]
-    # X check (a, b') touches (a, a') for a' in row b' of h2, and (b, b') for b in column a of h1
-    for a in range(lay.n1):
-        for b2 in range(lay.r2):
-            j = lay.x_check(a, b2)
-            for a2 in h2_sup[b2]:
-                x_entries.append((j, lay.qubit_aa(a, a2)))
-            for b in h1t_sup[a]:
-                x_entries.append((j, lay.qubit_bb(b, b2)))
-    h2t_sup = [h2.transpose().row_support(a2) for a2 in range(lay.n2)]
-    # Z check (b, a') touches (a, a') for a in row b of h1, and (b, b') for b' in column a' of h2
-    for b in range(lay.r1):
-        for a2 in range(lay.n2):
-            kk = lay.z_check(b, a2)
-            for a in h1_sup[b]:
-                z_entries.append((kk, lay.qubit_aa(a, a2)))
-            for b2 in h2t_sup[a2]:
-                z_entries.append((kk, lay.qubit_bb(b, b2)))
-    hx = BinaryMatrix.from_entries(lay.n1 * lay.r2, lay.n_qubits, x_entries)
-    hz = BinaryMatrix.from_entries(lay.r1 * lay.n2, lay.n_qubits, z_entries)
+    h1_cols = [_spread(col, lay.r2) for col in h1.transpose().rows]
+    x_rows = [(row << lay.qubit_aa(a, 0)) | (col << lay.qubit_bb(0, b2))
+              for a, col in enumerate(h1_cols) for b2, row in enumerate(h2.rows)]
+    h1_rows = [_spread(row, lay.n2) for row in h1.rows]
+    z_rows = [(row << lay.qubit_aa(0, a2)) | (col << lay.qubit_bb(b, 0))
+              for b, row in enumerate(h1_rows) for a2, col in enumerate(h2.transpose().rows)]
     meta = {
         "family": "hgp",
         "h1_shape": [lay.r1, lay.n1],
         "h2_shape": [lay.r2, lay.n2],
     }
-    return CssCode(hx, hz, name=name or f"hgp-{lay.n_qubits}", metadata=meta)
+    return CssCode(BinaryMatrix(x_rows, lay.n_qubits), BinaryMatrix(z_rows, lay.n_qubits),
+                   name=name or f"hgp-{lay.n_qubits}", metadata=meta)
 
 
 def repetition_parity_check(n_bits: int) -> BinaryMatrix:
     """Path-graph parity check of the length-n repetition code ((n-1) x n)."""
     if n_bits < 2:
         raise InvalidParameter("repetition code needs at least 2 bits")
-    return BinaryMatrix.from_entries(
-        n_bits - 1, n_bits,
-        [(i, i) for i in range(n_bits - 1)] + [(i, i + 1) for i in range(n_bits - 1)],
-    )
+    return BinaryMatrix.from_dense(np.eye(n_bits - 1, n_bits, dtype=np.uint8)
+                                   + np.eye(n_bits - 1, n_bits, k=1, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +316,12 @@ def repetition_parity_check(n_bits: int) -> BinaryMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _cyclic_shift(size: int, power: int) -> np.ndarray:
-    m = np.zeros((size, size), dtype=np.uint8)
-    for i in range(size):
-        m[i, (i + power) % size] = 1
-    return m
-
-
 def _bivariate_poly(l: int, m: int, terms: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Sum over GF(2) of x^i y^j, x and y the cyclic shifts of Z_l and Z_m."""
     out = np.zeros((l * m, l * m), dtype=np.uint8)
     for (i, j) in terms:
-        out ^= np.kron(_cyclic_shift(l, i % l), _cyclic_shift(m, j % m))
+        out ^= np.kron(np.roll(np.eye(l, dtype=np.uint8), i, axis=1),
+                       np.roll(np.eye(m, dtype=np.uint8), j, axis=1))
     return out
 
 

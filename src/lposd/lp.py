@@ -65,7 +65,10 @@ carry qubit values only.
 
 The backends agree on every optimal objective, but on a degenerate optimal
 face they may return different vertices, so switching backends can change
-which correction a decoder returns.
+which correction a decoder returns.  A qubit that no X check touches meets
+no row of the explicit model, so its HiGHS models box that qubit at 1, as
+'cuts' boxes every qubit; the embedded simplex has no column bounds and
+reports a negative cost on it as an unbounded model (LposdError).
 """
 
 from __future__ import annotations
@@ -206,6 +209,13 @@ class _LpTemplate:
         self._shift = np.asarray(self.w_offset, dtype=np.int64) - self.n
         self._qubits = np.arange(self.n)
         self._mix = np.arange(self.n, self.n_vars)
+
+    def col_upper(self, n_cols: int) -> np.ndarray:
+        """Upper bounds of a model's ``n_cols`` columns: 1 on a qubit that no
+        check touches, whose column meets no row, and none elsewhere."""
+        upper = np.full(n_cols, np.inf)
+        upper[: self.n][self.indptr[1 : self.n + 1] == self.indptr[: self.n]] = 1.0
+        return upper
 
     def columns(self, parities: np.ndarray) -> np.ndarray:
         """Columns of the matrix that a model with these check parities keeps, in model order."""
@@ -520,7 +530,7 @@ class _HighsModel:
         self._parities = np.full(tpl.m_x, -1, dtype=np.int8)  # none set yet
         self._cost = np.zeros(tpl.n)  # the qubit costs HiGHS holds
         self._highs = _new_highs(core, np.zeros(n_cols), np.zeros(n_cols),
-                                 np.full(n_cols, np.inf), tpl, tpl.rhs, tpl.rhs)
+                                 tpl.col_upper(n_cols), tpl, tpl.rhs, tpl.rhs)
 
     def solve(self, parities: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, float, int]:
         highs = self._highs
@@ -715,9 +725,11 @@ def solve_lp(model: LpModel, solver: str = "scipy") -> LpSolution:
     the code's qubit-only model, also cold on every call; its solution
     carries the qubit values only, and a dual model or mixture costs raise
     LposdError.  'embedded' is the dependency-free simplex, kept as a
-    cross-check.  All three reach the same optimal objective but may
-    return different vertices of a degenerate optimal face, so a decoder's
-    correction can depend on the backend.  The decoders hand a syndrome
+    cross-check.  All three reach the same optimal objective, except that
+    'embedded' raises LposdError on a negative cost of a qubit that no X
+    check touches, which the others box at 1; they may return different
+    vertices of a degenerate optimal face, so a decoder's correction can
+    depend on the backend.  The decoders hand a syndrome
     and costs to the same persistent models without building a model
     (``_solve_syndrome``), so a 'cuts' decode meets no check-weight cap.
 
@@ -738,8 +750,10 @@ def solve_lp(model: LpModel, solver: str = "scipy") -> LpSolution:
     else:  # dual models and mixture costs: a one-off HiGHS model of this LP alone
         core = _highs_core()
         sign = 1.0 if model.sense == "min" else -1.0
+        upper = (np.full(model.n_vars, np.inf) if model.kind == "dual"
+                 else _template(model.code).col_upper(model.n_vars))
         highs = _new_highs(core, sign * model.c, np.where(model.free_vars, -np.inf, 0.0),
-                           np.full(model.n_vars, np.inf), model.a,
+                           upper, model.a,
                            np.where(model.row_sense < 0, -np.inf, model.b), model.b)
         values, objective, iterations = _run_highs(core, highs)
         objective *= sign

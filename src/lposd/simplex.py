@@ -180,7 +180,9 @@ def solve_standard_form(c: np.ndarray, a: sp.spmatrix, b: np.ndarray) -> Simplex
     m, n = a.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent model dimensions")
-    if m == 0:
+    if m == 0:  # every point x >= 0 is feasible: a negative cost is a ray
+        if (c < -_TOL_OPT).any():
+            return SimplexResult("unbounded", None, float("-inf"), 0)
         return SimplexResult("optimal", np.zeros(n), 0.0, 0)
     eng = _Engine(c, a, b)
 

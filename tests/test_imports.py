@@ -32,3 +32,46 @@ def test_module_level_imports_are_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for line, name in module_imports(tree) if name not in used)
     assert not unused, f"{module}: unused imports (line, name) {unused}"
+
+
+def private_definitions(tree: ast.Module):
+    """(name, statement) of each private function, class or constant that a
+    module-level statement defines; dunder names are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in targets
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names that ``node`` reads: loaded names, attribute names and imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def test_private_module_level_names_are_referenced():
+    """A private helper, class or constant is read somewhere in the package
+    outside its own definition, so a rewrite cannot leave one behind."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    reads = [(node, referenced_names(node)) for tree in trees for node in tree.body]
+    dead = sorted(
+        name
+        for tree in trees
+        for name, definition in private_definitions(tree)
+        if not any(name in names for node, names in reads if node is not definition)
+    )
+    assert not dead, f"private names defined but never read: {dead}"

@@ -1157,3 +1157,31 @@ def test_lean_import_keeps_scipy_optimize_out():
                          text=True, timeout=120, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("ok")
+
+
+def test_a_qubit_no_check_touches_is_boxed_at_one():
+    """Such a qubit's column meets no row of the explicit model, so only its
+    upper bound of 1 keeps a negative cost from running off to -inf."""
+    from lposd import lp_osd_decode
+
+    no_checks = CssCode(BinaryMatrix([], 3), BinaryMatrix([], 3))
+    model = build_error_lp(no_checks, [1, 0, 1])
+    for solver in ("scipy", "cuts"):
+        sol = solve_lp(model, solver=solver)
+        assert sol.objective == -2.0
+        assert np.array_equal(sol.x(), [1.0, 0.0, 1.0])
+    one_check = CssCode(BinaryMatrix.from_dense([[1, 1, 0]]), BinaryMatrix([], 3))
+    weights = [1.0, 1.0, -0.5]
+    for solver in ("scipy", "cuts"):
+        res = lp_osd_decode(one_check, [1], solver=solver, weights=weights)
+        assert res.diagnostics["objective"] == pytest.approx(0.5)
+        assert np.array_equal(one_check.syndrome(res.correction), [1])
+    # mixture costs send the model to a one-off HiGHS model, which boxes it too
+    model = build_syndrome_lp(one_check, [1], weights=weights)
+    model.c[one_check.n:] = 0.25
+    assert solve_lp(model).objective == pytest.approx(0.75)
+    # the embedded simplex has no column bounds: it reports the ray, never an optimum
+    with pytest.raises(LposdError):
+        solve_lp(build_error_lp(no_checks, [1, 0, 1]), solver="embedded")
+    with pytest.raises(LposdError):
+        lp_osd_decode(one_check, [1], solver="embedded", weights=weights)

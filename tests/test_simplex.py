@@ -108,3 +108,15 @@ def test_solution_is_feasible_and_optimal_basis():
         assert res.status == "optimal"
         assert np.allclose(a @ res.x, b, atol=1e-8)
         assert (res.x >= -1e-9).all()
+
+
+@pytest.mark.parametrize("c", [[], [0.0], [1.0, 2.0], [-1e-12, 1.0], [0.0, -1.0],
+                               [-3.0, 0.0, 2.0]])
+def test_row_free_models_agree_with_reference_tableau(c):
+    c = np.array(c, dtype=float)
+    a, b = np.zeros((0, c.size)), np.zeros(0)
+    res = solve_standard_form(c, a, b)
+    status, x, objective = reference_solve(c, a, b)
+    assert res.status == status
+    if status == "optimal":
+        assert res.objective == objective and np.array_equal(res.x, x)
