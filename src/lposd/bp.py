@@ -9,10 +9,11 @@ flag, never an error.  Reliabilities suitable for OSD ordering are the
 posterior error probabilities 1/(1+exp(L_i)).  The OSD fallback after a
 stall is chained on in ``sim``, like the LP pipelines' second stage.
 
-H_X is read only through the code's Tanner edge arrays
-(``code.tanner.x_edge_qubit``/``x_edge_check``); a check without edges
-takes no part in the message passing, and a syndrome that flips one never
-converges.  Each shortcut of the lean kernel is exact in IEEE arithmetic:
+H_X is read only through the code's Tanner edge arrays and their per-check
+segments (``code.tanner.x_edge_qubit``, ``x_segment_start`` and so on); a
+check without edges has no segment and takes no part in the message
+passing, and a syndrome that flips one never converges.  Each shortcut of
+the lean kernel is exact in IEEE arithmetic:
 qubit-to-check messages reuse the previous posterior (already ``prior +
 totals``); signs come from the unclipped messages, since clipping keeps
 signs, as the XOR parity of each check's negative inputs and syndrome bit
@@ -70,19 +71,15 @@ def _error_probability(posterior: np.ndarray) -> np.ndarray:
 def min_sum_bp(code: CssCode, s, cfg: BpConfig) -> BpResult:
     """Run scaled min-sum BP against syndrome s; see the module docstring."""
     tan = code.tanner
-    eq, ec = tan.x_edge_qubit, tan.x_edge_check
+    eq, ptr, seg = tan.x_edge_qubit, tan.x_segment_start, tan.x_edge_segment
     n = code.n
     n_edges = eq.size
     s_arr = as_bit_vector(s, code.hx.n_rows, "syndrome")
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else n
     prior = math.log((1.0 - cfg.channel_p) / cfg.channel_p)
 
-    # the per-check reductions run over the checks that have edges: ptr
-    # holds each one's first edge and seg maps an edge to its check's slot
-    opens = np.diff(ec, prepend=-1) != 0
-    ptr = np.flatnonzero(opens)
-    seg = np.cumsum(opens) - 1
-    s_live = s_arr[ec[ptr]].astype(bool)
+    # the per-check reductions run over the segments of the checks that have edges
+    s_live = s_arr[tan.x_segment_check].astype(bool)
     satisfiable = s_live.sum() == s_arr.sum()  # no flipped check lacks edges
     edge_index = np.arange(n_edges)
     c2v = np.zeros(n_edges)

@@ -58,7 +58,10 @@ class TannerGraph:
     deterministic order (by check, then by qubit within the check).
     ``x_edge_qubit`` and ``x_edge_check`` hold the same edges, in the same
     order, as two int64 arrays; they are the numpy decoders' one view of
-    H_X.  A check may have no edges (an all-zero row of H_X).
+    H_X.  A check may have no edges (an all-zero row of H_X).  BP and the
+    'cuts' separation reduce over one segment per check that has edges:
+    segment i starts at edge ``x_segment_start[i]`` and belongs to check
+    ``x_segment_check[i]``, and edge k lies in segment ``x_edge_segment[k]``.
     """
 
     x_supports: tuple[tuple[int, ...], ...]
@@ -68,15 +71,21 @@ class TannerGraph:
     x_edges: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     x_edge_qubit: np.ndarray = field(init=False, repr=False, compare=False)
     x_edge_check: np.ndarray = field(init=False, repr=False, compare=False)
+    x_segment_start: np.ndarray = field(init=False, repr=False, compare=False)
+    x_segment_check: np.ndarray = field(init=False, repr=False, compare=False)
+    x_edge_segment: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = [len(sup) for sup in self.x_supports]
         qubits = np.fromiter(itertools.chain.from_iterable(self.x_supports),
                              dtype=np.int64, count=sum(sizes))
         checks = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        object.__setattr__(self, "x_edges", tuple(zip(qubits.tolist(), checks.tolist())))
-        object.__setattr__(self, "x_edge_qubit", qubits)
-        object.__setattr__(self, "x_edge_check", checks)
+        live, starts, segment = np.unique(checks, return_index=True, return_inverse=True)
+        for name, value in (("x_edges", tuple(zip(qubits.tolist(), checks.tolist()))),
+                            ("x_edge_qubit", qubits), ("x_edge_check", checks),
+                            ("x_segment_start", starts), ("x_segment_check", live),
+                            ("x_edge_segment", segment)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -105,16 +114,17 @@ class CssCode:
         self.hz = hz
         self.name = name
         self.metadata = dict(metadata or {})
-        self._tanner: TannerGraph | None = None
-        self._params: CodeParameters | None = None
-        # the explicit LP model's per-code matrix (see lp._LpTemplate)
-        self._lp_template = None
-        # search_patterns' prepared rings (see patterns._prepared_rings)
-        self._pattern_rings: dict = {}
-        # the reducedness screen's view of H_Z (see patterns._row_screen)
-        self._row_screen = None
-        # the success test's parity columns (see sim._success_columns)
-        self._success_columns = None
+        self._derived: dict = {}
+
+    def __getstate__(self) -> dict:
+        """A pickle or copy leaves the derived values out, solver handles included."""
+        return {**self.__dict__, "_derived": {}}
+
+    def _cached(self, build):
+        """``build(self)``, kept under ``build``; a builder keeps no reference to the code."""
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
 
     @property
     def n(self) -> int:
@@ -122,20 +132,13 @@ class CssCode:
 
     @property
     def tanner(self) -> TannerGraph:
-        if self._tanner is None:
-            # supports of the rows of hx and hz, then of their cached transposes
-            self._tanner = TannerGraph(*(
-                tuple(map(mat.row_support, range(mat.n_rows)))
-                for mat in (self.hx, self.hz, self.hx.transpose(), self.hz.transpose())))
-        return self._tanner
+        return self._cached(_tanner_graph)
 
     def parameters(self) -> CodeParameters:
-        if self._params is None:
-            k = self.n - rank(self.hx) - rank(self.hz)
-            self._params = CodeParameters(
-                n=self.n, k=k, distance_floor=self.metadata.get("distance"),
-            )
-        return self._params
+        """n, k and the floor the metadata declares now: distance, else distance_floor."""
+        meta = self.metadata
+        return CodeParameters(n=self.n, k=self.n - rank(self.hx) - rank(self.hz),
+                              distance_floor=meta.get("distance", meta.get("distance_floor")))
 
     def syndrome(self, error) -> np.ndarray:
         """X-check syndrome of a Z-error vector: H_X·e over GF(2)."""
@@ -159,20 +162,20 @@ class CssCode:
         return f"CssCode({label}, n={self.n})"
 
 
+def _tanner_graph(code: CssCode) -> TannerGraph:
+    """Supports of the rows of hx and hz, then of their cached transposes."""
+    return TannerGraph(*(tuple(map(mat.row_support, range(mat.n_rows)))
+                         for mat in (code.hx, code.hz, code.hx.transpose(), code.hz.transpose())))
+
+
 def _check_declared_ldpc(code: CssCode, max_row: int, max_col: int) -> None:
     """Constructed families declare weight bounds; verify them at build."""
     for mat in (code.hx, code.hz):
-        for i in range(mat.n_rows):
-            if mat.row_weight(i) > max_row:
-                raise InvalidParameter(
-                    f"check weight {mat.row_weight(i)} exceeds declared bound {max_row}"
-                )
-        t = mat.transpose()
-        for i in range(t.n_rows):
-            if t.row_weight(i) > max_col:
-                raise InvalidParameter(
-                    f"qubit degree {t.row_weight(i)} exceeds declared bound {max_col}"
-                )
+        for what, bound, rows in (("check weight", max_row, mat.rows),
+                                  ("qubit degree", max_col, mat.transpose().rows)):
+            heaviest = max((row.bit_count() for row in rows), default=0)
+            if heaviest > bound:
+                raise InvalidParameter(f"{what} {heaviest} exceeds declared bound {bound}")
     code.metadata.setdefault("max_check_weight", max_row)
     code.metadata.setdefault("max_qubit_degree", max_col)
 
@@ -632,7 +635,7 @@ def save_code(code: CssCode, directory) -> None:
         "name": code.name,
         "n": params.n,
         "k": params.k,
-        "distance": code.metadata.get("distance", code.metadata.get("distance_floor")),
+        "distance": params.distance_floor,
         "seed": code.metadata.get("seed"),
         "metadata": _jsonable(code.metadata),
     }

@@ -176,14 +176,18 @@ class BinaryMatrix:
         return out
 
     def commutes_with(self, other: "BinaryMatrix") -> bool:
-        """True when self @ other.T == 0 over GF(2)."""
+        """True when self @ other.T == 0 over GF(2): per row of self, the
+        columns of other over its support sum to zero."""
         if self._n_cols != other.n_cols:
             raise ValueError("matrices act on different column spaces")
-        return all(
-            not ((r & q).bit_count() & 1)
-            for r in self._rows
-            for q in other.rows
-        )
+        cols = other.transpose().rows
+        for i in range(len(self._rows)):
+            total = 0
+            for c in self.row_support(i):
+                total ^= cols[c]
+            if total:
+                return False
+        return True
 
     # -- dunder ------------------------------------------------------------
 

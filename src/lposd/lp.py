@@ -11,7 +11,7 @@ Three model builders:
   positions, so the optimum is negative exactly when a better explanation
   than the reference exists.
 * ``build_dual_lp``: the inequality dual of the error-anchored program,
-  whose feasible points price qubits and Tanner edges; its matrix is the
+  whose feasible points price checks and Tanner edges; its matrix is the
   error model's, transposed, with the edge columns negated.
 
 The explicit model expands its mixture variables (one per even- or odd-
@@ -39,12 +39,12 @@ standard form and the embedded simplex import ``scipy.sparse``.
 
 HiGHS runs from scipy's bundled extension, loaded by file path so that a
 decode never imports ``scipy.optimize``; every HiGHS model is built by one
-function, with output and presolve off.  A code's persistent models, one
-per HiGHS solver, live in ``_MODELS``, weakly keyed by the code like the
-decode memo, so none is pickled with it or outlives it.  Each solves
-syndrome and error models without mixture costs from the check parities
-and qubit costs alone, which is all the decode path (``_solve_syndrome``)
-hands over.  The 'scipy' model holds the template's matrix as it stands.  A
+function, with output and presolve off.  A code keeps one persistent
+model per HiGHS solver with its other derived values (``CssCode._cached``),
+which are never pickled or copied.  Each solves syndrome and error models
+without mixture costs from the check parities and qubit costs alone,
+which is all the decode path (``_solve_syndrome``) hands over.  The
+'scipy' model holds the template's matrix as it stands.  A
 solve fixes the wrong-parity columns at zero, sets the qubit costs, clears
 the solver and runs it cold, then gathers the model's columns.  Cold starts
 make the returned vertex a function of the model alone, so results do not
@@ -67,8 +67,8 @@ The backends agree on every optimal objective, but on a degenerate optimal
 face they may return different vertices, so switching backends can change
 which correction a decoder returns.  A qubit that no X check touches meets
 no row of the explicit model, so its HiGHS models box that qubit at 1, as
-'cuts' boxes every qubit; the embedded simplex has no column bounds and
-reports a negative cost on it as an unbounded model (LposdError).
+'cuts' boxes every qubit, and the dual prices that bound; the embedded
+simplex has no column bounds and raises LposdError on a negative cost.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ import importlib.util
 import itertools
 import os
 import sys
-import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -209,24 +208,20 @@ class _LpTemplate:
         self._shift = np.asarray(self.w_offset, dtype=np.int64) - self.n
         self._qubits = np.arange(self.n)
         self._mix = np.arange(self.n, self.n_vars)
+        # the qubits that no check touches, whose columns meet no row
+        self.boxed = np.flatnonzero(self.indptr[1 : self.n + 1] == self.indptr[: self.n])
 
     def col_upper(self, n_cols: int) -> np.ndarray:
-        """Upper bounds of a model's ``n_cols`` columns: 1 on a qubit that no
-        check touches, whose column meets no row, and none elsewhere."""
+        """Upper bounds of a model's ``n_cols`` columns: 1 on a boxed qubit
+        and none elsewhere."""
         upper = np.full(n_cols, np.inf)
-        upper[: self.n][self.indptr[1 : self.n + 1] == self.indptr[: self.n]] = 1.0
+        upper[self.boxed] = 1.0
         return upper
 
     def columns(self, parities: np.ndarray) -> np.ndarray:
         """Columns of the matrix that a model with these check parities keeps, in model order."""
         shift = np.repeat(self._shift + self.widths * parities, self.widths)
         return np.concatenate([self._qubits, self._mix + shift])
-
-
-def _template(code: CssCode) -> _LpTemplate:
-    if code._lp_template is None:
-        code._lp_template = _LpTemplate(code)
-    return code._lp_template
 
 
 @dataclass
@@ -255,7 +250,7 @@ class LpModel:
         if self._a is None:
             import scipy.sparse as sp
 
-            tpl = _template(self.code)
+            tpl = self.code._cached(_LpTemplate)
             a = sp.csc_matrix((tpl.data, tpl.indices, tpl.indptr), shape=tpl.shape)
             self._a = a[:, tpl.columns(self.meta["parities"])]
         return self._a
@@ -271,10 +266,10 @@ class LpModel:
     # -- structural lookups (primal kinds) --------------------------------
 
     def mixture_subsets(self, j: int):
-        return _template(self.code).subsets[j][int(self.meta["parities"][j])]
+        return self.code._cached(_LpTemplate).subsets[j][int(self.meta["parities"][j])]
 
     def mixture_col(self, j: int, subset) -> int:
-        tpl = _template(self.code)
+        tpl = self.code._cached(_LpTemplate)
         parity = int(self.meta["parities"][j])
         key = tuple(sorted(subset))
         try:
@@ -286,9 +281,10 @@ class LpModel:
 
     def var_names(self) -> list[str]:
         """Deterministic variable names for the interchange dump."""
-        tpl = _template(self.code)
+        tpl = self.code._cached(_LpTemplate)
         if self.kind == "dual":
-            return [f"s{j}" for j in range(tpl.m_x)] + [f"t{q}_{j}" for q, j in tpl.edges]
+            return ([f"s{j}" for j in range(tpl.m_x)] + [f"t{q}_{j}" for q, j in tpl.edges]
+                    + [f"v{q}" for q in tpl.boxed])
         names = [f"x{i}" for i in range(self.code.n)]
         for j in range(tpl.m_x):
             subsets = self.mixture_subsets(j)
@@ -337,7 +333,7 @@ class DualSolution:
 
 def _primal_lp(code: CssCode, kind: str, qubit_cost: np.ndarray, meta: dict) -> LpModel:
     """A syndrome or error model: the template's rows, zero-cost mixture columns."""
-    tpl = _template(code)
+    tpl = code._cached(_LpTemplate)
     c = np.zeros(tpl.n_vars)
     c[: tpl.n] = qubit_cost
     return LpModel(
@@ -354,7 +350,7 @@ def _primal_lp(code: CssCode, kind: str, qubit_cost: np.ndarray, meta: dict) -> 
 
 def build_syndrome_lp(code: CssCode, s, weights: Sequence[float] | None = None) -> LpModel:
     """LP whose optimum lower-bounds the minimum error weight for syndrome s."""
-    tpl = _template(code)
+    tpl = code._cached(_LpTemplate)
     s_arr = as_bit_vector(s, tpl.m_x, "syndrome")
     cost = 1.0 if weights is None else as_weight_vector(weights, tpl.n)
     return _primal_lp(code, "syndrome", cost,
@@ -368,7 +364,7 @@ def build_error_lp(code: CssCode, e_prime) -> LpModel:
     qubits inside, so any feasible point with negative value certifies a
     strictly lighter coset representative than the reference.
     """
-    tpl = _template(code)
+    tpl = code._cached(_LpTemplate)
     e_arr = as_bit_vector(e_prime, tpl.n, "reference error")
     return _primal_lp(code, "error", 1.0 - 2.0 * e_arr, {
         "e_prime": e_arr, "parities": np.zeros(tpl.m_x, dtype=np.int8),
@@ -378,31 +374,37 @@ def build_error_lp(code: CssCode, e_prime) -> LpModel:
 def build_dual_lp(code: CssCode, e_prime) -> LpModel:
     """Inequality dual of the error-anchored LP, read off the same matrix.
 
-    Variables: one score per check, then one weight per Tanner edge (in the
-    template's edge order).  Maximize the sum of check scores subject to
-    (a) each qubit's incident edge weights summing to at most +1 outside
-    the reference error and -1 inside it, and (b) each check's score being
-    at most the edge-weight sum over every even subset of its support.
+    Variables: one score per check, one weight per Tanner edge (in the
+    template's edge order), then a price v_q >= 0 of the bound x_q <= 1 on
+    each qubit q that no check touches.  Maximize the check scores minus
+    the prices subject to (a) each qubit's incident edge weights, minus its
+    price, summing to at most +1 outside the reference error and -1 inside
+    it, and (b) each check's score being at most the edge-weight sum over
+    every even subset of its support.
 
     The matrix is the error model's transposed, with the edge columns
-    negated (an edge weight is minus the price of its consistency row);
-    the costs are the template's right-hand side and the bounds are the
-    error model's costs.
+    negated (an edge weight is minus the price of its consistency row),
+    then a column and a row -v_q <= 0 per price; the costs are the
+    template's right-hand side and the bounds the error model's costs.
     """
+    import scipy.sparse as sp
+
     primal = build_error_lp(code, e_prime)
-    tpl = _template(code)
-    a = primal.a.T.tocsc()
-    a.data[a.indptr[tpl.m_x]:] *= -1.0
+    tpl = code._cached(_LpTemplate)
+    edges = primal.a.T.tocsc()
+    edges.data[edges.indptr[tpl.m_x]:] *= -1.0
+    k = tpl.boxed.size
+    price = -sp.csc_matrix((np.ones(k), (tpl.boxed, np.arange(k))), shape=(primal.n_vars, k))
     return LpModel(
         kind="dual",
         code=code,
         sense="max",
-        c=tpl.rhs.copy(),
-        row_sense=np.full(primal.n_vars, -1, dtype=np.int8),
-        b=primal.c,
-        free_vars=np.ones(tpl.n_rows, dtype=bool),
+        c=np.concatenate([tpl.rhs, -np.ones(k)]),
+        row_sense=np.full(primal.n_vars + k, -1, dtype=np.int8),
+        b=np.concatenate([primal.c, np.zeros(k)]),
+        free_vars=np.ones(tpl.n_rows + k, dtype=bool),
         meta={"e_prime": primal.meta["e_prime"]},
-        _a=a,
+        _a=sp.bmat([[edges, price], [None, -sp.identity(k)]], format="csc"),
     )
 
 
@@ -410,12 +412,11 @@ def as_dual_solution(sol: LpSolution) -> DualSolution:
     model = sol.model
     if model.kind != "dual":
         raise LposdError("not a dual model")
-    m_x = model.code.hx.n_rows
-    edge_prices = map(float, sol.values[m_x:])
+    tpl = model.code._cached(_LpTemplate)
     return DualSolution(
         model=model,
-        check_values=sol.values[:m_x].copy(),
-        edge_values=dict(zip(_template(model.code).edges, edge_prices)),
+        check_values=sol.values[: tpl.m_x].copy(),
+        edge_values=dict(zip(tpl.edges, map(float, sol.values[tpl.m_x : tpl.n_rows]))),
         objective=sol.objective,
         status=sol.status,
         iterations=sol.iterations,
@@ -520,10 +521,10 @@ class _HighsModel:
     alone.
     """
 
-    def __init__(self, core, tpl: _LpTemplate):
+    def __init__(self, code: CssCode):
+        self._core = core = _highs_core()
+        self._tpl = tpl = code._cached(_LpTemplate)
         n_cols = tpl.shape[1]
-        self._core = core
-        self._tpl = tpl
         self._qubits = np.arange(tpl.n, dtype=np.int32)
         self._mix_cols = np.arange(tpl.n, n_cols, dtype=np.int32)
         self._mix_check = np.repeat(np.arange(tpl.m_x), 2 * tpl.widths)
@@ -565,20 +566,17 @@ class _CutsModel:
     depends on the parities and the qubit costs alone.
     """
 
-    def __init__(self, core, code: CssCode):
-        tan = code.tanner
+    def __init__(self, code: CssCode):
+        self._core = _highs_core()
+        self._tan = tan = code.tanner
         degree = np.bincount(tan.x_edge_check, minlength=code.hx.n_rows)
-        self._core = core
         self._qubits = np.arange(code.n, dtype=np.int32)
-        self._checks = np.flatnonzero(degree)
         self._empty = np.flatnonzero(degree == 0)  # infeasible when flipped
-        self._degree = degree[self._checks].astype(np.int32)
-        self._starts = np.cumsum(self._degree) - self._degree  # edges are check-major
+        self._degree = degree[tan.x_segment_check].astype(np.int32)
         self._edge_qubit = tan.x_edge_qubit.astype(np.int32)
-        self._edge_row = np.repeat(np.arange(self._checks.size), self._degree)
-        self._no_lower = np.full(self._checks.size, -np.inf)
+        self._no_lower = np.full(self._degree.size, -np.inf)
         self._cost = np.zeros(code.n)  # the costs HiGHS holds
-        self._highs = _new_highs(core, self._cost, np.zeros(code.n), np.ones(code.n))
+        self._highs = _new_highs(self._core, self._cost, np.zeros(code.n), np.ones(code.n))
 
     def _cuts(self, x: np.ndarray, parities: np.ndarray):
         """``addRows`` arguments for the most violated forbidden-set
@@ -586,7 +584,7 @@ class _CutsModel:
         xe = x[self._edge_qubit]
         inside = xe > 0.5
         near = np.minimum(xe, 1.0 - xe)  # an edge's share of the slack
-        starts, row = self._starts, self._edge_row
+        starts, row = self._tan.x_segment_start, self._tan.x_edge_segment
         move = (np.add.reduceat(inside, starts, dtype=np.int64) & 1) == parities
         nearest = np.maximum.reduceat(near, starts)  # nearest 1/2: cheapest to move
         # an inequality holds exactly when its slack sum_S (1 - x) + sum_rest x
@@ -616,7 +614,7 @@ class _CutsModel:
         highs.clearSolver()
         if parities[self._empty].any():
             raise Infeasible("a check without qubits is flipped")
-        parities = parities[self._checks]
+        parities = parities[self._tan.x_segment_check]
         values = (cost < 0).astype(float)
         objective = float(cost[cost < 0].sum())
         iterations = rounds = 0
@@ -678,21 +676,6 @@ def _highs_core():
         raise LposdError(f"scipy's HiGHS bindings cannot be loaded: {exc}") from None
 
 
-# Each code's persistent HiGHS models by solver, kept here and not on the
-# code so that none is pickled with it; no model refers to its code.
-_MODELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _persistent_model(code: CssCode, solver: str) -> _HighsModel | _CutsModel:
-    """The code's persistent model for 'scipy' or 'cuts', built on first use."""
-    models = _MODELS.setdefault(code, {})
-    if solver not in models:
-        core = _highs_core()
-        models[solver] = (_CutsModel(core, code) if solver == "cuts"
-                          else _HighsModel(core, _template(code)))
-    return models[solver]
-
-
 def _snap(values: np.ndarray) -> np.ndarray:
     """Snap components within 1e-11 of 0 or 1 to exact integers, in place."""
     values[np.abs(values) < _SNAP] = 0.0
@@ -710,7 +693,8 @@ def _solve_syndrome(code: CssCode, s: np.ndarray, cost: np.ndarray,
         model = _primal_lp(code, "syndrome", cost, {"syndrome": s, "parities": s})
         values, objective, iterations = _solve_embedded(model)
     else:
-        values, objective, iterations = _persistent_model(code, solver).solve(s, cost)
+        persistent = code._cached(_CutsModel if solver == "cuts" else _HighsModel)
+        values, objective, iterations = persistent.solve(s, cost)
     return _snap(values[: code.n]), float(objective), iterations
 
 
@@ -743,15 +727,16 @@ def solve_lp(model: LpModel, solver: str = "scipy") -> LpSolution:
     elif solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
     elif model.kind != "dual" and not model.c[model.code.n:].any():
-        values, objective, iterations = _persistent_model(model.code, solver).solve(
-            model.meta["parities"], model.c[: model.code.n])
+        persistent = model.code._cached(_CutsModel if solver == "cuts" else _HighsModel)
+        values, objective, iterations = persistent.solve(model.meta["parities"],
+                                                         model.c[: model.code.n])
     elif solver == "cuts":
         raise LposdError("'cuts' solves syndrome and error models without mixture costs")
     else:  # dual models and mixture costs: a one-off HiGHS model of this LP alone
         core = _highs_core()
         sign = 1.0 if model.sense == "min" else -1.0
         upper = (np.full(model.n_vars, np.inf) if model.kind == "dual"
-                 else _template(model.code).col_upper(model.n_vars))
+                 else model.code._cached(_LpTemplate).col_upper(model.n_vars))
         highs = _new_highs(core, sign * model.c, np.where(model.free_vars, -np.inf, 0.0),
                            upper, model.a,
                            np.where(model.row_sense < 0, -np.inf, model.b), model.b)

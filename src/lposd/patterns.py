@@ -14,8 +14,10 @@ of stabilizers in which adjacent members share exactly one qubit (a link)
 and non-adjacent members are disjoint.  Both produce an :class:`ErrorPattern`
 carrying the error, its syndrome, the witness, and a reducedness report.
 A builder validates its ring once, without a seed, then samples from it;
-``search_patterns`` keeps a code's validated rings on the code, and
-``verify_certificate`` checks a witness in exact integer arithmetic.
+``search_patterns`` keeps a code's validated rings, like ``_row_search``
+its screen, with the code's derived values (``CssCode._cached``), which a
+pickle or copy leaves out; ``verify_certificate`` checks a witness in
+exact integer arithmetic.
 Every error, stabilizer and support argument is a 0/1 vector of length n,
 checked by ``gf2.as_bit_vector`` under its own name.
 """
@@ -364,7 +366,7 @@ def _row_search(code: CssCode, e_bits: int) -> int | None:
     lighter together: a call costs the edges of H_Z plus the pairs of Z rows
     that meet, and keeps nothing on the code but ``_row_screen``.
     """
-    screen = _row_screen(code)
+    screen = code._cached(_row_screen)
     e = bits_to_vector(e_bits, code.n).view(bool)
     gain = (2 * np.bincount(screen.edge_check[e[screen.edge_qubit]], minlength=screen.weights.size)
             - screen.weights)
@@ -400,24 +402,22 @@ class _RowScreen:
 
 
 def _row_screen(code: CssCode) -> _RowScreen:
-    """``_row_search``'s view of H_Z, built once and kept on the code."""
-    if code._row_screen is None:
-        tan = code.tanner
-        m = len(tan.z_supports)
-        weights = np.array([len(sup) for sup in tan.z_supports], dtype=np.int64)
-        entries = [(a * m + b, q) for q, checks in enumerate(tan.z_checks_of_qubit)
-                   for a, b in itertools.combinations(checks, 2)]
-        keys, qubits = np.array(entries, dtype=np.int64).reshape(-1, 2).T
-        pairs, entry_pair = np.unique(keys, return_inverse=True)  # sorted: a, then b
-        pair_a, pair_b = np.divmod(pairs, m)
-        code._row_screen = _RowScreen(
-            edge_check=np.repeat(np.arange(m), weights),
-            edge_qubit=np.fromiter(itertools.chain.from_iterable(tan.z_supports),
-                                   dtype=np.int64, count=int(weights.sum())),
-            weights=weights, pair_a=pair_a, pair_b=pair_b,
-            shared=np.bincount(entry_pair, minlength=pairs.size),
-            entry_pair=entry_pair, entry_qubit=qubits)
-    return code._row_screen
+    """``_row_search``'s view of H_Z, kept on the code."""
+    tan = code.tanner
+    m = len(tan.z_supports)
+    weights = np.array([len(sup) for sup in tan.z_supports], dtype=np.int64)
+    entries = [(a * m + b, q) for q, checks in enumerate(tan.z_checks_of_qubit)
+               for a, b in itertools.combinations(checks, 2)]
+    keys, qubits = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+    pairs, entry_pair = np.unique(keys, return_inverse=True)  # sorted: a, then b
+    pair_a, pair_b = np.divmod(pairs, m)
+    return _RowScreen(
+        edge_check=np.repeat(np.arange(m), weights),
+        edge_qubit=np.fromiter(itertools.chain.from_iterable(tan.z_supports),
+                               dtype=np.int64, count=int(weights.sum())),
+        weights=weights, pair_a=pair_a, pair_b=pair_b,
+        shared=np.bincount(entry_pair, minlength=pairs.size),
+        entry_pair=entry_pair, entry_qubit=qubits)
 
 
 def _coset_walk(code: CssCode, e_bits: int) -> ReducedCheck:
@@ -807,10 +807,16 @@ def _compose_even(gens: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
+def _ring_table(code: CssCode) -> dict:
+    """An empty table of ``_prepared_rings`` by (cycle length, cap), kept on the code."""
+    return {}
+
+
 def _prepared_rings(code: CssCode, max_cycle_len: int, cap: int) -> list[tuple[int, _Ring]]:
     """The valid rings of the first ``cap`` short cycles, with their cycle indices."""
+    table = code._cached(_ring_table)
     key = (max_cycle_len, cap)
-    if key not in code._pattern_rings:
+    if key not in table:
         rings = []
         for idx, cycle in enumerate(_cycles_through_edges(code, max_cycle_len, cap)):
             try:
@@ -819,8 +825,8 @@ def _prepared_rings(code: CssCode, max_cycle_len: int, cap: int) -> list[tuple[i
                 rings.append((idx, _prepare_ring(code, gens)))
             except PreconditionViolated:
                 continue
-        code._pattern_rings[key] = rings
-    return code._pattern_rings[key]
+        table[key] = rings
+    return table[key]
 
 
 def search_patterns(code: CssCode, max_cycle_len: int = 12, limit: int = 10,
@@ -835,8 +841,9 @@ def search_patterns(code: CssCode, max_cycle_len: int = 12, limit: int = 10,
     The cycles and every seed-independent ring check depend only on the
     code, ``max_cycle_len`` and the cycle cap (8 per pattern, at least 64),
     so the code keeps its valid rings per (length, cap) after the first
-    search.  Each ring keeps its cycle's index, which seeds its picks, so a
-    warm code gives exactly the patterns a fresh one gives.
+    search, which a pickled or copied code does again.  Each ring keeps its
+    cycle's index, which seeds its picks, so a warm code gives exactly the
+    patterns a fresh one gives.
     """
     if limit < 1:
         raise InvalidParameter(f"limit must be >= 1, got {limit}")

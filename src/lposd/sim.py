@@ -15,7 +15,8 @@ and of the worker count; a decoder's generator is built only when its OSD
 stage breaks ties at random.  A repeated unweighted syndrome skips the LP
 solve when its outcome was integral (``_lp_front``).  A trial scores each
 distinct correction once, with the one success rule (``_score``) that
-``is_success`` and ``exhaustive_sweep`` also use.
+``is_success`` and ``exhaustive_sweep`` also use.  The LP memo and that
+rule's table are kept on the code (``CssCode._cached``), never pickled.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import json
 import logging
 import math
 import time
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -70,10 +70,8 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 _SWEEP_GUARD = 10_000_000
 _BOOTSTRAP_RESAMPLES = 1000
 
-# Each code's LP memos by solver, kept here and not on the code so that none is
-# pickled with it; at most _MEMO_ENTRIES entries each (a full one: 1.0 MB on bb72).
+# Entries of a code's LP memo for one solver (a full one: 1.0 MB on bb72).
 _MEMO_ENTRIES = 2048
-_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -363,21 +361,19 @@ def is_success(code: CssCode, error, correction) -> bool:
 
 def _success_columns(code: CssCode) -> tuple[tuple[int, ...], int]:
     """Column q of [H_X; K] packed into an int, H_X's rows in the low bits,
-    with K's rows a basis of ker H_Z; and the mask of H_X's bits.  Built once
-    per code.  A residual r is a Z stabilizer exactly when K r = 0, since the
-    row space of H_Z is the orthogonal complement of its kernel."""
-    if code._success_columns is None:
-        kernel = [vector_to_bits(v, code.n) for v in kernel_basis(code.hz)]
-        stacked = BinaryMatrix(code.hx.rows + tuple(kernel), code.n)
-        code._success_columns = stacked.transpose().rows, (1 << code.hx.n_rows) - 1
-    return code._success_columns
+    with K's rows a basis of ker H_Z; and the mask of H_X's bits.  Kept on
+    the code.  A residual r is a Z stabilizer exactly when K r = 0, since
+    the row space of H_Z is the orthogonal complement of its kernel."""
+    kernel = [vector_to_bits(v, code.n) for v in kernel_basis(code.hz)]
+    stacked = BinaryMatrix(code.hx.rows + tuple(kernel), code.n)
+    return stacked.transpose().rows, (1 << code.hx.n_rows) - 1
 
 
 def _score(code: CssCode, residual: np.ndarray) -> tuple[bool, bool]:
     """(failed, wrong syndrome) of a residual error, from one GF(2) product
     with ``_success_columns``: K r sits above the syndrome bits H_X r, so the
     residual fails exactly when the product exceeds their mask."""
-    columns, syndrome_bits = _success_columns(code)
+    columns, syndrome_bits = code._cached(_success_columns)
     product = 0
     for q in residual.nonzero()[0].tolist():
         product ^= columns[q]
@@ -411,6 +407,11 @@ class DecodeResult:
     seconds: float = 0.0
 
 
+def _memos(code: CssCode) -> dict[str, dict]:
+    """An empty LP memo per solver, kept on the code (see ``_lp_front``)."""
+    return {solver: {} for solver in SOLVERS}
+
+
 def _lp_front(code: CssCode, s: np.ndarray, solver: str, weights: np.ndarray | None) -> tuple:
     """The LP front end of ``_decode_all``: (correction, soft output, settled
     stage or None, diagnostics).  A cold solve depends only on the syndrome
@@ -419,7 +420,7 @@ def _lp_front(code: CssCode, s: np.ndarray, solver: str, weights: np.ndarray | N
     recently used; a hit returns a copy with the solve's objective and pivots.
     """
     # a weighted decode gets a throwaway memo: it neither reads nor fills the code's
-    memo = {} if weights is not None else _MEMOS.setdefault(code, {}).setdefault(solver, {})
+    memo = {} if weights is not None else code._cached(_memos)[solver]
     key = s.tobytes()
     if key in memo:
         memo[key] = hit = memo.pop(key)  # now the most recently used

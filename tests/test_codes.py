@@ -158,6 +158,30 @@ def test_random_product_code_is_reproducible_and_biregular():
     assert set(col_weights) <= {3, 4}
 
 
+def test_declared_weight_bounds_are_checked():
+    from lposd.codes import _check_declared_ldpc
+
+    code = rotated_surface_code(3)
+    with pytest.raises(InvalidParameter, match="check weight 4 exceeds declared bound 3"):
+        _check_declared_ldpc(code, max_row=3, max_col=4)
+    with pytest.raises(InvalidParameter, match="qubit degree 2 exceeds declared bound 1"):
+        _check_declared_ldpc(code, max_row=4, max_col=1)
+    _check_declared_ldpc(code, max_row=4, max_col=2)
+
+
+def test_parameters_read_the_distance_floor_the_metadata_declares(tmp_path):
+    import json
+
+    bb72 = named_bb_code("bb72")
+    assert bb72.parameters().distance_floor == bb72.metadata["distance"] == 6
+    hgp = sample_random_hgp(2, 0)
+    assert hgp.parameters().distance_floor == hgp.metadata["distance_floor"] == 4
+    hgp.metadata["distance"] = 5  # a declared distance comes before a floor
+    assert hgp.parameters().distance_floor == 5
+    save_code(hgp, tmp_path / "code")
+    assert json.loads((tmp_path / "code" / "meta.json").read_text())["distance"] == 5
+
+
 _SYNDROME_CODES = {
     "surface5": lambda: rotated_surface_code(5),
     "bb72": lambda: named_bb_code("bb72"),

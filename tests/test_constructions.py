@@ -168,3 +168,17 @@ def test_tanner_adjacency_inverts_the_check_supports(name):
             assert type(lists) is tuple
             assert all(type(v) is tuple and all(type(i) is int for i in v) for v in lists)
     hash(tan)
+
+
+@pytest.mark.parametrize("name", sorted(_TANNER_CODES))
+def test_tanner_segments_split_the_x_edges_by_check(name):
+    tan = _TANNER_CODES[name]().tanner
+    starts, checks, segment = [], [], []
+    for j, support in enumerate(tan.x_supports):
+        if support:  # a check without edges has no segment
+            starts.append(len(segment))
+            checks.append(j)
+            segment += [len(checks) - 1] * len(support)
+    assert tan.x_segment_start.tolist() == starts
+    assert tan.x_segment_check.tolist() == checks
+    assert tan.x_edge_segment.tolist() == segment

@@ -161,6 +161,25 @@ def test_commutes_with():
     assert not a.commutes_with(c)
 
 
+def test_commutes_with_matches_the_pairwise_definition():
+    rng = np.random.default_rng(71)
+    shapes = [(0, 0, 0), (0, 4, 3), (3, 4, 0), (2, 0, 3)]
+    shapes += [tuple(rng.integers(0, 7, 3)) for _ in range(300)]
+    outcomes = set()
+    for m1, n, m2 in shapes:
+        a = BinaryMatrix.from_dense(rng.integers(0, 2, (m1, n), dtype=np.uint8))
+        if rng.random() < 0.5:
+            b = BinaryMatrix.from_dense(rng.integers(0, 2, (m2, n), dtype=np.uint8))
+        else:  # rows from the kernel of a, which commute with it
+            kernel = kernel_basis(a) or [np.zeros(n, dtype=np.uint8)]
+            picks = rng.integers(0, 2, (m2, len(kernel)), dtype=np.uint8)
+            b = BinaryMatrix.from_dense(picks @ np.array(kernel) % 2)
+        pairwise = all((r & q).bit_count() % 2 == 0 for r in a.rows for q in b.rows)
+        assert a.commutes_with(b) == pairwise, (m1, n, m2)
+        outcomes.add(pairwise)
+    assert outcomes == {True, False}
+
+
 def test_bicycle_check_matrix_rank(bb72):
     # the 72-qubit bicycle code encodes 12 logicals, so each side has
     # rank (n - k) / 2 = 30

@@ -127,6 +127,7 @@ def wide_tree_code():
 
 
 def test_default_decodes_take_checks_above_the_cap():
+    import lposd.lp as lp_mod
     from lposd import lp_osd_decode, lp_round_decode, run_point
 
     code = wide_tree_code()
@@ -140,7 +141,7 @@ def test_default_decodes_take_checks_above_the_cap():
     # an integral optimum is a minimum-weight correction of its syndrome
     assert res.stage_counts == {"integral-lp": 60}
     assert res.solver_faults == res.wrong_syndrome == 0
-    assert code._lp_template is None
+    assert lp_mod._LpTemplate not in code._derived  # the explicit model is never built
 
 
 @pytest.mark.parametrize("solver", ["scipy", "embedded"])
@@ -165,22 +166,19 @@ def test_persistent_models_are_neither_pickled_nor_kept_alive():
     import lposd.lp as lp_mod
     from lposd import lp_round_decode
 
-    gc.collect()
-    entries = len(lp_mod._MODELS)
     code = rotated_surface_code(3)
     s = code.syndrome(np.eye(code.n, dtype=np.uint8)[4])
     for solver in ("scipy", "cuts"):
         lp_round_decode(code, s, solver=solver)
-    assert set(lp_mod._MODELS[code]) == {"scipy", "cuts"}
+    assert {lp_mod._HighsModel, lp_mod._CutsModel} <= set(code._derived)
     blob = pickle.dumps(code)
     for name in (b"_highspy", b"_HighsModel", b"_CutsModel"):
         assert name not in blob  # no HiGHS handle or model travels with the code
-    assert pickle.loads(blob) not in lp_mod._MODELS
+    assert not pickle.loads(blob)._derived
     ref = weakref.ref(code)
     del code
     gc.collect()
     assert ref() is None  # no model refers back to its code
-    assert len(lp_mod._MODELS) == entries
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +323,21 @@ def test_dual_solution_satisfies_dual_constraints(surface3):
                 dual.edge_values[(q, j)] for q in subset
             )
             assert lhs <= 1e-7
+
+
+@pytest.mark.parametrize("solver", ["scipy", "embedded"])
+def test_the_dual_prices_the_bound_of_a_qubit_no_check_touches(solver):
+    """The primal boxes such a qubit at 1; the dual's price for that bound
+    gives both the same optimum, and ``as_dual_solution`` leaves it out."""
+    e = [1, 0, 1]
+    for hx, optimum in ((BinaryMatrix.from_dense([[1, 1, 0]]), -1.0), (BinaryMatrix([], 3), -2.0)):
+        code = CssCode(hx, BinaryMatrix([], 3))
+        assert solve_lp(build_error_lp(code, e), solver="scipy").objective == optimum
+        sol = solve_lp(build_dual_lp(code, e), solver=solver)
+        assert sol.objective == pytest.approx(optimum, abs=1e-9)
+        dual = as_dual_solution(sol)
+        assert dual.check_values.size == hx.n_rows
+        assert set(dual.edge_values) == set(code.tanner.x_edges)
 
 
 def test_weak_duality_against_primal(surface3):
@@ -534,7 +547,7 @@ def memo_of(code, solver="scipy"):
     """The decode path's memo of integral LP outcomes for one code and solver."""
     import lposd.sim as sim_mod
 
-    return sim_mod._MEMOS[code][solver]
+    return code._derived[sim_mod._memos][solver]
 
 
 @pytest.fixture
@@ -687,7 +700,7 @@ def test_blocked_highs_extension_is_a_solver_error(monkeypatch):
     assert set(res.stage_counts) == {"integral-lp", "solver-fault"}
     nonzero = res.trials - res.stage_counts["integral-lp"]
     assert res.solver_faults == res.stage_counts["solver-fault"] == nonzero > 0
-    assert not lp_mod._MODELS.get(code)  # no persistent model was built
+    assert not {lp_mod._HighsModel, lp_mod._CutsModel} & set(code._derived)  # none was built
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +763,7 @@ def test_cut_separation_matches_a_check_by_check_loop(make):
     import lposd.lp as lp_mod
 
     code = make()
-    model = lp_mod._persistent_model(code, "cuts")
+    model = code._cached(lp_mod._CutsModel)
     rng = np.random.default_rng(67)
     for _ in range(40):
         # quarters, so every sum is exact and ties for the member nearest
@@ -758,7 +771,7 @@ def test_cut_separation_matches_a_check_by_check_loop(make):
         x = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], code.n, p=[0.3, 0.1, 0.2, 0.1, 0.3])
         s = rng.integers(0, 2, code.hx.n_rows).astype(np.int8)
         expected = reference_cuts(code, x, s)
-        cuts = model._cuts(x, s[model._checks])
+        cuts = model._cuts(x, s[code.tanner.x_segment_check])
         if not expected:
             assert cuts is None
             continue
@@ -800,15 +813,13 @@ def test_cuts_honours_negative_costs(surface5):
 def test_cuts_is_order_independent_and_survives_pickling(cuts_codes):
     import pickle
 
-    import lposd.lp as lp_mod
-
     for code in cuts_codes[:4]:
         blob = pickle.dumps(code)
         models = cuts_models(code, 8, 61)
         forward = [solve_lp(m, solver="cuts") for m in models]
         backward = [solve_lp(m, solver="cuts") for m in reversed(models)][::-1]
         fresh = pickle.loads(blob)
-        assert fresh not in lp_mod._MODELS  # no model came with the pickle
+        assert not fresh._derived  # no model came with the pickle
         cold = [solve_lp(m, solver="cuts") for m in cuts_models(fresh, 8, 61)]
         for a, b, c in zip(forward, backward, cold):
             for other in (b, c):
@@ -881,12 +892,12 @@ def test_cuts_non_optimal_round_is_a_solver_fault(monkeypatch):
 
     code = rotated_surface_code(5)
     s = code.syndrome(np.eye(code.n, dtype=np.uint8)[7])
-    lp_mod._persistent_model(code, "cuts")._highs.setOptionValue("time_limit", 0.0)
+    code._cached(lp_mod._CutsModel)._highs.setOptionValue("time_limit", 0.0)
     with pytest.raises(LposdError, match="Time limit"):
         lp_round_decode(code, s, solver="cuts")
     res = run_point(code, DecoderSpec("lp-round", solver="cuts"), p=0.1, trials=30, seed=3)
     assert res.solver_faults == res.stage_counts["solver-fault"] > 0
-    assert not sim_mod._MEMOS[code]["cuts"]  # a fault is never remembered
+    assert not code._derived[sim_mod._memos]["cuts"]  # a fault is never remembered
 
 
 # ---------------------------------------------------------------------------
@@ -1085,10 +1096,10 @@ def template_triplets(code):
 def test_template_arrays_match_scipy_csc(make):
     import scipy.sparse as sp
 
-    from lposd.lp import _template
+    from lposd.lp import _LpTemplate
 
     code = make()
-    tpl = _template(code)
+    tpl = code._cached(_LpTemplate)
     vals, rows, cols, shape = template_triplets(code)
     ref = sp.csc_matrix((vals, (rows, cols)), shape=shape)
     assert tpl.shape == ref.shape
@@ -1130,8 +1141,9 @@ def test_lean_import_keeps_scipy_optimize_out():
         s = code.syndrome(e)
         res = lp_osd_decode(code, s)
         assert res.diagnostics["solver"] == "cuts", res.diagnostics
-        assert list(lposd.lp._MODELS[code]) == ["cuts"]
-        assert code._lp_template is None  # the explicit model is never built
+        assert lposd.lp._CutsModel in code._derived
+        assert lposd.lp._HighsModel not in code._derived
+        assert lposd.lp._LpTemplate not in code._derived  # the explicit model is never built
         assert_absent("scipy.sparse", "scipy.optimize", "scipy.special")
         bp_osd_decode(code, s)
         assert_absent("scipy.sparse")

@@ -553,7 +553,8 @@ def test_warm_searches_equal_fresh_ones(name, monkeypatch):
     loaded = pickle.loads(pickle.dumps(warm))
     calls.update(cycle=0, stabilizer=0)
     again = search_patterns(loaded, max_cycle_len=max_len, limit=10, rng_seed=4)
-    assert calls == {"cycle": 0, "stabilizer": 0}
+    # no ring travels with the pickle: the loaded code rebuilds its own
+    assert calls["cycle"] > 0 and calls["stabilizer"] > 0
     assert _records(again) == _records(
         search_patterns(build(), max_cycle_len=max_len, limit=10, rng_seed=4))
 

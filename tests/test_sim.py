@@ -234,21 +234,65 @@ def test_workers_with_a_persistent_solver_model(surface3):
 
     s = np.zeros(surface3.hx.n_rows, dtype=np.uint8)
     s[0] = 1
-    # each HiGHS-backed solver keeps its own persistent model in lp._MODELS
+    # each HiGHS-backed solver keeps its own persistent model on the code
     for solver in ("scipy", "cuts"):
         lp_round_decode(surface3, s, solver=solver)
-        assert solver in lp_mod._MODELS[surface3]
-        assert sim_mod._MEMOS[surface3][solver]  # the integral outcome is remembered
+        assert (lp_mod._CutsModel if solver == "cuts" else lp_mod._HighsModel) in surface3._derived
+        assert surface3._derived[sim_mod._memos][solver]  # the integral outcome is remembered
     clone = pickle.loads(pickle.dumps(surface3))
-    assert clone not in lp_mod._MODELS
-    assert clone not in sim_mod._MEMOS
+    assert not clone._derived  # neither a model nor a memo came with the pickle
     for solver in ("scipy", "cuts"):
         lp_round_decode(clone, s, solver=solver)
-        assert len(sim_mod._MEMOS[clone][solver]) == 1  # no entry came with the pickle
+        assert len(clone._derived[sim_mod._memos][solver]) == 1  # no entry came with the pickle
         spec = DecoderSpec("lp-osdcs", solver=solver)
         serial = run_point(surface3, spec, p=0.1, trials=60, seed=9)
         parallel = run_point(surface3, spec, p=0.1, trials=60, seed=9, workers=2)
         assert point_fingerprint(serial) == point_fingerprint(parallel)
+
+
+def test_a_code_keeps_its_derived_values_in_one_cache_that_never_travels():
+    import copy
+    import gc
+    import pickle
+    import weakref
+
+    from conftest import make_toy22
+
+    from lposd import is_reduced, search_patterns
+    from lposd.patterns import pattern_to_record
+
+    specs = [DecoderSpec("lp-osdcs"), DecoderSpec("lp-osd0", solver="scipy"),
+             DecoderSpec("lp-round", solver="embedded"), DecoderSpec("bp-osdcs")]
+
+    def workout(code):
+        """Fingerprints of a joint run and the records of a pattern search."""
+        points = run_point(code, specs, p=0.08, trials=40, seed=5)
+        patterns = search_patterns(code, max_cycle_len=8, limit=2, rng_seed=1)
+        return ([point_fingerprint(res) for res in points],
+                [pattern_to_record(pattern) for pattern in patterns])
+
+    code = make_toy22()[0]
+    e = np.zeros(code.n, dtype=np.uint8)
+    e[[3, 8]] = 1
+    s = code.syndrome(e)
+    for solver in ("cuts", "scipy", "embedded"):
+        assert is_success(code, e, lp_round_decode(code, s, solver=solver).correction)
+    assert is_success(code, e, bp_osd_decode(code, s).correction)
+    assert is_reduced(code, e).status == "yes"
+    warm = workout(code)
+    assert warm[1]  # the search found patterns
+
+    assert set(vars(code)) == {"hx", "hz", "name", "metadata", "_derived"}
+    assert {build.__name__ for build in code._derived} == {
+        "_tanner_graph", "_LpTemplate", "_HighsModel", "_CutsModel", "_memos",
+        "_success_columns", "_row_screen", "_ring_table"}
+    loaded, copied = pickle.loads(pickle.dumps(code)), copy.copy(code)
+    assert loaded._derived == {} and copied._derived == {}
+    assert workout(code) == workout(loaded) == workout(make_toy22()[0]) == warm
+    ref = weakref.ref(code)
+    del code
+    gc.collect()
+    assert ref() is None  # nothing derived refers back to its code
 
 
 def test_solver_errors_are_counted_not_raised(surface3, monkeypatch):
@@ -293,7 +337,7 @@ def test_one_shot_decoders_raise_solver_errors(surface3, monkeypatch):
                    lambda code, s: decode_syndrome(code, "lp-osd0", s)):
         with pytest.raises(LposdError, match="numerical"):
             decode(code, s)
-    assert not sim_mod._MEMOS[code][DEFAULT_SOLVER]  # a fault is never remembered
+    assert not code._derived[sim_mod._memos][DEFAULT_SOLVER]  # a fault is never remembered
 
 
 @pytest.mark.parametrize("solver", ["scipy", "embedded", "cuts"])
