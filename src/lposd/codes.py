@@ -58,7 +58,8 @@ class TannerGraph:
     deterministic order (by check, then by qubit within the check).
     ``x_edge_qubit`` and ``x_edge_check`` hold the same edges, in the same
     order, as two int64 arrays; they are the numpy decoders' one view of
-    H_X.  A check may have no edges (an all-zero row of H_X).  BP and the
+    H_X, and ``z_edge_qubit``/``z_edge_check`` are the same view of H_Z.  A
+    check may have no edges (an all-zero row).  BP and the
     'cuts' separation reduce over one segment per check that has edges:
     segment i starts at edge ``x_segment_start[i]`` and belongs to check
     ``x_segment_check[i]``, and edge k lies in segment ``x_edge_segment[k]``.
@@ -74,18 +75,28 @@ class TannerGraph:
     x_segment_start: np.ndarray = field(init=False, repr=False, compare=False)
     x_segment_check: np.ndarray = field(init=False, repr=False, compare=False)
     x_edge_segment: np.ndarray = field(init=False, repr=False, compare=False)
+    z_edge_qubit: np.ndarray = field(init=False, repr=False, compare=False)
+    z_edge_check: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sizes = [len(sup) for sup in self.x_supports]
-        qubits = np.fromiter(itertools.chain.from_iterable(self.x_supports),
-                             dtype=np.int64, count=sum(sizes))
-        checks = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        qubits, checks = _edge_arrays(self.x_supports)
         live, starts, segment = np.unique(checks, return_index=True, return_inverse=True)
+        z_qubits, z_checks = _edge_arrays(self.z_supports)
         for name, value in (("x_edges", tuple(zip(qubits.tolist(), checks.tolist()))),
                             ("x_edge_qubit", qubits), ("x_edge_check", checks),
                             ("x_segment_start", starts), ("x_segment_check", live),
-                            ("x_edge_segment", segment)):
+                            ("x_edge_segment", segment),
+                            ("z_edge_qubit", z_qubits), ("z_edge_check", z_checks)):
             object.__setattr__(self, name, value)
+
+
+def _edge_arrays(supports: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The (qubit, check) edges of a check graph as two int64 arrays, by check
+    and then by qubit within the check."""
+    sizes = [len(sup) for sup in supports]
+    qubits = np.fromiter(itertools.chain.from_iterable(supports),
+                         dtype=np.int64, count=sum(sizes))
+    return qubits, np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
 
 
 @dataclass(frozen=True)

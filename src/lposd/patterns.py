@@ -364,11 +364,13 @@ def _row_search(code: CssCode, e_bits: int) -> int | None:
     share a qubit.  A pair is tried only when no single row is lighter, so
     every gain is at most zero and only rows that share a qubit can be
     lighter together: a call costs the edges of H_Z plus the pairs of Z rows
-    that meet, and keeps nothing on the code but ``_row_screen``.
+    that meet, and keeps nothing on the code but ``_row_screen`` and the
+    Tanner graph.
     """
     screen = code._cached(_row_screen)
     e = bits_to_vector(e_bits, code.n).view(bool)
-    gain = (2 * np.bincount(screen.edge_check[e[screen.edge_qubit]], minlength=screen.weights.size)
+    tan = code.tanner
+    gain = (2 * np.bincount(tan.z_edge_check[e[tan.z_edge_qubit]], minlength=screen.weights.size)
             - screen.weights)
     rows = code.hz.rows
     single = np.flatnonzero(gain > 0)
@@ -385,14 +387,12 @@ def _row_search(code: CssCode, e_bits: int) -> int | None:
 
 @dataclass(frozen=True)
 class _RowScreen:
-    """H_Z as edge arrays with its row weights, and every pair of Z rows
-    a < b that shares a qubit, in ``itertools.combinations`` order: pair i
-    is rows ``pair_a[i]`` and ``pair_b[i]``, sharing ``shared[i]`` qubits,
-    and entry k says that pair ``entry_pair[k]`` shares qubit
+    """The row weights of H_Z (whose edge arrays are on ``code.tanner``), and
+    every pair of Z rows a < b that shares a qubit, in ``itertools.combinations``
+    order: pair i is rows ``pair_a[i]`` and ``pair_b[i]``, sharing ``shared[i]``
+    qubits, and entry k says that pair ``entry_pair[k]`` shares qubit
     ``entry_qubit[k]``."""
 
-    edge_check: np.ndarray
-    edge_qubit: np.ndarray
     weights: np.ndarray
     pair_a: np.ndarray
     pair_b: np.ndarray
@@ -412,9 +412,6 @@ def _row_screen(code: CssCode) -> _RowScreen:
     pairs, entry_pair = np.unique(keys, return_inverse=True)  # sorted: a, then b
     pair_a, pair_b = np.divmod(pairs, m)
     return _RowScreen(
-        edge_check=np.repeat(np.arange(m), weights),
-        edge_qubit=np.fromiter(itertools.chain.from_iterable(tan.z_supports),
-                               dtype=np.int64, count=int(weights.sum())),
         weights=weights, pair_a=pair_a, pair_b=pair_b,
         shared=np.bincount(entry_pair, minlength=pairs.size),
         entry_pair=entry_pair, entry_qubit=qubits)

@@ -13,10 +13,12 @@ solver errors, where a Monte Carlo run counts them as faults; without an
 every decoder's outcome independent of which other decoders share the run
 and of the worker count; a decoder's generator is built only when its OSD
 stage breaks ties at random.  A repeated unweighted syndrome skips the LP
-solve when its outcome was integral (``_lp_front``).  A trial scores each
-distinct correction once, with the one success rule (``_score``) that
-``is_success`` and ``exhaustive_sweep`` also use.  The LP memo and that
-rule's table are kept on the code (``CssCode._cached``), never pickled.
+solve, whether its outcome was integral or fractional: ``_lp_front`` keeps
+each outcome as a few bytes (packed syndrome, objective, pivots, support and,
+when fractional, the values there).  A trial scores each distinct
+correction once, with the one success rule (``_score``) that ``is_success``
+and ``exhaustive_sweep`` also use.  The LP memo and that rule's table are
+kept on the code (``CssCode._cached``), never pickled.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import itertools
 import json
 import logging
 import math
+import struct
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -70,8 +73,13 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 _SWEEP_GUARD = 10_000_000
 _BOOTSTRAP_RESAMPLES = 1000
 
-# Entries of a code's LP memo for one solver (a full one: 1.0 MB on bb72).
-_MEMO_ENTRIES = 2048
+# Entries of a code's LP memo for one solver.  A full one at p=0.03 holds
+# 1.45 MB under tracemalloc on surface-7 and on bb72 (peaks 2.0 and 1.7 MB
+# while its dict grows); 16384 entries (3.0 MB) raised a surface-7 Monte
+# Carlo run's peak RSS by up to 12%.
+_MEMO_ENTRIES = 8192
+# A memo value's header: objective, simplex pivots, support size.
+_MEMO_HEAD = struct.Struct("<dII")
 
 
 @dataclass(frozen=True)
@@ -415,31 +423,47 @@ def _memos(code: CssCode) -> dict[str, dict]:
 def _lp_front(code: CssCode, s: np.ndarray, solver: str, weights: np.ndarray | None) -> tuple:
     """The LP front end of ``_decode_all``: (correction, soft output, settled
     stage or None, diagnostics).  A cold solve depends only on the syndrome
-    and the costs, so the code's memo for ``solver`` keeps each integral
-    unweighted outcome by syndrome bytes, up to ``_MEMO_ENTRIES`` most
-    recently used; a hit returns a copy with the solve's objective and pivots.
+    and the costs, so the code's memo for ``solver`` keeps every unweighted
+    outcome that is not a fault, up to ``_MEMO_ENTRIES`` most recently used.
+    The key is the packed syndrome and the value one ``bytes``: a header of
+    objective, pivots and support size (``_MEMO_HEAD``), the support as int32
+    (the correction's when the optimum is integral, the soft vector's when it
+    is fractional) and, for a fractional optimum only, its values there.  A
+    solve and a hit both answer from that value: the correction of an
+    integral optimum is rebuilt from its support, and a fractional soft
+    vector bit for bit (the solver snaps its zeros to +0.0) and rounded.
     """
     # a weighted decode gets a throwaway memo: it neither reads nor fills the code's
     memo = {} if weights is not None else code._cached(_memos)[solver]
-    key = s.tobytes()
-    if key in memo:
-        memo[key] = hit = memo.pop(key)  # now the most recently used
-        return np.frombuffer(hit[0], dtype=np.uint8).copy(), None, "integral-lp", hit[1]
-    try:
-        x, objective, iterations = _solve_syndrome(
-            code, s, np.ones(code.n) if weights is None else weights, solver)
-    except LposdError as exc:
-        return (np.zeros(code.n, dtype=np.uint8), None, "solver-fault",
-                {"fractional": False, "lp_iterations": 0, "error": exc})
-    integral = is_integral(x)
-    correction = round_independent(x)
-    diag = {"objective": objective, "lp_iterations": iterations,
-            "solver": solver, "fractional": not integral}
-    if integral:
+    key = np.packbits(s).tobytes()
+    entry = memo.pop(key, None)
+    if entry is None:
+        try:
+            x, objective, iterations = _solve_syndrome(
+                code, s, np.ones(code.n) if weights is None else weights, solver)
+        except LposdError as exc:
+            return (np.zeros(code.n, dtype=np.uint8), None, "solver-fault",
+                    {"fractional": False, "lp_iterations": 0, "error": exc})
+        integral = is_integral(x)
+        support = np.flatnonzero(round_independent(x) if integral else x).astype(np.int32)
+        entry = _MEMO_HEAD.pack(objective, iterations, support.size) + support.tobytes()
+        if not integral:
+            entry += x[support].tobytes()
         if len(memo) >= _MEMO_ENTRIES:
             del memo[next(iter(memo))]
-        memo[key] = correction.tobytes(), diag
-    return correction, x, "integral-lp" if integral else None, diag
+    memo[key] = entry  # now the most recently used
+    objective, iterations, size = _MEMO_HEAD.unpack_from(entry)
+    support = np.frombuffer(entry, np.int32, size, _MEMO_HEAD.size)
+    fractional = len(entry) > _MEMO_HEAD.size + 4 * size
+    diag = {"objective": objective, "lp_iterations": iterations,
+            "solver": solver, "fractional": fractional}
+    if not fractional:
+        correction = np.zeros(code.n, dtype=np.uint8)
+        correction[support] = 1
+        return correction, None, "integral-lp", diag
+    x = np.zeros(code.n)
+    x[support] = np.frombuffer(entry, np.float64, size, _MEMO_HEAD.size + 4 * size)
+    return round_independent(x), x, None, diag
 
 
 def _decode_all(code: CssCode, specs: Sequence[DecoderSpec], s: np.ndarray,

@@ -197,6 +197,9 @@ def test_syndrome_matches_packed_product(name):
     code = _SYNDROME_CODES[name]()
     tan = code.tanner
     assert list(zip(tan.x_edge_qubit.tolist(), tan.x_edge_check.tolist())) == list(tan.x_edges)
+    z_edges = [(q, j) for j, sup in enumerate(tan.z_supports) for q in sup]
+    assert list(zip(tan.z_edge_qubit.tolist(), tan.z_edge_check.tolist())) == z_edges
+    assert tan.z_edge_qubit.dtype == tan.z_edge_check.dtype == np.int64
     hash(tan)  # the edge arrays stay out of eq/hash
     rng = np.random.default_rng(61)
     for _ in range(200):

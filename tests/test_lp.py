@@ -544,10 +544,16 @@ def test_persistent_model_is_order_independent(bb72):
 
 
 def memo_of(code, solver="scipy"):
-    """The decode path's memo of integral LP outcomes for one code and solver."""
+    """The decode path's memo of LP outcomes for one code and solver, keyed
+    by ``memo_key``."""
     import lposd.sim as sim_mod
 
     return code._derived[sim_mod._memos][solver]
+
+
+def memo_key(s):
+    """The memo's key of a 0/1 syndrome: its packed bits."""
+    return np.packbits(s).tobytes()
 
 
 @pytest.fixture
@@ -583,32 +589,44 @@ def test_memo_hits_match_cold_solves(persistent_codes, counted_solves):
             for s in syndromes + syndromes[::-1]:
                 before = len(counted_solves)
                 res = lp_round_decode(code, s, solver=solver, weights=w)
-                solved = s.any() and not (w is None and s.tobytes() in stored)
+                solved = s.any() and not (w is None and memo_key(s) in stored)
                 assert len(counted_solves) - before == solved
-                if solved and w is None and not res.diagnostics["fractional"]:
-                    stored.add(s.tobytes())
+                if solved and w is None:  # fractional outcomes are kept too
+                    stored.add(memo_key(s))
                 cold = lp_round_decode(pickle.loads(blob), s, solver=solver, weights=w)
                 assert same_outcome(res, cold)
             assert stored and set(memo_of(code, solver)) == stored
 
 
-def test_fractional_optima_are_not_remembered(toy22, counted_solves):
+@pytest.mark.parametrize("solver", ["scipy", "cuts", "embedded"])
+def test_fractional_hits_match_cold_solves(toy22, solver, counted_solves):
     import pickle
 
-    from lposd import lp_round_decode
+    import lposd.sim as sim_mod
+    from lposd import OsdConfig, lp_osd_decode, lp_round_decode
 
     shared, h1, h2 = toy22
-    code = pickle.loads(pickle.dumps(shared))
+    blob = pickle.dumps(shared)
+    code = pickle.loads(blob)
     lay = hgp_layout(h1, h2)
     dense_hz = code.hz.to_dense()
-    pattern = build_overlap_pattern(code, dense_hz[lay.z_check(0, 1)],
-                                    dense_hz[lay.z_check(1, 1)])
-    first = lp_round_decode(code, pattern.syndrome, solver="scipy")
+    s = build_overlap_pattern(code, dense_hz[lay.z_check(0, 1)],
+                              dense_hz[lay.z_check(1, 1)]).syndrome
+    first = lp_round_decode(code, s, solver=solver)
     assert first.diagnostics["fractional"] and first.stage == "rounded-lp"
-    assert pattern.syndrome.tobytes() not in memo_of(code)
-    again = lp_round_decode(code, pattern.syndrome, solver="scipy")
-    assert len(counted_solves) == 2
-    assert same_outcome(first, again)
+    assert list(memo_of(code, solver)) == [memo_key(s)]
+    before = len(counted_solves)
+    correction, soft, stage, diag = sim_mod._lp_front(code, s, solver, None)
+    assert len(counted_solves) == before  # answered by the memo
+    cold = sim_mod._lp_front(pickle.loads(blob), s, solver, None)
+    assert np.array_equal(correction, cold[0]) and stage is cold[2] is None
+    assert diag == cold[3] and diag["fractional"]
+    assert soft.dtype == cold[1].dtype and soft.tobytes() == cold[1].tobytes()
+    for order in ("osd0", "osd_cs"):
+        cfg = OsdConfig(order=order)
+        warm = lp_osd_decode(code, s, cfg, solver=solver)
+        assert same_outcome(warm, lp_osd_decode(pickle.loads(blob), s, cfg, solver=solver))
+    assert len(counted_solves) == before + 3  # only the fresh codes solved
 
 
 def test_error_lp_and_weighted_decodes_leave_the_memo_exact(surface5, counted_solves):
@@ -624,11 +642,11 @@ def test_error_lp_and_weighted_decodes_leave_the_memo_exact(surface5, counted_so
     other = code.syndrome(np.eye(code.n, dtype=np.uint8)[9])
     first = lp_round_decode(code, s, solver="scipy")
     assert first.stage == "integral-lp"
-    assert list(memo_of(code)) == [s.tobytes()]
+    assert list(memo_of(code)) == [memo_key(s)]
     # both put other costs on the code's persistent HiGHS model
     anchored = solve_lp(build_error_lp(code, e), solver="scipy")
     lp_round_decode(code, s, solver="scipy", weights=np.linspace(0.5, 2.0, code.n))
-    assert list(memo_of(code)) == [s.tobytes()]
+    assert list(memo_of(code)) == [memo_key(s)]
     before = len(counted_solves)
     again = lp_round_decode(code, s, solver="scipy")
     assert len(counted_solves) == before  # answered by the memo
@@ -651,7 +669,7 @@ def test_memo_is_bounded_and_least_recently_used_goes_first(monkeypatch):
     unique = {}
     for q in range(code.n):
         s = code.syndrome(np.eye(code.n, dtype=np.uint8)[q])
-        unique.setdefault(s.tobytes(), s)
+        unique.setdefault(memo_key(s), s)
     syndromes = list(unique.items())
     keys = []
     for key, s in syndromes[:8]:

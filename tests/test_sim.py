@@ -340,8 +340,38 @@ def test_one_shot_decoders_raise_solver_errors(surface3, monkeypatch):
     assert not code._derived[sim_mod._memos][DEFAULT_SOLVER]  # a fault is never remembered
 
 
+@pytest.mark.parametrize("name", ["surface7", "bb72"])
+def test_a_memo_entry_stays_small(name):
+    import lposd.sim as sim_mod
+    from lposd import lp_round_decode, rotated_surface_code
+
+    code = rotated_surface_code(7) if name == "surface7" else named_bb_code(name)
+    rng = np.random.default_rng(11)
+    memo = code._cached(sim_mod._memos)[DEFAULT_SOLVER]
+    while len(memo) < 2000:
+        lp_round_decode(code, code.syndrome((rng.random(code.n) < 0.03).view(np.uint8)))
+    assert any(len(v) > sim_mod._MEMO_HEAD.size + 4 * sim_mod._MEMO_HEAD.unpack_from(v)[2]
+               for v in memo.values())  # fractional outcomes are in the count
+    # 140-175 B an entry; a tuple of the correction's bytes and a
+    # diagnostics dict, the earlier layout, measures over 800 B here
+    assert footprint(memo) / len(memo) <= 200
+
+
+def footprint(obj) -> int:
+    """``sys.getsizeof`` of obj plus, through dicts, tuples and lists, that of
+    everything it holds."""
+    import sys
+
+    size = sys.getsizeof(obj)
+    if isinstance(obj, dict):
+        return size + sum(footprint(k) + footprint(v) for k, v in obj.items())
+    if isinstance(obj, (tuple, list)):
+        return size + sum(map(footprint, obj))
+    return size
+
+
 @pytest.mark.parametrize("solver", ["scipy", "embedded", "cuts"])
-def test_warm_code_solves_only_fractional_outcomes_again(solver, monkeypatch):
+def test_warm_code_re_solves_nothing(solver, monkeypatch):
     import pickle
 
     import lposd.sim as sim_mod
@@ -355,10 +385,11 @@ def test_warm_code_solves_only_fractional_outcomes_again(solver, monkeypatch):
     blob = pickle.dumps(code)
     spec = DecoderSpec("lp-osdcs", solver=solver)
     first = run_point(code, spec, p=0.12, trials=150, seed=2)
-    assert first.fractional > 0
+    assert first.fractional > 0 and calls
     del calls[:]
     warm = run_point(code, spec, p=0.12, trials=150, seed=2)
-    assert len(calls) == warm.fractional == first.fractional
+    assert not calls  # fractional outcomes are answered by the memo too
+    assert warm.fractional == first.fractional
     fresh = run_point(pickle.loads(blob), spec, p=0.12, trials=150, seed=2)
     assert point_fingerprint(warm) == point_fingerprint(fresh) == point_fingerprint(first)
 
