@@ -156,11 +156,9 @@ class BinaryMatrix:
         cached = self._cache.get("transpose")
         if cached is None:
             cols = [0] * self._n_cols
-            for i, bits in enumerate(self._rows):
-                while bits:
-                    low = bits & -bits
-                    cols[low.bit_length() - 1] |= 1 << i
-                    bits ^= low
+            for i in range(len(self._rows)):
+                for c in self.row_support(i):
+                    cols[c] |= 1 << i
             cached = BinaryMatrix(cols, len(self._rows))
             self._cache["transpose"] = cached
         return cached

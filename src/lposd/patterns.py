@@ -597,12 +597,10 @@ def _prepare_ring(code: CssCode, gens: list[np.ndarray]) -> _Ring:
     half = _support(sigma)
     _check_flipped_checks_touch(code, links, frozenset(half), "link")
 
+    # each member holds exactly two links (``_ring_links``), so w/2 - 1 <= w - 2 interior qubits
     interiors = tuple(np.array([q for q in sup if q not in links], dtype=int)
                       for sup in supports)
     takes = tuple(len(sup) // 2 - 1 for sup in supports)
-    for idx, (take, interior) in enumerate(zip(takes, interiors)):
-        if take > len(interior):
-            raise PreconditionViolated(f"generator {idx} interior too small for its half weight")
     return _Ring("cycle", supports, links, half, interiors, takes)
 
 
@@ -632,9 +630,8 @@ def stabilizers_within(code: CssCode, support) -> list[np.ndarray]:
     pattern's support union hides no stabilizers beyond its own generators
     exactly when every returned vector lies in the span of those generators.
     """
-    comp = np.flatnonzero(as_bit_vector(support, code.n, "support") == 0)
-    dense = code.hz.to_dense()
-    restricted = BinaryMatrix.from_dense(dense[:, comp])
+    outside = vector_to_bits(as_bit_vector(support, code.n, "support") ^ 1, code.n)
+    restricted = BinaryMatrix([row & outside for row in code.hz.rows], code.n)
     out: list[np.ndarray] = []
     for coeff in kernel_basis(restricted.transpose()):
         image = code.hz.transpose().mat_vec(coeff)

@@ -15,10 +15,10 @@ and of the worker count; a decoder's generator is built only when its OSD
 stage breaks ties at random.  A repeated unweighted syndrome skips the LP
 solve, whether its outcome was integral or fractional: ``_lp_front`` keeps
 each outcome as a few bytes (packed syndrome, objective, pivots, support and,
-when fractional, the values there).  A trial scores each distinct
-correction once, with the one success rule (``_score``) that ``is_success``
-and ``exhaustive_sweep`` also use.  The LP memo and that rule's table are
-kept on the code (``CssCode._cached``), never pickled.
+when fractional, the values there).  ``_run_trials``, fed sampled errors by
+Monte Carlo points and enumerated ones by sweeps, scores each distinct
+correction of a trial once by the one success rule (``_score``, also behind
+``is_success``).  The memo and the table sit in ``CssCode._cached``, never pickled.
 """
 
 from __future__ import annotations
@@ -219,8 +219,8 @@ _ENSEMBLE_RECORD_KEYS = (
 
 @dataclass
 class PointResult:
-    """Counts of one (code, decoder, p) sweep point; the rates, the Wilson
-    interval and the mean decode time are derived from them."""
+    """Counts of one (code, decoder, p) sweep point; all else derives from them,
+    the trials and solver faults from ``stage_counts`` (one stage per trial)."""
 
     code_name: str
     decoder: str
@@ -228,14 +228,20 @@ class PointResult:
     p: float
     seed: int
     point_index: int
-    trials: int = 0
     failures: int = 0
     wrong_syndrome: int = 0
     fractional: int = 0
-    solver_faults: int = 0
     lp_iterations: int = 0  # simplex iterations summed over the LP solves used
     stage_counts: dict[str, int] = field(default_factory=dict)
     decode_seconds: float = 0.0  # summed over the trials
+
+    @property
+    def trials(self) -> int:
+        return sum(self.stage_counts.values())
+
+    @property
+    def solver_faults(self) -> int:
+        return self.stage_counts.get("solver-fault", 0)
 
     @property
     def p_l(self) -> float:
@@ -266,11 +272,9 @@ class PointResult:
 
     def merge(self, other: "PointResult") -> None:
         """Add the counts of another run of the same point."""
-        self.trials += other.trials
         self.failures += other.failures
         self.wrong_syndrome += other.wrong_syndrome
         self.fractional += other.fractional
-        self.solver_faults += other.solver_faults
         self.lp_iterations += other.lp_iterations
         for stage, count in other.stage_counts.items():
             self.stage_counts[stage] = self.stage_counts.get(stage, 0) + count
@@ -589,28 +593,26 @@ def bp_osd_decode(code: CssCode, s, bp_cfg: BpConfig | None = None,
     return _decode_one(code, spec, s, rng)
 
 
-def _run_trials(code: CssCode, specs: Sequence[DecoderSpec], p: float,
-                seed: int, point_index: int, start: int, stop: int,
+def _run_trials(code: CssCode, specs: Sequence[DecoderSpec], p: float, seed: int,
+                point_index: int, trials: Iterable[tuple[int, np.ndarray]],
                 ) -> list[PointResult]:
+    """The one loop from a trial's error to its counts: decode and score each
+    ``(trial, error)`` pair, with decoder streams keyed (seed, point_index, trial, tag)."""
     code_name = code.name or f"css-n{code.n}"
     results = [PointResult(code_name, spec.key, spec.name, p, seed, point_index)
                for spec in specs]
-    for trial in range(start, stop):
-        error = sample_error(code.n, p, _error_rng(seed, point_index, trial))
+    for trial, error in trials:
         outcomes = _decode_all(
             code, specs, code._syndrome(error), p,
             lambda spec: _decoder_rng(seed, point_index, trial, spec.tag))
         scores: dict[bytes, tuple[bool, bool]] = {}  # one product per distinct correction
         for res in results:
             outcome = outcomes[res.decoder]
-            res.trials += 1
             res.decode_seconds += outcome.seconds
             res.lp_iterations += outcome.diagnostics.get("lp_iterations", 0)
             res.stage_counts[outcome.stage] = res.stage_counts.get(outcome.stage, 0) + 1
             if outcome.diagnostics.get("fractional"):
                 res.fractional += 1
-            if outcome.stage == "solver-fault":
-                res.solver_faults += 1
             key = outcome.correction.tobytes()
             if key not in scores:
                 scores[key] = _score(code, error ^ outcome.correction)
@@ -621,7 +623,11 @@ def _run_trials(code: CssCode, specs: Sequence[DecoderSpec], p: float,
 
 
 def _worker_entry(args) -> list[PointResult]:
-    return _run_trials(*args)
+    """``_run_trials`` on the sampled errors of trials ``start..stop-1``."""
+    code, specs, p, seed, point_index, start, stop = args
+    return _run_trials(code, specs, p, seed, point_index, (
+        (trial, sample_error(code.n, p, _error_rng(seed, point_index, trial)))
+        for trial in range(start, stop)))
 
 
 def _map_trials(tasks: Iterable[tuple], n_tasks: int, workers: int) -> Iterable[list[PointResult]]:
@@ -737,7 +743,8 @@ def exhaustive_sweep(code: CssCode, decoder, max_weight: int, *,
                      seed: int = 0) -> list[SweepRow]:
     """Decode every error of weight up to ``max_weight`` and count failures.
 
-    The enumeration is guarded at ten million patterns.
+    Each weight is one ``_run_trials`` point, an error's rank its trial
+    index.  The enumeration is guarded at ten million patterns.
     """
     if max_weight < 0:
         raise InvalidParameter("max_weight must be >= 0")
@@ -746,21 +753,17 @@ def exhaustive_sweep(code: CssCode, decoder, max_weight: int, *,
         raise EnumerationTooLarge(
             f"{total} error patterns exceed the guard of {_SWEEP_GUARD}")
     spec = as_decoder(decoder)
-    rows = []
-    for weight in range(max_weight + 1):
-        n_errors = 0
-        n_failures = 0
+
+    def errors(weight):
         for idx, support in enumerate(itertools.combinations(range(code.n), weight)):
             error = np.zeros(code.n, dtype=np.uint8)
             error[list(support)] = 1
-            s = code._syndrome(error)
-            outcome = _decode_all(
-                code, [spec], s, DEFAULT_CHANNEL_P,
-                lambda _: _decoder_rng(seed, weight, idx, spec.tag))[spec.key]
-            n_errors += 1
-            n_failures += _score(code, error ^ outcome.correction)[0]
-        rows.append(SweepRow(weight=weight, n_errors=n_errors,
-                             n_failures=n_failures))
+            yield idx, error
+
+    rows = []
+    for weight in range(max_weight + 1):
+        (res,) = _run_trials(code, [spec], DEFAULT_CHANNEL_P, seed, weight, errors(weight))
+        rows.append(SweepRow(weight=weight, n_errors=res.trials, n_failures=res.failures))
     return rows
 
 

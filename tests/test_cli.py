@@ -436,6 +436,23 @@ def test_detector_decode_unreadable_file_exits_2(detector_files, tmp_path, capsy
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("field, text, message", [
+    ("syndrome", "0 99\n", "error: detector index 99 out of range"),
+    ("probs", " ".join(["0.05"] * 8 + ["1.5"]) + "\n", "error: probability 1.5 outside (0, 1)"),
+], ids=["detector-index", "probability"])
+def test_detector_decode_rejects_bad_input(detector_files, tmp_path, capsys,
+                                           field, text, message):
+    paths = dict(zip(("matrix", "probs", "syndrome"), detector_files[:3]))
+    paths[field] = tmp_path / "bad.txt"
+    paths[field].write_text(text)
+    rc = main(["detector-decode", "--matrix", str(paths["matrix"]),
+               "--probs", str(paths["probs"]), "--syndrome", str(paths["syndrome"])])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert message in captured.err.splitlines()
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("hx_text", ["1 9\n9\n", None], ids=["bad-hx", "missing-hx"])
 @pytest.mark.parametrize("command", ["simulate", "find-patterns"])
 def test_saved_code_with_unreadable_hx_exits_2(surface_dir, tmp_path, capsys,

@@ -9,7 +9,10 @@ from conftest import with_zero_x_row
 from reference_bfs import reference_bfs_distance_to_flipped
 
 from lposd.codes import (
+    CssCode,
     bfs_distance_to_flipped,
+    biregular_distance_floor,
+    bivariate_bicycle_code,
     classical_distance,
     find_short_z_cycle,
     hgp_layout,
@@ -292,3 +295,25 @@ def test_save_load_round_trip(tmp_path, surface3):
     assert (loaded.hz.to_dense() == surface3.hz.to_dense()).all()
     assert loaded.name == surface3.name
     assert loaded.parameters().k == 1
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: CssCode(BinaryMatrix([1], 2), BinaryMatrix([1], 3)),
+     "hx has 2 columns but hz has 3"),
+    (lambda: CssCode(BinaryMatrix([1], 2), BinaryMatrix([1], 2)), "checks do not commute"),
+    (lambda: bivariate_bicycle_code(0, 3, [(0, 0)], [(0, 0)]),
+     "cyclic group sizes must be positive"),
+    (lambda: bivariate_bicycle_code(3, 3, [], [(0, 0)]),
+     "each polynomial needs at least one monomial"),
+    (lambda: bivariate_bicycle_code(3, 3, [(0, 0), (3, 0)], [(0, 0)]),
+     "duplicate monomials collapse"),
+    (lambda: bivariate_bicycle_code(6, 6, [(3, 0), (0, 1), (0, 2)],
+                                    [(0, 3), (1, 0), (2, 0)], expected_k=10),
+     r"bb\(6,6\) encodes k=12, expected 10"),
+    (lambda: repetition_parity_check(1), "at least 2 bits"),
+    (lambda: biregular_distance_floor(7), r"s=7 outside supported range 1\.\.6"),
+], ids=["widths", "not-commuting", "empty-group", "no-monomial", "duplicate-monomial",
+        "expected-k", "repetition-1", "distance-floor-7"])
+def test_codes_reject_bad_input(call, fragment):
+    with pytest.raises(InvalidParameter, match=fragment):
+        call()

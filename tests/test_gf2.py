@@ -300,3 +300,19 @@ def test_every_vector_argument_follows_one_rule(surface3, rule_context, entry, m
     message = f"^{name} (must have length {length}|entries must be 0 or 1)$"
     with pytest.raises(ValueError, match=message):
         call(surface3, rule_context, MALFORMED[malformed](length))
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: matrix_from_text(""), "empty matrix text"),
+    (lambda: matrix_from_text("3\n0\n"), "bad header line"),
+    (lambda: matrix_from_text("2 3\n0 1\n"), "expected 2 row lines, found 1"),
+    (lambda: BinaryMatrix([], -1), "n_cols must be nonnegative"),
+    (lambda: BinaryMatrix([0b1000], 3), "row bits exceed n_cols"),
+    (lambda: BinaryMatrix.from_dense([1, 0, 1]), "expected a 2-D array"),
+    (lambda: BinaryMatrix([1], 2).commutes_with(BinaryMatrix([1], 3)),
+     "different column spaces"),
+], ids=["empty-text", "bad-header", "row-count", "negative-width", "bits-beyond-width",
+        "1-d-array", "commutes-across-widths"])
+def test_gf2_rejects_bad_input(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

@@ -1215,3 +1215,34 @@ def test_a_qubit_no_check_touches_is_boxed_at_one():
         solve_lp(build_error_lp(no_checks, [1, 0, 1]), solver="embedded")
     with pytest.raises(LposdError):
         lp_osd_decode(one_check, [1], solver="embedded", weights=weights)
+
+
+def _surface3_lp(kind):
+    """The surface-3 LP of ``kind`` around the error on qubit 4."""
+    code = rotated_surface_code(3)
+    e = np.zeros(code.n, dtype=np.uint8)
+    e[4] = 1
+    if kind == "syndrome":
+        return build_syndrome_lp(code, code.syndrome(e))
+    return {"error": build_error_lp, "dual": build_dual_lp}[kind](code, e)
+
+
+def _empty_subset_of_a_flipped_check():
+    model = _surface3_lp("syndrome")
+    return model.mixture_col(int(np.flatnonzero(model.meta["parities"])[0]), ())
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: solve_lp(_surface3_lp("syndrome"), solver="simplex"),
+     ValueError, "unknown solver 'simplex'"),
+    (_empty_subset_of_a_flipped_check, LposdError, r"subset \(\) is not a parity-1 subset"),
+    (lambda: solve_lp(_surface3_lp("dual")).x(), LposdError,
+     "dual models have no qubit variables"),
+    (lambda: as_dual_solution(solve_lp(_surface3_lp("syndrome"))), LposdError,
+     "not a dual model"),
+    (lambda: reflect_to_error_solution(solve_lp(_surface3_lp("error")), np.zeros(9, np.uint8)),
+     LposdError, "expected a solution of the syndrome LP"),
+], ids=["unknown-solver", "mixture-parity", "dual-x", "primal-as-dual", "reflect-error-lp"])
+def test_lp_rejects_misused_models(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

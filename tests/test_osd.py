@@ -439,3 +439,9 @@ def test_weights_are_checked_before_use(surface3):
         for decode in (lp_osd_decode, lp_round_decode):
             with pytest.raises(ValueError, match=message):
                 decode(code, zeros, weights=weights)
+
+
+def test_order_qubits_rejects_a_soft_vector_of_the_wrong_length(surface3):
+    s = np.zeros(surface3.hx.n_rows, dtype=np.uint8)
+    with pytest.raises(ValueError, match="soft vector must have length 9"):
+        order_qubits(np.zeros(surface3.n - 1), surface3, s, OsdConfig())

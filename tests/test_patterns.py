@@ -11,6 +11,7 @@ from scipy.optimize import linprog
 
 from lposd import (
     BinaryMatrix,
+    CssCode,
     InvalidParameter,
     PreconditionViolated,
     SamplingExhausted,
@@ -751,3 +752,41 @@ def test_row_search_matches_the_frozen_loop(name, toy22, bb72):
     lighter = [(e, f) for e, f in zip(picks, found) if f is not None]
     assert lighter and len(lighter) < len(found)  # both outcomes are exercised
     assert any(e ^ f not in rows for e, f in lighter)  # and so is a row pair
+
+
+
+def _eleven_qubit_ring():
+    """Four weight-4 Z stabilizers on 11 qubits (no X checks): consecutive
+    members share exactly one link (qubits 0-3), but members 0 and 2 also
+    share qubit 4."""
+    supports = [(3, 0, 4, 5), (0, 1, 6, 7), (1, 2, 4, 8), (2, 3, 9, 10)]
+    gens = [np.isin(np.arange(11), sup).astype(np.uint8) for sup in supports]
+    return CssCode(BinaryMatrix([], 11), BinaryMatrix.from_dense(np.array(gens))), gens
+
+
+def _plaquette(toy22):
+    code, h1, h2 = toy22
+    return code.hz.to_dense()[hgp_layout(h1, h2).z_check(0, 1)]
+
+
+_H7 = BinaryMatrix.from_entries(7, 7, [(i, (i + d) % 7) for i in range(7) for d in range(3)])
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda toy: build_overlap_pattern(toy[0], np.zeros(22, np.uint8), _plaquette(toy)),
+     "first stabilizer is empty"),
+    (lambda toy: build_overlap_pattern(toy[0], _plaquette(toy), _plaquette(toy)),
+     "stabilizers have identical supports"),
+    (lambda toy: build_cycle_pattern(*_eleven_qubit_ring()),
+     "non-adjacent ring members 0 and 2 are not disjoint"),
+    (lambda toy: hgp_cycle(_H7, _H7, ((0, 2, 2, 4), (0, 0, 2, 2, 4))),
+     "long form needs two five-vertex walks"),
+    (lambda toy: hgp_cycle(_H7, _H7, ((0, 2, 0, 4, 4), (0, 0, 2, 2, 4))),
+     "first walk repeats a vertex"),
+    (lambda toy: hgp_cycle(_H7, _H7, ((0, 2, 2, 4, 4), (0, 0, 2, 2, 5))),
+     r"edge \(check 2, bit 5\) absent from second code"),
+], ids=["empty-stabilizer", "identical-stabilizers", "non-adjacent-overlap",
+        "long-form-length", "long-form-repeat", "long-form-second-edge"])
+def test_pattern_builders_reject_bad_input(call, fragment, toy22):
+    with pytest.raises(PreconditionViolated, match=fragment):
+        call(toy22)

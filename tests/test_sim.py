@@ -26,9 +26,9 @@ from lposd import (
     sample_error,
     wilson_interval,
 )
-from lposd.codes import named_bb_code, sample_random_hgp
+from lposd.codes import named_bb_code, rotated_surface_code, sample_random_hgp
 from lposd.gf2 import in_rowspace, kernel_basis
-from lposd.sim import _score, read_results, write_results
+from lposd.sim import _score, as_decoder, read_results, write_results
 
 
 def point_fingerprint(res):
@@ -600,6 +600,23 @@ def test_sweep_guard_blocks_huge_enumerations(bb72):
         exhaustive_sweep(bb72, "bp-osd0", max_weight=-1)
 
 
+# (weight, n_errors, n_failures) rows recorded while exhaustive_sweep decoded
+# and scored through its own loop.  The two BP sweeps break OSD ties at random
+# (56 and 256 draws), so their rows pin the decoder streams' keys
+# (seed, weight, index, tag).
+@pytest.mark.parametrize("build, decoder, seed, max_weight, rows", [
+    (lambda: rotated_surface_code(3), "bp-osdcs", 5, 3,
+     [(0, 1, 0), (1, 9, 0), (2, 36, 18), (3, 84, 56)]),
+    (lambda: sample_random_hgp(1, 0), "bp-osd0", 5, 2,
+     [(0, 1, 0), (1, 25, 21), (2, 300, 294)]),
+    (lambda: rotated_surface_code(5), "lp-osdcs", 0, 3,
+     [(0, 1, 0), (1, 25, 0), (2, 300, 0), (3, 2300, 292)]),
+], ids=["surface3-bp-osdcs", "random-hgp-bp-osd0", "surface5-lp-osdcs"])
+def test_exhaustive_sweep_rows_unchanged(build, decoder, seed, max_weight, rows):
+    swept = exhaustive_sweep(build(), decoder, max_weight, seed=seed)
+    assert [(row.weight, row.n_errors, row.n_failures) for row in swept] == rows
+
+
 # ---------------------------------------------------------------------------
 # result files
 # ---------------------------------------------------------------------------
@@ -752,3 +769,8 @@ def test_run_ensemble_records_unchanged(surface3):
                                workers=workers)
         assert (_digest([res.to_record() for res in results])
                 == _ENSEMBLE_DIGESTS["random-hgp"])
+
+
+def test_as_decoder_rejects_anything_but_a_name_or_spec():
+    with pytest.raises(InvalidParameter, match="cannot interpret 3 as a decoder"):
+        as_decoder(3)
