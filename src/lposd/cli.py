@@ -150,7 +150,7 @@ def _add_simulate(sub) -> None:
     p.add_argument("--solver", choices=SOLVERS, default=DEFAULT_SOLVER,
                    help="LP backend: adaptive cuts on HiGHS (cuts, the "
                         "default), HiGHS on the explicit model (scipy) or "
-                        "the dependency-free embedded simplex")
+                        "the embedded simplex")
     p.add_argument("--n-codes", type=int, default=1,
                    help="random-hgp only: ensemble size")
     p.add_argument("--trials-per-code", type=int, default=10,
@@ -281,7 +281,7 @@ def _add_detector_decode(sub) -> None:
     p.add_argument("--solver", choices=SOLVERS, default=DEFAULT_SOLVER,
                    help="LP backend: adaptive cuts on HiGHS (cuts, the "
                         "default), HiGHS on the explicit model (scipy) or "
-                        "the dependency-free embedded simplex; scipy and "
+                        "the embedded simplex; scipy and "
                         f"embedded cap checks at weight {MAX_CHECK_WEIGHT}")
     p.add_argument("--dump-lp", help="also write the LP model to this path")
     p.set_defaults(func=_cmd_detector_decode)

@@ -24,8 +24,8 @@ from .errors import (
     InvalidParameter,
     SamplingExhausted,
 )
-from .gf2 import (BinaryMatrix, as_bit_vector, kernel_basis, rank, read_matrix, vector_to_bits,
-                  write_matrix)
+from .gf2 import (BinaryMatrix, _span_walk, as_bit_vector, kernel_basis, rank, read_matrix,
+                  vector_to_bits, write_matrix)
 
 __all__ = [
     "CssCode",
@@ -440,13 +440,9 @@ def classical_distance(h: BinaryMatrix, cap: int | None = None) -> float:
         raise EnumerationTooLarge(
             f"kernel dimension {dim} exceeds enumeration bound {_MAX_KERNEL_DIM}"
         )
-    packed = [vector_to_bits(v, h.n_cols) for v in basis]
     best = h.n_cols + 1
-    current = 0
-    # Gray-code walk: element t differs from t-1 in basis vector ctz(t)
-    for t in range(1, 1 << dim):
-        current ^= packed[(t & -t).bit_length() - 1]
-        w = current.bit_count()
+    for vector in _span_walk(0, [vector_to_bits(v, h.n_cols) for v in basis]):
+        w = vector.bit_count()
         if w < best:
             best = w
             if best == 1:

@@ -11,7 +11,7 @@ argument in the package, and ``as_weight_vector`` every per-qubit cost vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -278,10 +278,19 @@ def kernel_basis(m: BinaryMatrix) -> list[np.ndarray]:
     return basis
 
 
+def _span_walk(start: int, basis: Sequence[int]) -> Iterator[int]:
+    """``start`` plus each nonzero combination of the packed ``basis`` rows,
+    in Gray-code order: element t differs from element t-1 in basis row ctz(t)."""
+    for t in range(1, 1 << len(basis)):
+        start ^= basis[(t & -t).bit_length() - 1]
+        yield start
+
+
 # -- sparse text serialization ---------------------------------------------
 #
 # Line 1: "<n_rows> <n_cols>".  Line i+1: the 0-based column indices of the
-# ones in row i, space separated; an empty line is an all-zero row.
+# ones in row i, space separated; an empty line is an all-zero row.  Reading
+# rejects a row that lists a column twice.
 
 
 def matrix_to_text(m: BinaryMatrix) -> str:
@@ -305,8 +314,10 @@ def matrix_from_text(text: str) -> BinaryMatrix:
         raise ValueError(f"expected {n_rows} row lines, found {len(lines) - 1}")
     entries = []
     for i in range(n_rows):
-        for tok in lines[i + 1].split():
-            entries.append((i, int(tok)))
+        cols = [int(tok) for tok in lines[i + 1].split()]
+        if len(set(cols)) != len(cols):
+            raise ValueError(f"row {i} lists a column twice: {lines[i + 1]!r}")
+        entries.extend((i, j) for j in cols)
     return BinaryMatrix.from_entries(n_rows, n_cols, entries)
 
 

@@ -25,8 +25,7 @@ every decoder, simulation and CLI command, is adaptive LP decoding on HiGHS
 over the qubit variables alone.  'scipy' runs HiGHS on the explicit model,
 and is ``solve_lp``'s own default, because reflections, certificates, the
 dual and the dump need every column.  'embedded' is a simplex that needs
-nothing beyond numpy and scipy.sparse, kept as a dependency-free
-cross-check.
+only numpy and scipy.sparse, kept as a cross-check.
 
 Each code has one constraint matrix, kept on its template as numpy CSC
 arrays that HiGHS reads directly: the qubit columns plus both parities'
@@ -41,19 +40,19 @@ HiGHS runs from scipy's bundled extension, loaded by file path so that a
 decode never imports ``scipy.optimize``; every HiGHS model is built by one
 function, with output and presolve off.  A code keeps one persistent
 model per HiGHS solver with its other derived values (``CssCode._cached``),
-which are never pickled or copied.  Each solves syndrome and error models
-without mixture costs from the check parities and qubit costs alone,
-which is all the decode path (``_solve_syndrome``) hands over.  The
-'scipy' model holds the template's matrix as it stands.  A
+which are never pickled or copied.  ``_solve_syndrome`` is the one solve
+of a syndrome or error model on every backend, for ``solve_lp`` and the
+decode path alike: it hands the check parities and qubit costs to the
+persistent model, or on 'embedded' builds the model.  Mixture columns take
+no cost.  The 'scipy' model holds the template's matrix as it stands.  A
 solve fixes the wrong-parity columns at zero, sets the qubit costs, clears
 the solver and runs it cold, then gathers the model's columns.  Cold starts
 make the returned vertex a function of the model alone, so results do not
 depend on the order of solves.  Warm-starting from the previous basis was
 also measured slower despite fewer pivots: 5.0-6.3 against 3.3-3.8 ms per
 bb72 solve (149 against 280 pivots), 16-20 against 6.3-6.8 ms on bb144.
-Dual models and models with mixture costs get a one-off HiGHS model of
-their own.  If the extension cannot be loaded, 'scipy' and 'cuts' solves
-raise LposdError.
+Only a dual model gets a one-off HiGHS model of its own.  If the extension
+cannot be loaded, 'scipy' and 'cuts' solves raise LposdError.
 
 'cuts' (Taghavi & Siegel, IEEE Trans. IT 54(12), 2008) has the n qubit
 columns in [0, 1] and no rows, and adds Feldman-Wainwright-Karger
@@ -210,13 +209,6 @@ class _LpTemplate:
         self._mix = np.arange(self.n, self.n_vars)
         # the qubits that no check touches, whose columns meet no row
         self.boxed = np.flatnonzero(self.indptr[1 : self.n + 1] == self.indptr[: self.n])
-
-    def col_upper(self, n_cols: int) -> np.ndarray:
-        """Upper bounds of a model's ``n_cols`` columns: 1 on a boxed qubit
-        and none elsewhere."""
-        upper = np.full(n_cols, np.inf)
-        upper[self.boxed] = 1.0
-        return upper
 
     def columns(self, parities: np.ndarray) -> np.ndarray:
         """Columns of the matrix that a model with these check parities keeps, in model order."""
@@ -512,13 +504,13 @@ class _HighsModel:
     """One HiGHS model per code that serves every syndrome and error model.
 
     It holds the template's matrix as it stands, both parity blocks of every
-    check included.  A solve fixes the wrong-parity blocks at zero, sets the
-    qubit costs (both primal builders leave mixture columns at cost zero),
-    re-runs from scratch and gathers the model's columns.  Only the blocks
-    of checks whose parity differs from the previous solve have their
-    bounds changed, and the costs are sent only when they change.  Every
-    run is cold, so its result depends on the parities and the qubit costs
-    alone.
+    check included, and bounds a qubit that no check touches at 1.  A solve
+    fixes the wrong-parity blocks at zero, sets the qubit costs (mixture
+    columns take none), re-runs from scratch and gathers the model's
+    columns.  Only the blocks of checks whose parity differs from the
+    previous solve have their bounds changed, and the costs are sent only
+    when they change.  Every run is cold, so its result depends on the
+    parities and the qubit costs alone.
     """
 
     def __init__(self, code: CssCode):
@@ -530,8 +522,10 @@ class _HighsModel:
         self._mix_check = np.repeat(np.arange(tpl.m_x), 2 * tpl.widths)
         self._parities = np.full(tpl.m_x, -1, dtype=np.int8)  # none set yet
         self._cost = np.zeros(tpl.n)  # the qubit costs HiGHS holds
-        self._highs = _new_highs(core, np.zeros(n_cols), np.zeros(n_cols),
-                                 tpl.col_upper(n_cols), tpl, tpl.rhs, tpl.rhs)
+        upper = np.full(n_cols, np.inf)
+        upper[tpl.boxed] = 1.0
+        self._highs = _new_highs(core, np.zeros(n_cols), np.zeros(n_cols), upper,
+                                 tpl, tpl.rhs, tpl.rhs)
 
     def solve(self, parities: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, float, int]:
         highs = self._highs
@@ -685,60 +679,57 @@ def _snap(values: np.ndarray) -> np.ndarray:
 
 def _solve_syndrome(code: CssCode, s: np.ndarray, cost: np.ndarray,
                     solver: str) -> tuple[np.ndarray, float, int]:
-    """The decode path's LP: qubit values, objective and simplex iterations
-    of the syndrome LP for a checked uint8 syndrome and a length-n cost
-    vector, snapped as ``solve_lp`` snaps them.  'scipy' and 'cuts' hand
-    both to the code's persistent model; only 'embedded' builds a model."""
+    """The one solve of a syndrome or error model: the column values its
+    backend gives, unsnapped, the objective and the simplex iterations of
+    the LP with check parities ``s`` and qubit costs ``cost`` (length n).
+    'scipy' and 'cuts' hand both to the code's persistent model; only
+    'embedded' builds a model."""
     if solver == "embedded":
-        model = _primal_lp(code, "syndrome", cost, {"syndrome": s, "parities": s})
-        values, objective, iterations = _solve_embedded(model)
-    else:
-        persistent = code._cached(_CutsModel if solver == "cuts" else _HighsModel)
-        values, objective, iterations = persistent.solve(s, cost)
-    return _snap(values[: code.n]), float(objective), iterations
+        return _solve_embedded(_primal_lp(code, "syndrome", cost, {"parities": s}))
+    return code._cached(_CutsModel if solver == "cuts" else _HighsModel).solve(s, cost)
 
 
 def solve_lp(model: LpModel, solver: str = "scipy") -> LpSolution:
     """Solve a model with the chosen backend ('scipy', 'cuts' or 'embedded').
 
-    'scipy', the default here, runs HiGHS: syndrome and error models on the
-    code's persistent model, cold-started on every call so the result does
-    not depend on earlier solves, and dual models or models with mixture
-    costs on a one-off model (see the module docstring).  'cuts', the
-    decoders' default (``DEFAULT_SOLVER``), runs adaptive LP decoding on
-    the code's qubit-only model, also cold on every call; its solution
-    carries the qubit values only, and a dual model or mixture costs raise
-    LposdError.  'embedded' is the dependency-free simplex, kept as a
+    A syndrome or error model is solved by ``_solve_syndrome`` from its
+    check parities and qubit costs, the same solve the decoders make;
+    mixture columns take no cost, and a model that gives them one raises
+    LposdError.  'scipy', the default here, runs HiGHS on the code's
+    persistent model, cold-started on every call so the result does not
+    depend on earlier solves; only a dual model gets a one-off HiGHS model
+    (see the module docstring).  'cuts', the decoders' default
+    (``DEFAULT_SOLVER``), runs adaptive LP decoding on the code's
+    qubit-only model, also cold on every call; its solution carries the
+    qubit values only, and a dual model raises LposdError.  'embedded' is
+    the simplex that needs only numpy and scipy.sparse, kept as a
     cross-check.  All three reach the same optimal objective, except that
     'embedded' raises LposdError on a negative cost of a qubit that no X
     check touches, which the others box at 1; they may return different
     vertices of a degenerate optimal face, so a decoder's correction can
-    depend on the backend.  The decoders hand a syndrome
-    and costs to the same persistent models without building a model
-    (``_solve_syndrome``), so a 'cuts' decode meets no check-weight cap.
+    depend on the backend.
 
     Near-integer components of the solution are snapped to exact integers
     (at 1e-11), which keeps downstream reflections and roundings exact.
     Raises Infeasible or IterationLimit; other backend failures, and
     'scipy' or 'cuts' without scipy's HiGHS extension, raise LposdError.
     """
-    if solver == "embedded":
-        values, objective, iterations = _solve_embedded(model)
-    elif solver not in SOLVERS:
+    if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    elif model.kind != "dual" and not model.c[model.code.n:].any():
-        persistent = model.code._cached(_CutsModel if solver == "cuts" else _HighsModel)
-        values, objective, iterations = persistent.solve(model.meta["parities"],
-                                                         model.c[: model.code.n])
+    if model.kind != "dual":
+        if model.c[model.code.n:].any():
+            raise LposdError("syndrome and error models take no mixture costs")
+        values, objective, iterations = _solve_syndrome(
+            model.code, model.meta["parities"], model.c[: model.code.n], solver)
     elif solver == "cuts":
-        raise LposdError("'cuts' solves syndrome and error models without mixture costs")
-    else:  # dual models and mixture costs: a one-off HiGHS model of this LP alone
+        raise LposdError("'cuts' solves syndrome and error models only, not the dual")
+    elif solver == "embedded":
+        values, objective, iterations = _solve_embedded(model)
+    else:  # the dual: a one-off HiGHS model of this LP alone
         core = _highs_core()
         sign = 1.0 if model.sense == "min" else -1.0
-        upper = (np.full(model.n_vars, np.inf) if model.kind == "dual"
-                 else model.code._cached(_LpTemplate).col_upper(model.n_vars))
         highs = _new_highs(core, sign * model.c, np.where(model.free_vars, -np.inf, 0.0),
-                           upper, model.a,
+                           np.full(model.n_vars, np.inf), model.a,
                            np.where(model.row_sense < 0, -np.inf, model.b), model.b)
         values, objective, iterations = _run_highs(core, highs)
         objective *= sign

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .gf2 import (
     BinaryMatrix,
+    _span_walk,
     as_bit_vector,
     bits_to_vector,
     in_rowspace,
@@ -424,10 +425,7 @@ def _coset_walk(code: CssCode, e_bits: int) -> ReducedCheck:
     if r > _EXHAUSTIVE_RANK_LIMIT:
         return ReducedCheck(status="unchecked")
     weight = e_bits.bit_count()
-    basis = reduction.reduced.rows[:r]
-    cur = e_bits
-    for t in range(1, 1 << r):
-        cur ^= basis[(t & -t).bit_length() - 1]
+    for cur in _span_walk(e_bits, reduction.reduced.rows[:r]):
         if cur.bit_count() < weight:
             return ReducedCheck(status="no", witness=bits_to_vector(cur, code.n))
     return ReducedCheck(status="yes")

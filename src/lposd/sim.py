@@ -39,7 +39,7 @@ from .bp import DEFAULT_CHANNEL_P, BpConfig, min_sum_bp
 from .codes import CssCode, sample_random_hgp
 from .errors import EnumerationTooLarge, InvalidParameter, LposdError
 from .gf2 import BinaryMatrix, as_bit_vector, as_weight_vector, kernel_basis, vector_to_bits
-from .lp import DEFAULT_SOLVER, SOLVERS, _solve_syndrome, is_integral, round_independent
+from .lp import DEFAULT_SOLVER, SOLVERS, _snap, _solve_syndrome, is_integral, round_independent
 from .osd import DEFAULT_LAM, OsdConfig, osd_postprocess
 
 __all__ = [
@@ -98,7 +98,7 @@ class DecoderSpec:
     setting on an LP pipeline, or a solver other than ``DEFAULT_SOLVER`` on
     a BP pipeline.  A BP pipeline records its solver as None.  ``solver``
     defaults to adaptive LP decoding ('cuts'); 'scipy' pins the explicit
-    HiGHS model and its vertices, and 'embedded' the dependency-free simplex.
+    HiGHS model and its vertices, and 'embedded' the embedded simplex.
     """
 
     name: str
@@ -426,28 +426,34 @@ def _memos(code: CssCode) -> dict[str, dict]:
 
 def _lp_front(code: CssCode, s: np.ndarray, solver: str, weights: np.ndarray | None) -> tuple:
     """The LP front end of ``_decode_all``: (correction, soft output, settled
-    stage or None, diagnostics).  A cold solve depends only on the syndrome
-    and the costs, so the code's memo for ``solver`` keeps every unweighted
-    outcome that is not a fault, up to ``_MEMO_ENTRIES`` most recently used.
+    stage or None, diagnostics).  Unless a cost is negative, a zero syndrome
+    settles at the zero correction (objective 0.0, 0 pivots) before the memo
+    and without a solve.  A cold solve depends only on the syndrome and the
+    costs, so the code's memo for ``solver`` keeps every unweighted outcome
+    that is not a fault, up to ``_MEMO_ENTRIES`` most recently used.
     The key is the packed syndrome and the value one ``bytes``: a header of
     objective, pivots and support size (``_MEMO_HEAD``), the support as int32
     (the correction's when the optimum is integral, the soft vector's when it
     is fractional) and, for a fractional optimum only, its values there.  A
     solve and a hit both answer from that value: the correction of an
     integral optimum is rebuilt from its support, and a fractional soft
-    vector bit for bit (the solver snaps its zeros to +0.0) and rounded.
+    vector bit for bit (``_snap`` sets its zeros to +0.0) and rounded.
     """
+    if not s.any() and (weights is None or (weights >= 0).all()):
+        return (np.zeros(code.n, dtype=np.uint8), None, "integral-lp",
+                {"objective": 0.0, "lp_iterations": 0, "solver": solver, "fractional": False})
     # a weighted decode gets a throwaway memo: it neither reads nor fills the code's
     memo = {} if weights is not None else code._cached(_memos)[solver]
     key = np.packbits(s).tobytes()
     entry = memo.pop(key, None)
     if entry is None:
         try:
-            x, objective, iterations = _solve_syndrome(
+            values, objective, iterations = _solve_syndrome(
                 code, s, np.ones(code.n) if weights is None else weights, solver)
         except LposdError as exc:
             return (np.zeros(code.n, dtype=np.uint8), None, "solver-fault",
                     {"fractional": False, "lp_iterations": 0, "error": exc})
+        x = _snap(values[: code.n])
         integral = is_integral(x)
         support = np.flatnonzero(round_independent(x) if integral else x).astype(np.int32)
         entry = _MEMO_HEAD.pack(objective, iterations, support.size) + support.tobytes()
@@ -483,23 +489,14 @@ def _decode_all(code: CssCode, specs: Sequence[DecoderSpec], s: np.ndarray,
     ``weights`` are per-qubit costs for the LP objective and the
     combination sweep.  ``s`` is a uint8 0/1 syndrome and ``weights`` a
     float vector of length n or None, which the callers have built or
-    checked; nothing here checks them again.  The LP front end answers a
-    repeated unweighted syndrome from the code's memo (``_lp_front``).  A
-    front end's wall time is charged to every pipeline that consumed it, so
-    per-decoder times match what a standalone run would measure.
+    checked; nothing here checks them again.  The LP front end settles a
+    zero syndrome under nonnegative costs without a solve and answers a
+    repeated unweighted syndrome from the code's memo (``_lp_front``); BP
+    converges at its first iteration on a zero syndrome.  A front end's wall
+    time is charged to every pipeline that consumed it, so per-decoder
+    times match what a standalone run would measure.
     """
     out: dict[str, DecodeResult] = {}
-    if not s.any():
-        zeros = np.zeros(code.n, dtype=np.uint8)
-        for spec in specs:
-            if spec.uses_lp:
-                out[spec.key] = DecodeResult(zeros, "integral-lp", {
-                    "objective": 0.0, "fractional": False, "lp_iterations": 0})
-            else:
-                out[spec.key] = DecodeResult(zeros, "bp-converged", {
-                    "bp_converged": True, "bp_iterations": 0})
-        return out
-
     # front-end key -> ((correction, soft, settled stage, diagnostics), seconds)
     fronts: dict[object, tuple[tuple, float]] = {}
     for spec in specs:
@@ -537,7 +534,6 @@ def _decode_one(code: CssCode, spec: DecoderSpec, s,
                 rng: np.random.Generator | None = None, weights=None,
                 p: float = DEFAULT_CHANNEL_P) -> DecodeResult:
     """One pipeline on one syndrome; a solver error is raised, not counted."""
-    # both arguments are checked before the zero-syndrome short-cut
     s_arr = as_bit_vector(s, code.hx.n_rows, "syndrome")
     w_arr = None if weights is None else as_weight_vector(weights, code.n)
     result = _decode_all(code, [spec], s_arr, p, lambda _: rng, w_arr)[spec.key]
@@ -560,9 +556,10 @@ def lp_osd_decode(code: CssCode, s, cfg: OsdConfig | None = None, *,
     directly, and hand fractional ones to OSD.
 
     An integral LP optimum is a certified minimum-weight correction (with
-    unit objective weights).  The all-zero syndrome short-circuits without
-    touching the solver.  ``weights`` are per-qubit costs used by the LP
-    objective and by the combination sweep's ranking.
+    unit objective weights).  Unless a weight is negative, the all-zero
+    syndrome settles at the zero correction without touching the solver.
+    ``weights`` are per-qubit costs used by the LP objective and by the
+    combination sweep's ranking.
     """
     cfg = cfg or OsdConfig()
     spec = DecoderSpec("lp-osd0" if cfg.order == "osd0" else "lp-osdcs",

@@ -333,6 +333,20 @@ def test_detector_decode_round_mode(detector_files, capsys):
     assert "stage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("syndrome, support", [("1", "1 2"), ("0", "2")])
+def test_detector_decode_flips_a_likely_column_under_any_syndrome(tmp_path, capsys,
+                                                                   syndrome, support):
+    # column 2 has probability 0.7, so its weight is negative: flipping it
+    # lowers the cost, and no detector watches it
+    paths = [tmp_path / name for name in ("matrix.txt", "probs.txt", "syndrome.txt")]
+    for path, text in zip(paths, ("1 3\n1\n", "0.1 0.1 0.7\n", syndrome + "\n")):
+        path.write_text(text)
+    rc = main(["detector-decode", "--matrix", str(paths[0]), "--probs", str(paths[1]),
+               "--syndrome", str(paths[2])])
+    assert rc == 0
+    assert capsys.readouterr().out == support + "\n"
+
+
 def test_detector_decode_rejects_bad_probs(detector_files, tmp_path, capsys):
     matrix_path, _, bits_path, _ = detector_files
     short = tmp_path / "short.txt"
@@ -439,7 +453,9 @@ def test_detector_decode_unreadable_file_exits_2(detector_files, tmp_path, capsy
 @pytest.mark.parametrize("field, text, message", [
     ("syndrome", "0 99\n", "error: detector index 99 out of range"),
     ("probs", " ".join(["0.05"] * 8 + ["1.5"]) + "\n", "error: probability 1.5 outside (0, 1)"),
-], ids=["detector-index", "probability"])
+    ("matrix", "4 9\n0 3\n1 1\n2 5\n6 7\n",
+     "error: {path}: row 1 lists a column twice: '1 1'"),
+], ids=["detector-index", "probability", "matrix-repeated-column"])
 def test_detector_decode_rejects_bad_input(detector_files, tmp_path, capsys,
                                            field, text, message):
     paths = dict(zip(("matrix", "probs", "syndrome"), detector_files[:3]))
@@ -449,7 +465,7 @@ def test_detector_decode_rejects_bad_input(detector_files, tmp_path, capsys,
                "--probs", str(paths["probs"]), "--syndrome", str(paths["syndrome"])])
     assert rc == 2
     captured = capsys.readouterr()
-    assert message in captured.err.splitlines()
+    assert message.format(path=paths[field]) in captured.err.splitlines()
     assert captured.out == ""
 
 

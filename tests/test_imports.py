@@ -75,3 +75,57 @@ def test_private_module_level_names_are_referenced():
         if not any(name in names for node, names in reads if node is not definition)
     )
     assert not dead, f"private names defined but never read: {dead}"
+
+
+
+README = SRC.parent.parent / "README.md"
+
+
+def readme_names() -> list[str]:
+    """Each private name (``_solve_syndrome``) and each dotted name whose head
+    is ``lposd``, one of its modules or a name it exports (``sim._decode_all``,
+    ``CssCode._cached``) that the README puts in backticks."""
+    import re
+
+    import lposd
+
+    heads = {"lposd", *(name[:-3] for name in MODULES), *dir(lposd)}
+    names = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)*)`", README.read_text(encoding="utf-8"))
+    return sorted({name for name in names
+                   if name.startswith("_") or ("." in name and name.split(".")[0] in heads)})
+
+
+def resolves(name: str) -> bool:
+    """Whether a dotted name resolves from ``lposd``, importing submodules on the way."""
+    import importlib
+    import inspect
+
+    obj = importlib.import_module("lposd")
+    for part in name.removeprefix("lposd.").split("."):
+        if inspect.ismodule(obj) and not hasattr(obj, part):
+            try:
+                importlib.import_module(f"{obj.__name__}.{part}")
+            except ImportError:
+                return False
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_names_exist():
+    """Every private or dotted package name the README cites still exists, so
+    a rename cannot leave the README stale; a bare private name may live in
+    any module or class of the package."""
+    import importlib
+    import inspect
+
+    modules = [importlib.import_module(f"lposd.{name[:-3]}") for name in MODULES]
+    owners = modules + [cls for mod in modules
+                        for _, cls in inspect.getmembers(mod, inspect.isclass)
+                        if cls.__module__ == mod.__name__]
+    names = readme_names()
+    assert len(names) >= 20 and {"sim._decode_all", "_solve_syndrome"} <= set(names)
+    missing = [name for name in names
+               if not (resolves(name) if "." in name else any(hasattr(o, name) for o in owners))]
+    assert not missing, f"README names that the package no longer has: {missing}"

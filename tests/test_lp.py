@@ -521,11 +521,6 @@ def test_persistent_model_matches_linprog(persistent_codes):
         models.append(build_syndrome_lp(
             code, models[0].meta["syndrome"], weights=rng.uniform(0.5, 2.0, code.n)))
         models.append(build_error_lp(code, (rng.random(code.n) < 0.1).astype(np.uint8)))
-        # mixture costs take the one-off HiGHS model instead of the persistent one
-        mixed = build_syndrome_lp(code, models[1].meta["syndrome"])
-        picked = rng.choice(np.arange(code.n, mixed.n_vars), size=code.n, replace=False)
-        mixed.c[picked] = rng.uniform(0.1, 1.0, picked.size)
-        models.append(mixed)
         for model in models:
             sol = solve_lp(model, solver="scipy")
             assert sol.values.shape == (model.n_vars,)
@@ -873,15 +868,26 @@ def test_cuts_solutions_carry_qubit_values_only(surface5):
         reflect_to_syndrome_solution(anchored)
 
 
-def test_cuts_rejects_dual_and_mixture_cost_models(surface5):
+@pytest.mark.parametrize("solver", ["scipy", "cuts", "embedded"])
+def test_solve_lp_solves_primal_models_through_the_decode_path(surface5, solver):
+    import lposd.lp as lp_mod
+
     e = np.zeros(surface5.n, dtype=np.uint8)
     e[[4, 17]] = 1
-    with pytest.raises(LposdError, match="mixture costs"):
-        solve_lp(build_dual_lp(surface5, e), solver="cuts")
-    mixed = build_syndrome_lp(surface5, surface5.syndrome(e))
-    mixed.c[surface5.n + 2] = 0.5
-    with pytest.raises(LposdError, match="mixture costs"):
-        solve_lp(mixed, solver="cuts")
+    weights = np.random.default_rng(53).uniform(0.5, 2.0, surface5.n)
+    for model in (build_syndrome_lp(surface5, surface5.syndrome(e), weights),
+                  build_error_lp(surface5, e)):
+        sol = solve_lp(model, solver=solver)
+        values, objective, iterations = lp_mod._solve_syndrome(
+            surface5, model.meta["parities"], model.c[: surface5.n], solver)
+        assert np.array_equal(sol.values, lp_mod._snap(values))
+        assert (sol.objective, sol.iterations) == (objective, iterations)
+        model.c[surface5.n + 2] = 0.5  # mixture columns take no cost
+        with pytest.raises(LposdError, match="mixture costs"):
+            solve_lp(model, solver=solver)
+    if solver == "cuts":
+        with pytest.raises(LposdError, match="not the dual"):
+            solve_lp(build_dual_lp(surface5, e), solver=solver)
 
 
 def test_cuts_round_cap_raises_iteration_limit(monkeypatch):
@@ -1206,10 +1212,6 @@ def test_a_qubit_no_check_touches_is_boxed_at_one():
         res = lp_osd_decode(one_check, [1], solver=solver, weights=weights)
         assert res.diagnostics["objective"] == pytest.approx(0.5)
         assert np.array_equal(one_check.syndrome(res.correction), [1])
-    # mixture costs send the model to a one-off HiGHS model, which boxes it too
-    model = build_syndrome_lp(one_check, [1], weights=weights)
-    model.c[one_check.n:] = 0.25
-    assert solve_lp(model).objective == pytest.approx(0.75)
     # the embedded simplex has no column bounds: it reports the ray, never an optimum
     with pytest.raises(LposdError):
         solve_lp(build_error_lp(no_checks, [1, 0, 1]), solver="embedded")

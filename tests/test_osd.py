@@ -344,6 +344,23 @@ def test_zero_syndrome_short_circuits(surface3):
         assert res.diagnostics["lp_iterations"] == 0
 
 
+@pytest.mark.parametrize("solver", ["scipy", "cuts", "embedded"])
+def test_zero_syndrome_under_a_negative_weight_is_solved(solver):
+    # on the path code, flipping every qubit costs -1.5 and explains the
+    # zero syndrome, so the zero correction is not optimal
+    code = CssCode(BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1]]), BinaryMatrix([], 3))
+    s = np.zeros(2, dtype=np.uint8)
+    for decode in (lp_osd_decode, lp_round_decode):
+        res = decode(code, s, solver=solver, weights=[-1.0, 0.5, -1.0])
+        assert res.stage == "integral-lp"
+        assert res.correction.tolist() == [1, 1, 1]
+        assert res.diagnostics["objective"] == -1.5
+        # under nonnegative weights the zero syndrome still settles without a solve
+        res = decode(code, s, solver=solver, weights=[1.0, 0.0, 2.0])
+        assert not res.correction.any()
+        assert (res.diagnostics["objective"], res.diagnostics["lp_iterations"]) == (0.0, 0)
+
+
 def test_integral_lp_decodes_directly(surface3):
     code = surface3
     e = np.zeros(code.n, dtype=np.uint8)
