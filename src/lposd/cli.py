@@ -2,9 +2,9 @@
 
 Subcommands: ``make-code`` builds and saves a code, ``simulate`` sweeps
 physical error rates and writes one JSON record per (p, decoder) point,
-``find-patterns`` harvests undecodable error patterns from a saved code,
+``find-patterns`` harvests undecodable error patterns from a code,
 and ``detector-decode`` runs one weighted decode over an arbitrary
-detector matrix.
+detector matrix.  Every ``--code`` is read by ``resolve_code``.
 """
 
 from __future__ import annotations
@@ -38,34 +38,23 @@ from .sim import (DecoderSpec, SimConfig, lp_osd_decode, lp_round_decode, run_en
 __all__ = ["main", "build_parser", "resolve_code", "resolve_decoders"]
 
 
+_CODE_HELP = ("a saved-code directory or an inline spec: surface:D, bb:KEY, "
+              "random-hgp:S (drawn with --seed) or hgp:H1,H2 (the product of "
+              "two sparse-text matrix files)")
+
+
 def _add_make_code(sub) -> None:
-    p = sub.add_parser("make-code", help="construct a code and save it to a directory")
-    p.add_argument("--family", required=True,
-                   choices=("surface", "hgp", "bb", "random-hgp"))
+    # no abbreviations: the old scale flag ``--s`` would read as ``--seed``
+    p = sub.add_parser("make-code", help="construct a code and save it to a directory",
+                       allow_abbrev=False)
+    p.add_argument("--code", required=True, help=_CODE_HELP)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--distance", type=int, default=3,
-                   help="surface code distance (odd)")
-    p.add_argument("--h1", help="first classical parity-check matrix file (hgp)")
-    p.add_argument("--h2", help="second classical parity-check matrix file (hgp)")
-    p.add_argument("--bb-name", default="bb72", help="registered bicycle code key")
-    p.add_argument("--s", type=int, default=2, help="random product family scale")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_make_code)
 
 
 def _cmd_make_code(args) -> int:
-    if args.family == "surface":
-        code = rotated_surface_code(args.distance)
-    elif args.family == "bb":
-        code = named_bb_code(args.bb_name)
-    elif args.family == "random-hgp":
-        code = sample_random_hgp(args.s, args.seed)
-    else:
-        if not args.h1 or not args.h2:
-            raise InvalidParameter("hgp family needs --h1 and --h2 matrix files")
-        h1 = _read(read_matrix, args.h1)
-        h2 = _read(read_matrix, args.h2)
-        code = hypergraph_product(h1, h2, name="hgp")
+    code = resolve_code(args.code, args.seed)
     save_code(code, args.out)
     params = code.parameters()
     print(f"{code.name or 'code'}: n={params.n} k={params.k} -> {args.out}")
@@ -76,7 +65,8 @@ def resolve_code(spec: str, seed: int = 0) -> CssCode:
     """A saved-code directory path, or an inline family spec.
 
     Inline forms: ``surface:D``, ``bb:KEY``, ``random-hgp:S`` (seeded by
-    ``seed``).
+    ``seed``) and ``hgp:H1,H2``, the product of two sparse-text matrix
+    files, named ``hgp``.
     """
     if os.path.isdir(spec):
         return _read(load_code, spec)
@@ -85,6 +75,12 @@ def resolve_code(spec: str, seed: int = 0) -> CssCode:
         return rotated_surface_code(arg)
     if family == "bb":
         return named_bb_code(arg)
+    if family == "hgp":
+        paths = arg.split(",")
+        if len(paths) != 2 or not all(paths):
+            raise InvalidParameter(f"{spec!r}: hgp takes two matrix files, H1,H2")
+        h1, h2 = (_read(read_matrix, path) for path in paths)
+        return hypergraph_product(h1, h2, name="hgp")
     return sample_random_hgp(arg, seed)
 
 
@@ -92,10 +88,10 @@ def _parse_inline(spec: str) -> tuple[str, int | str]:
     """Split an inline code spec into its family and argument, an int for
     ``surface`` and ``random-hgp``; InvalidParameter when it is not one."""
     family, _, arg = spec.partition(":")
-    if family not in ("surface", "bb", "random-hgp") or not arg:
+    if family not in ("surface", "bb", "random-hgp", "hgp") or not arg:
         raise InvalidParameter(
             f"{spec!r} is neither a code directory nor an inline family spec")
-    if family == "bb":
+    if family in ("bb", "hgp"):
         return family, arg
     try:
         return family, int(arg)
@@ -131,8 +127,7 @@ def resolve_decoders(tokens, osd: str | None, lam: int, tie_break: str | None,
 
 def _add_simulate(sub) -> None:
     p = sub.add_parser("simulate", help="Monte Carlo sweep over physical error rates")
-    p.add_argument("--code", required=True,
-                   help="saved-code directory or inline spec (surface:D, bb:KEY, random-hgp:S)")
+    p.add_argument("--code", required=True, help=_CODE_HELP)
     p.add_argument("--decoder", required=True,
                    help="comma-separated pipelines; lp/bp shorthands honor --osd")
     p.add_argument("--p", required=True, help="comma-separated physical error rates")
@@ -216,7 +211,7 @@ def _cmd_simulate(args) -> int:
 def _add_find_patterns(sub) -> None:
     p = sub.add_parser("find-patterns",
                        help="harvest provably undecodable error patterns")
-    p.add_argument("--code", required=True, help="saved-code directory")
+    p.add_argument("--code", required=True, help=_CODE_HELP)
     p.add_argument("--max-cycle", type=int, default=12)
     p.add_argument("--limit", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -225,7 +220,7 @@ def _add_find_patterns(sub) -> None:
 
 
 def _cmd_find_patterns(args) -> int:
-    code = _read(load_code, args.code)
+    code = resolve_code(args.code, args.seed)
     patterns = search_patterns(code, max_cycle_len=args.max_cycle,
                                limit=args.limit, rng_seed=args.seed)
     write_patterns(patterns, args.out, code_ref=args.code)

@@ -674,6 +674,4 @@ def load_code(directory) -> CssCode:
             meta = json.load(fh)
         name = meta.get("name", "")
         metadata = meta.get("metadata", {}) or {}
-        if meta.get("distance") is not None:
-            metadata.setdefault("distance", meta["distance"])
     return CssCode(hx, hz, name=name, metadata=metadata)

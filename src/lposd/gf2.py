@@ -5,7 +5,8 @@ entry ``(r, c)``), so row operations are single XORs regardless of width.
 All public functions accept and return numpy ``uint8`` vectors at the
 boundary; the packed representation is internal.
 ``as_bit_vector`` checks every syndrome, error, correction and reference
-argument in the package, and ``as_weight_vector`` every per-qubit cost vector.
+argument in the package, and ``as_weight_vector`` every per-qubit cost vector
+and OSD's soft vector.
 """
 
 from __future__ import annotations
@@ -45,13 +46,14 @@ def as_bit_vector(v, length: int, name: str) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
-def as_weight_vector(weights, length: int) -> np.ndarray:
-    """Per-qubit costs as a float vector of ``length`` finite entries, or ValueError."""
-    arr = np.asarray(weights, dtype=float)
+def as_weight_vector(v, length: int, name: str = "weights") -> np.ndarray:
+    """``v`` as a float vector; ValueError naming ``name`` unless it has
+    ``length`` entries, all finite."""
+    arr = np.asarray(v, dtype=float)
     if arr.shape != (length,):
-        raise ValueError(f"weights must have length {length}")
+        raise ValueError(f"{name} must have length {length}")
     if not np.isfinite(arr).all():
-        raise ValueError("weights must be finite")
+        raise ValueError(f"{name} must be finite")
     return arr
 
 

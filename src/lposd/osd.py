@@ -92,10 +92,8 @@ def order_qubits(soft, code: CssCode, s, cfg: OsdConfig,
     defaults to ``np.random.default_rng(0)``; the final tie-break is
     ascending qubit index, so the ordering is deterministic.
     """
-    soft_arr = np.asarray(soft, dtype=float)
     n = code.n
-    if soft_arr.shape != (n,):
-        raise ValueError(f"soft vector must have length {n}")
+    soft_arr = as_weight_vector(soft, n, "soft vector")
     s = as_bit_vector(s, code.hx.n_rows, "syndrome")
     quantized = np.round(soft_arr / _SOFT_QUANTUM)
     if cfg.tie_break == "distance":

@@ -15,8 +15,7 @@ from conftest import make_ring108
 @pytest.fixture()
 def surface_dir(tmp_path):
     out = tmp_path / "surface"
-    assert main(["make-code", "--family", "surface", "--distance", "3",
-                 "--out", str(out)]) == 0
+    assert main(["make-code", "--code", "surface:3", "--out", str(out)]) == 0
     return out
 
 
@@ -25,52 +24,87 @@ def surface_dir(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_make_code_surface(surface_dir, capsys):
-    code = load_code(surface_dir)
-    assert code.n == 9
+@pytest.fixture()
+def h_path(tmp_path):
+    path = tmp_path / "h.txt"
+    write_matrix(repetition_parity_check(3), path)
+    return path
+
+
+def _assert_make_code_writes(tmp_path, capsys, spec, seed=0):
+    """``make-code --code spec --seed seed`` writes a directory that loads to
+    ``resolve_code(spec, seed)``'s matrices, name and metadata; returns it."""
+    out = tmp_path / "out"
+    assert main(["make-code", "--code", spec, "--seed", str(seed), "--out", str(out)]) == 0
+    expected = resolve_code(spec, seed)
+    loaded = load_code(out)
+    assert np.array_equal(loaded.hx.to_dense(), expected.hx.to_dense())
+    assert np.array_equal(loaded.hz.to_dense(), expected.hz.to_dense())
+    assert (loaded.name, loaded.metadata) == (expected.name, expected.metadata)
+    assert f"{expected.name}: n={expected.n} " in capsys.readouterr().out
+    return loaded
+
+
+def test_make_code_surface(tmp_path, capsys):
+    code = _assert_make_code_writes(tmp_path, capsys, "surface:5")
+    assert code.n == 25
     assert code.parameters().k == 1
 
 
-def test_make_code_hgp_from_matrix_files(tmp_path, capsys):
-    h_path = tmp_path / "h.txt"
-    write_matrix(repetition_parity_check(3), h_path)
-    out = tmp_path / "hgpcode"
-    assert main(["make-code", "--family", "hgp", "--h1", str(h_path),
-                 "--h2", str(h_path), "--out", str(out)]) == 0
-    code = load_code(out)
+def test_make_code_hgp_from_matrix_files(tmp_path, h_path, capsys):
+    code = _assert_make_code_writes(tmp_path, capsys, f"hgp:{h_path},{h_path}")
     assert code.n == 3 * 3 + 2 * 2
-    assert "n=13" in capsys.readouterr().out
+    assert code.name == "hgp"
 
 
-def test_make_code_bb(tmp_path):
-    out = tmp_path / "bb"
-    assert main(["make-code", "--family", "bb", "--bb-name", "bb72",
-                 "--out", str(out)]) == 0
-    assert load_code(out).n == 72
+def test_make_code_bb(tmp_path, capsys):
+    assert _assert_make_code_writes(tmp_path, capsys, "bb:bb72").n == 72
 
 
-def test_make_code_random_hgp(tmp_path):
-    out = tmp_path / "rand"
-    assert main(["make-code", "--family", "random-hgp", "--s", "2",
-                 "--seed", "5", "--out", str(out)]) == 0
-    load_code(out)
+def test_make_code_random_hgp(tmp_path, capsys):
+    code = _assert_make_code_writes(tmp_path, capsys, "random-hgp:2", seed=5)
+    assert code.metadata["seed"] == 5
 
 
-def test_make_code_hgp_requires_matrices(tmp_path, capsys):
-    assert main(["make-code", "--family", "hgp",
-                 "--out", str(tmp_path / "x")]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_make_code_copies_a_saved_directory(surface_dir, tmp_path, capsys):
+    assert _assert_make_code_writes(tmp_path, capsys, str(surface_dir)).n == 9
 
 
-def test_make_code_hgp_missing_matrix_file_exits_2(tmp_path, capsys):
-    h_path = tmp_path / "h.txt"
-    write_matrix(repetition_parity_check(3), h_path)
-    missing = tmp_path / "absent.txt"
-    rc = main(["make-code", "--family", "hgp", "--h1", str(missing),
-               "--h2", str(h_path), "--out", str(tmp_path / "x")])
-    assert rc == 2
+def _assert_make_code_exits_2_naming(tmp_path, capsys, spec, path):
+    out = tmp_path / "x"
+    assert main(["make-code", "--code", spec, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(missing) in err
+    assert err.startswith("error:") and str(path) in err
+    assert not out.exists()
+
+
+def test_make_code_hgp_requires_matrices(tmp_path, h_path, capsys):
+    _assert_make_code_exits_2_naming(tmp_path, capsys, f"hgp:{h_path}", h_path)
+
+
+def test_make_code_hgp_missing_matrix_file_exits_2(tmp_path, h_path, capsys):
+    missing = tmp_path / "absent.txt"
+    _assert_make_code_exits_2_naming(tmp_path, capsys, f"hgp:{missing},{h_path}", missing)
+
+
+def test_make_code_hgp_empty_second_path_exits_2(tmp_path, h_path, capsys):
+    _assert_make_code_exits_2_naming(tmp_path, capsys, f"hgp:{h_path},", h_path)
+
+
+def test_make_code_hgp_malformed_matrix_file_exits_2(tmp_path, h_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 5\n5\n")
+    _assert_make_code_exits_2_naming(tmp_path, capsys, f"hgp:{h_path},{bad}", bad)
+
+
+@pytest.mark.parametrize("flag", ["--family", "--distance", "--bb-name", "--s",
+                                  "--h1", "--h2"])
+def test_make_code_family_flags_are_gone(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["make-code", "--code", "surface:3", "--out", str(tmp_path / "x"),
+              flag, "3"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +294,36 @@ def test_find_patterns_roundtrip(tmp_path, capsys):
     loaded = read_patterns(out, load_code(code_dir))
     assert 1 <= len(loaded) <= 2
     assert all(p.weight >= 3 for p in loaded)
+
+
+def test_find_patterns_reads_an_inline_spec_as_a_saved_directory(tmp_path, capsys):
+    code_dir = tmp_path / "bb72"
+    assert main(["make-code", "--code", "bb:bb72", "--out", str(code_dir)]) == 0
+    runs = []
+    for spec in ("bb:bb72", str(code_dir)):
+        out = tmp_path / "patterns.jsonl"
+        assert main(["find-patterns", "--code", spec, "--limit", "3", "--seed", "1",
+                     "--out", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert {record.pop("code") for record in records} == {spec}
+        runs.append(records)
+    assert runs[0] and runs[0] == runs[1]
+
+
+def test_find_patterns_seed_draws_the_random_hgp_code(monkeypatch, tmp_path, capsys):
+    import lposd.cli as cli_mod
+
+    calls = []
+
+    def recording_resolve(spec, seed=0):
+        calls.append((spec, seed))
+        return resolve_code(spec, seed)
+
+    monkeypatch.setattr(cli_mod, "resolve_code", recording_resolve)
+    rc = main(["find-patterns", "--code", "random-hgp:2", "--seed", "5", "--limit", "1",
+               "--out", str(tmp_path / "patterns.jsonl")])
+    assert rc == 0
+    assert calls == [("random-hgp:2", 5)]
 
 
 @pytest.mark.parametrize("limit", ["0", "-3"])
@@ -559,3 +623,35 @@ def test_every_entry_point_defaults_to_the_same_solver():
     assert sim.solver == det.solver == DEFAULT_SOLVER
     assert resolve_decoders(["lp"], None, 60, None, sim.solver, None)[0].solver \
         == DEFAULT_SOLVER
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+
+def readme_command_flags(readme: str) -> list[tuple[str, str]]:
+    """(subcommand, flag) of each ``--flag`` on an ``lposd <subcommand>``
+    line of the README's command-line block, continuation lines included."""
+    import re
+
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = re.findall(r"^lposd ((?:.*\\\n)*.*)$", block, flags=re.MULTILINE)
+    return [(command.split()[0], flag) for command in commands
+            for flag in re.findall(r"(?<!\S)--[\w-]+", command)]
+
+
+def test_readme_command_lines_name_only_flags_the_parser_has():
+    import argparse
+    from pathlib import Path
+
+    from lposd.cli import build_parser
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    used = readme_command_flags(readme)
+    assert {command for command, _ in used} == set(subparsers.choices)
+    unknown = [(command, flag) for command, flag in used
+               if flag not in subparsers.choices[command]._option_string_actions]
+    assert not unknown, f"README flags that the parser lacks: {unknown}"

@@ -462,3 +462,12 @@ def test_order_qubits_rejects_a_soft_vector_of_the_wrong_length(surface3):
     s = np.zeros(surface3.hx.n_rows, dtype=np.uint8)
     with pytest.raises(ValueError, match="soft vector must have length 9"):
         order_qubits(np.zeros(surface3.n - 1), surface3, s, OsdConfig())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_order_qubits_rejects_a_non_finite_soft_vector(surface3, bad):
+    s = np.zeros(surface3.hx.n_rows, dtype=np.uint8)
+    soft = np.zeros(surface3.n)
+    soft[4] = bad
+    with pytest.raises(ValueError, match="soft vector must be finite"):
+        order_qubits(soft, surface3, s, OsdConfig())
